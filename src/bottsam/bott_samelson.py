@@ -5,10 +5,15 @@ A word ``(i_1, .., i_N)`` in the simple reflections of a root system has one
 T-fixed point per bit string ``eps`` of length N.  Everything here is
 computed through those fixed points: a cohomology class is stored as finitely
 many coordinates in the triangular basis ``sigma_eps``, whose value at a
-fixed point ``eps'`` is an explicit product of roots.  Expansion inverts
-that triangular system; multiplication is pointwise on fixed points followed
-by expansion; integration is the localization sum, an alternating sum of
-fractions that always cancels to a polynomial.
+fixed point ``eps'`` is an explicit product of roots.
+
+Products use the closed one-generator rule: ``sigma_eps`` is the product of
+the one-bit classes ``x_i`` over the on positions of ``eps``, and ``x_i``
+acts on a basis class by an explicit combinatorial formula.  Integration is
+duality: the integral over the subvariety of ``eps`` reads off the
+``eps`` coordinate.  The localization routes (pointwise product on fixed
+points followed by triangular expansion, and the alternating sum of
+fractions) are kept as independent oracles for the checks.
 """
 
 from __future__ import annotations
@@ -360,21 +365,52 @@ class CohClass:
     def from_json_dict(
         cls, rs: RootSystem, doc: dict, cap: int = DEFAULT_GALLERY_CAP
     ) -> "CohClass":
-        if not isinstance(doc, dict) or "word" not in doc or "coords" not in doc:
-            raise ValueError("expected an object with 'word' and 'coords'")
-        word = BSWord(rs, tuple(doc["word"]), cap=cap)
-        coords: dict[Gallery, Polynomial] = {}
-        for bits, text in doc["coords"].items():
-            e = Gallery.from_string(bits)
-            word.check_gallery(e)
-            if isinstance(text, (int, float)):
-                if isinstance(text, float) and not text.is_integer():
-                    raise ValueError("non-exact coefficient; use a string 'p/q'")
-                p = Polynomial.constant(rs.rank, int(text))
-            else:
-                p = parse_polynomial(text, rs.rank)
-            coords[e] = p
+        word, items = read_class_doc(rs, doc, cap)
+        coords = {
+            e: parse_polynomial(v, rs.rank) if isinstance(v, str) else v
+            for e, v in items.items()
+        }
         return cls(word, coords)
+
+
+_JSON_KINDS = {
+    bool: "a boolean",
+    float: "a float",
+    type(None): "null",
+    list: "an array",
+    dict: "an object",
+}
+
+
+def read_class_doc(
+    rs: RootSystem, doc, cap: int = DEFAULT_GALLERY_CAP
+) -> tuple[BSWord, dict[Gallery, int | str]]:
+    """Validate a JSON class document ``{"word": [..], "coords": {bits: c}}``.
+
+    Returns the word and the coordinates keyed by gallery, each coefficient
+    still an ``int`` or the text to parse.  Floats and booleans are refused:
+    a float is not exact, and JSON ``true`` is not a number.
+    """
+    if not isinstance(doc, dict) or "word" not in doc or "coords" not in doc:
+        raise ValueError("expected an object with 'word' and 'coords'")
+    letters, coords = doc["word"], doc["coords"]
+    if not isinstance(letters, list) or any(type(i) is not int for i in letters):
+        raise ValueError("'word' must be a list of integers")
+    if not isinstance(coords, dict):
+        raise ValueError("'coords' must be an object from bit strings to coefficients")
+    word = BSWord(rs, letters, cap=cap)
+    items: dict[Gallery, int | str] = {}
+    for bits, value in coords.items():
+        if type(value) is not int and not isinstance(value, str):
+            kind = _JSON_KINDS.get(type(value), type(value).__name__)
+            raise ValueError(
+                f"coefficient of {bits} is {kind}, not a string or an integer"
+                " (write rationals as 'p/q')"
+            )
+        e = Gallery.from_string(bits)
+        word.check_gallery(e)
+        items[e] = value
+    return word, items
 
 
 class RestrictionFn:
@@ -458,8 +494,91 @@ def expand(f: RestrictionFn) -> CohClass:
     return CohClass(word, coords)
 
 
+def _flip_on(bits: Bits, k: int) -> Bits:
+    return bits[:k] + (1,) + bits[k + 1 :]
+
+
+def _generator_terms(word: BSWord, i: int, bits: Bits) -> list[tuple[Bits, object]]:
+    """The closed rule for ``x_i * sigma_bits`` as (bits, coefficient) pairs;
+    a coefficient is a rational constant or a linear polynomial.
+
+    Bit i off: the single class with that bit turned on.  Bit i on: one
+    correction ``-<alpha_j^i, letter_j^vee>`` per off position ``j < i``,
+    where ``alpha_j^i = v_{j+1..i-1}(mu_i)``, plus ``alpha_i(bits)`` on the
+    diagonal.  Walking j down from i-1 carries ``alpha_j^i``, reflected once
+    at each on position; at the end of the walk it is ``alpha_i(bits)``.
+    """
+    k = i - 1
+    if not bits[k]:
+        return [(_flip_on(bits, k), 1)]
+    rs = word.rs
+    letters = word.letters
+    alpha = rs.simple_roots[letters[k] - 1]
+    terms: list[tuple[Bits, object]] = []
+    for j in range(k - 1, -1, -1):
+        if bits[j]:
+            alpha = rs.reflect(letters[j], alpha)
+        else:
+            c = rs.cartan_pairing(alpha, letters[j])
+            if c:
+                terms.append((_flip_on(bits, j), -c))
+    terms.append((bits, word._poly_of(alpha)))
+    return terms
+
+
+def _add_term(out: dict[Bits, Polynomial], bits: Bits, p: Polynomial) -> None:
+    prev = out.get(bits)
+    if prev is None:
+        out[bits] = p
+        return
+    s = prev + p
+    if s.is_zero:
+        del out[bits]
+    else:
+        out[bits] = s
+
+
+def _times_generator(
+    word: BSWord, i: int, coords: dict[Bits, Polynomial]
+) -> dict[Bits, Polynomial]:
+    """``x_i`` times the class with these coordinates."""
+    out: dict[Bits, Polynomial] = {}
+    for bits, p in coords.items():
+        for eb, q in _generator_terms(word, i, bits):
+            _add_term(out, eb, p * q)
+    return out
+
+
 def multiply(c1: CohClass, c2: CohClass) -> CohClass:
-    """Product of two classes: pointwise on fixed points, then expanded."""
+    """Product of two classes by the closed generator rule.
+
+    Each term ``q * sigma_b`` of one factor is ``q`` times the product of the
+    generators ``x_i`` over ``supp(b)``; those are applied one by one, in
+    position order, to the other factor.  The factor with the smaller total
+    support is the one taken apart.  No restriction values and no division.
+    """
+    if c1.word != c2.word:
+        raise WordMismatch("classes over different words")
+    word = c1.word
+    if sum(e.ones for e in c1.coords) < sum(e.ones for e in c2.coords):
+        c1, c2 = c2, c1
+    start = {e.bits: p for e, p in c1.coords.items()}
+    out: dict[Bits, Polynomial] = {}
+    for e, q in c2.coords.items():
+        cur = start
+        for i in e.support:
+            cur = _times_generator(word, i, cur)
+        for bits, p in cur.items():
+            _add_term(out, bits, p * q)
+    return CohClass(word, {Gallery(bits): p for bits, p in out.items()})
+
+
+def multiply_by_localization(c1: CohClass, c2: CohClass) -> CohClass:
+    """Product of two classes pointwise on fixed points, then expanded.
+
+    The independent route behind the product checks; :func:`multiply` is
+    the one to use.
+    """
     if c1.word != c2.word:
         raise WordMismatch("classes over different words")
     return expand(c1.restriction_fn().pointwise_product(c2.restriction_fn()))
@@ -477,30 +596,9 @@ def multiply_generator(word: BSWord, i: int, e: Gallery) -> CohClass:
     """
     word._check_pos(i)
     word.check_gallery(e)
-    rank = word.rs.rank
-    if not e.bits[i - 1]:
-        return CohClass.basis(word, e.flipped(i))
-    out: dict[Gallery, Polynomial] = {}
-    diag = word.sigma(Gallery.unit(word.n, i), e)
-    if not diag.is_zero:
-        out[e] = diag
-    mu_i = word.rs.simple_roots[word.letters[i - 1] - 1]
-    for j in range(1, i):
-        if e.bits[j - 1]:
-            continue
-        # alpha_j^i(e) = v_{j+1..i-1}(e)(mu_i), then pair against letter j
-        w_mid = word.v_segment(e, j + 1, i - 1)
-        alpha_ji = w_mid.apply(mu_i)
-        coeff = -word.rs.cartan_pairing(alpha_ji, word.letters[j - 1])
-        if coeff:
-            eg = e.flipped(j)
-            prev = out.get(eg, Polynomial.zero(rank))
-            s = prev + Polynomial.constant(rank, coeff)
-            if s.is_zero:
-                out.pop(eg, None)
-            else:
-                out[eg] = s
-    return CohClass(word, out)
+    return CohClass(
+        word, {Gallery(bits): c for bits, c in _generator_terms(word, i, e.bits)}
+    )
 
 
 def table_lines(word: BSWord) -> list[str]:
@@ -515,13 +613,28 @@ def table_lines(word: BSWord) -> list[str]:
 
 
 def integrate(word: BSWord, e: Gallery, c: CohClass) -> Polynomial:
+    """Integral over the subvariety of gallery ``e``, by duality.
+
+    The integral is linear over the polynomial ring and sends ``sigma_e'``
+    to the Kronecker delta of ``e'`` and ``e``, so it is the ``e``
+    coordinate of the class.
+    """
+    word.check_gallery(e)
+    if c.word != word:
+        raise WordMismatch("class over a different word")
+    p = c.coords.get(e)
+    return p if p is not None else Polynomial.zero(word.rs.rank)
+
+
+def integrate_by_localization(word: BSWord, e: Gallery, c: CohClass) -> Polynomial:
     """Localization integral over the subvariety of gallery ``e``.
 
     The alternating sum, over fixed points below ``e``, of the class value
     divided by the product of the weights of ``e``'s on positions at that
     fixed point.  The fractions cancel exactly; a residual denominator means
     the input was not a genuine class and raises
-    :class:`ResidualDenominator`.
+    :class:`ResidualDenominator`.  The independent route behind the
+    integral checks; :func:`integrate` is the one to use.
     """
     word.check_gallery(e)
     if c.word != word:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .bott_samelson import (
     BSWord,
@@ -20,7 +19,7 @@ from .bott_samelson import (
     Gallery,
     integrate,
     multiply,
-    multiply_generator,
+    multiply_by_localization,
     table_lines,
 )
 from .errors import (
@@ -36,7 +35,6 @@ from .ordinary import OrdinaryClass, ordinary_multiply, relations
 from .polyring import format_polynomial
 from .rootsystem import CartanSpec, RootSystem, SimpleWord, format_word, parse_word
 from .schubert import BilleyQuery, billey, check_billey_identity, reduced_word_of_gallery
-from . import selftest as selftest_mod
 
 EXIT_OK = 0
 EXIT_USER = 2
@@ -47,13 +45,35 @@ TABLE_WARN_LETTERS = 12
 INTERNAL_ERRORS = (ResidualDenominator, NotInSpan, NotDivisible)
 
 
-@dataclass
 class CliConfig:
-    rs: RootSystem | None
-    word: SimpleWord | None
-    as_json: bool
-    cap: int
-    seed: int
+    __slots__ = ("rs", "word", "as_json", "cap", "seed")
+
+    def __init__(
+        self,
+        rs: RootSystem | None,
+        word: SimpleWord | None,
+        as_json: bool,
+        cap: int,
+        seed: int,
+    ):
+        self.rs = rs
+        self.word = word
+        self.as_json = as_json
+        self.cap = cap
+        self.seed = seed
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not CliConfig:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"CliConfig(rs={self.rs!r}, word={self.word!r}, as_json={self.as_json!r},"
+            f" cap={self.cap!r}, seed={self.seed!r})"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         action="store_true",
-        help="cross-check one-generator products against the closed rule",
+        help="cross-check one-generator products against the localization route",
     )
 
     p = sub.add_parser(
@@ -322,13 +342,12 @@ def cmd_product(config: CliConfig, left_text: str, right_text: str, check: bool)
     right = Gallery.from_string(right_text)
     word.check_gallery(left)
     word.check_gallery(right)
-    product = multiply(CohClass.basis(word, left), CohClass.basis(word, right))
+    left_class, right_class = CohClass.basis(word, left), CohClass.basis(word, right)
+    product = multiply(left_class, right_class)
     check_note = None
     if check:
         if left.ones == 1 or right.ones == 1:
-            gen, other = (left, right) if left.ones == 1 else (right, left)
-            direct = multiply_generator(word, gen.support[0], other)
-            if direct != product:
+            if multiply_by_localization(left_class, right_class) != product:
                 raise NotInSpan(
                     "closed one-generator rule disagrees with the expanded product"
                 )
@@ -434,7 +453,9 @@ def cmd_ordinary(config: CliConfig, product_specs) -> int:
 
 
 def cmd_selftest(config: CliConfig) -> int:
-    results = selftest_mod.run_all(seed=config.seed)
+    from . import selftest  # only this command needs it; keeps start-up short
+
+    results = selftest.run_all(seed=config.seed)
     for k, result in enumerate(results, start=1):
         print(result.line(k))
     passed = sum(1 for r in results if r.passed)

@@ -10,19 +10,37 @@ variables) maps the equivariant ring onto this one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import WordMismatch
-from .bott_samelson import BSWord, CohClass, Gallery
+from .bott_samelson import (
+    DEFAULT_GALLERY_CAP,
+    BSWord,
+    CohClass,
+    Gallery,
+    read_class_doc,
+)
 
 
-@dataclass(frozen=True)
 class Relation:
     """The relation of position ``i``: x_i^2 + sum of coeff * x_j * x_i = 0."""
 
-    position: int
-    terms: tuple[tuple[int, int], ...]  # (j, a_{j,i}) with a_{j,i} != 0, j < i
+    __slots__ = ("position", "terms")
+
+    def __init__(self, position: int, terms: tuple[tuple[int, int], ...]):
+        self.position = position
+        self.terms = terms  # (j, a_{j,i}) with a_{j,i} != 0, j < i
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Relation:
+            return NotImplemented
+        return (self.position, self.terms) == (other.position, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.position, self.terms))
+
+    def __repr__(self) -> str:
+        return f"Relation(position={self.position!r}, terms={self.terms!r})"
 
     def __str__(self) -> str:
         parts = [f"x{self.position}^2"]
@@ -130,15 +148,14 @@ class OrdinaryClass:
         return {"word": list(self.word.letters), "coords": coords}
 
     @classmethod
-    def from_json_dict(cls, rs, doc: dict, cap: int = 20) -> "OrdinaryClass":
-        if not isinstance(doc, dict) or "word" not in doc or "coords" not in doc:
-            raise ValueError("expected an object with 'word' and 'coords'")
-        word = BSWord(rs, tuple(doc["word"]), cap=cap)
-        coords = {
-            Gallery.from_string(bits): Fraction(val)
-            for bits, val in doc["coords"].items()
-        }
-        return cls(word, coords)
+    def from_json_dict(
+        cls, rs, doc: dict, cap: int = DEFAULT_GALLERY_CAP
+    ) -> "OrdinaryClass":
+        word, items = read_class_doc(rs, doc, cap)
+        try:
+            return cls(word, {e: Fraction(v) for e, v in items.items()})
+        except ZeroDivisionError:
+            raise ValueError("coefficient with a zero denominator") from None
 
 
 def ordinary_multiply(c1: OrdinaryClass, c2: OrdinaryClass) -> OrdinaryClass:

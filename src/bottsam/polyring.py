@@ -451,6 +451,8 @@ def parse_polynomial(text: str, rank: int, var_prefix: str = "a") -> Polynomial:
 
     def take() -> tuple[str, str]:
         nonlocal pos
+        if pos >= len(tokens):
+            raise ValueError(f"polynomial text {text!r} ends too early")
         tok = tokens[pos]
         pos += 1
         return tok
@@ -464,8 +466,8 @@ def parse_polynomial(text: str, rank: int, var_prefix: str = "a") -> Polynomial:
         if nxt == ("op", "/"):
             take()
             kind2, val2 = take()
-            if kind2 != "num":
-                raise ValueError("expected a denominator after '/'")
+            if kind2 != "num" or int(val2) == 0:
+                raise ValueError("expected a nonzero denominator after '/'")
             value /= int(val2)
         return value
 

@@ -11,7 +11,6 @@ usual Bourbaki numbering of Dynkin diagrams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -56,11 +55,21 @@ def format_word(word: Sequence[int]) -> str:
     return " ".join(str(i) for i in word)
 
 
-@dataclass(frozen=True)
 class Weight:
     """An element of the weight space, in simple-root coordinates."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[Fraction, ...]):
+        self.coords = coords
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Weight:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     @classmethod
     def of(cls, values: Iterable[Fraction | int]) -> "Weight":
@@ -133,7 +142,6 @@ class Weight:
         return f"Weight({self})"
 
 
-@dataclass(frozen=True)
 class WeylElement:
     """A Weyl-group element as the integer matrix of its root-lattice action.
 
@@ -141,7 +149,18 @@ class WeylElement:
     matrix acts on coordinate columns.  Matrix equality is group equality.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        self.rows = rows
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not WeylElement:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
 
     @classmethod
     def identity(cls, rank: int) -> "WeylElement":
@@ -184,12 +203,25 @@ class WeylElement:
         return f"WeylElement({self.rows})"
 
 
-@dataclass(frozen=True)
 class CartanSpec:
     """A generalized Cartan matrix, rows indexed by simple roots."""
 
-    matrix: tuple[tuple[int, ...], ...]
-    label: str | None = None
+    __slots__ = ("matrix", "label")
+
+    def __init__(self, matrix: tuple[tuple[int, ...], ...], label: str | None = None):
+        self.matrix = matrix
+        self.label = label
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not CartanSpec:
+            return NotImplemented
+        return (self.matrix, self.label) == (other.matrix, other.label)
+
+    def __hash__(self) -> int:
+        return hash((self.matrix, self.label))
+
+    def __repr__(self) -> str:
+        return f"CartanSpec(matrix={self.matrix!r}, label={self.label!r})"
 
     @classmethod
     def from_label(cls, label: str) -> "CartanSpec":
@@ -296,14 +328,21 @@ class RootSystem:
         For lam in the root lattice this is the integer <lam, alpha_i^vee>.
         """
         self._check_index(i)
+        if len(lam.coords) != self.rank:
+            raise RankMismatch(
+                f"weight of rank {len(lam.coords)} against rank {self.rank}"
+            )
         row = self.cartan[i - 1]
-        return sum((c * row[k] for k, c in enumerate(lam.coords)), Fraction(0))
+        return sum((c * a for c, a in zip(lam.coords, row) if a), Fraction(0))
 
     def reflect(self, i: int, lam: Weight) -> Weight:
         c = self.cartan_pairing(lam, i)
         if c == 0:
             return lam
-        return lam - c * self.simple_roots[i - 1]
+        # lam - c * alpha_i: only the i-th coordinate moves
+        coords = list(lam.coords)
+        coords[i - 1] -= c
+        return Weight(tuple(coords))
 
     def _reflection_matrix(self, i: int) -> WeylElement:
         n = self.rank
@@ -330,14 +369,18 @@ class RootSystem:
     # ---- positive roots and lengths -----------------------------------
 
     def _close_positive_roots(self) -> tuple[Weight, ...]:
-        roots = set(self.simple_roots)
-        frontier = list(self.simple_roots)
+        # Roots have integer coordinates, so the closure runs on int tuples
+        # (r_i moves coordinate i by the Cartan pairing) and makes Weights
+        # once at the end.
+        roots = {tuple(int(c) for c in w.coords) for w in self.simple_roots}
+        frontier = list(roots)
         while frontier:
-            new: list[Weight] = []
+            new: list[tuple[int, ...]] = []
             for beta in frontier:
-                for i in range(1, self.rank + 1):
-                    gamma = self.reflect(i, beta)
-                    if gamma not in roots and all(c >= 0 for c in gamma.coords):
+                for i, row in enumerate(self.cartan):
+                    c = sum(b * a for b, a in zip(beta, row))
+                    gamma = beta[:i] + (beta[i] - c,) + beta[i + 1 :]
+                    if gamma not in roots and all(x >= 0 for x in gamma):
                         roots.add(gamma)
                         new.append(gamma)
             if len(roots) > ROOT_CLOSURE_BOUND:
@@ -347,12 +390,8 @@ class RootSystem:
             frontier = new
         # Height first, then reverse-lexicographic coordinates, so the
         # simple roots come out as a1, a2, ... .
-        return tuple(
-            sorted(
-                roots,
-                key=lambda w: (sum(w.coords), tuple(-c for c in w.coords)),
-            )
-        )
+        ordered = sorted(roots, key=lambda w: (sum(w), tuple(-c for c in w)))
+        return tuple(Weight.of(w) for w in ordered)
 
     @staticmethod
     def _is_negative(lam: Weight) -> bool:

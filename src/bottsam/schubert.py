@@ -11,8 +11,6 @@ longest-element word recovers the same polynomials, which is what
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotLongestWord, NotReducedGallery, NotReducedWord
 from .bott_samelson import BSWord, Gallery
 from .polyring import Polynomial
@@ -45,19 +43,29 @@ def beta_sequence(rs: RootSystem, v_word: SimpleWord) -> list[Weight]:
     return out
 
 
-@dataclass(frozen=True)
 class BilleyQuery:
     """A restriction query: the class of ``w`` evaluated at the point of
     ``v_word`` (a reduced word)."""
 
-    rs: RootSystem
-    w: WeylElement
-    v_word: SimpleWord
+    __slots__ = ("rs", "w", "v_word")
 
-    def __post_init__(self):
-        object.__setattr__(self, "v_word", tuple(self.v_word))
-        if not self.rs.is_reduced(self.v_word):
+    def __init__(self, rs: RootSystem, w: WeylElement, v_word: SimpleWord):
+        self.rs = rs
+        self.w = w
+        self.v_word = tuple(v_word)
+        if not rs.is_reduced(self.v_word):
             raise NotReducedWord(f"{self.v_word} is not reduced")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not BilleyQuery:
+            return NotImplemented
+        return (self.rs, self.w, self.v_word) == (other.rs, other.w, other.v_word)
+
+    def __hash__(self) -> int:
+        return hash((self.rs, self.w, self.v_word))
+
+    def __repr__(self) -> str:
+        return f"BilleyQuery(rs={self.rs!r}, w={self.w!r}, v_word={self.v_word!r})"
 
 
 def billey(q: BilleyQuery) -> Polynomial:

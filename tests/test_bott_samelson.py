@@ -21,6 +21,7 @@ from bottsam import (
     gallery_leq,
     integrate,
     multiply,
+    multiply_by_localization,
     multiply_generator,
     parse_polynomial,
 )
@@ -174,7 +175,8 @@ def test_multiply_agrees_with_generator_rule():
     for i in (1, 2, 3):
         gen = CohClass.basis(word, Gallery.unit(3, i))
         for e in word.galleries():
-            assert multiply_generator(word, i, e) == multiply(gen, CohClass.basis(word, e))
+            expected = multiply_by_localization(gen, CohClass.basis(word, e))
+            assert multiply_generator(word, i, e) == expected
 
 
 def test_multiply_generator_on_b2():
@@ -182,7 +184,8 @@ def test_multiply_generator_on_b2():
     for i in range(1, 5):
         gen = CohClass.basis(word, Gallery.unit(4, i))
         for e in word.galleries():
-            assert multiply_generator(word, i, e) == multiply(gen, CohClass.basis(word, e))
+            expected = multiply_by_localization(gen, CohClass.basis(word, e))
+            assert multiply_generator(word, i, e) == expected
 
 
 def test_multiply_is_commutative_and_unital():
@@ -261,3 +264,18 @@ def test_cohclass_json_roundtrip():
     assert back == c
     with pytest.raises(ValueError):
         CohClass.from_json_dict(A2, {"coords": {}})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"word": [1, 2, 1], "coords": []},
+        {"word": [1, 2, 1], "coords": {"011": True}},
+        {"word": [1, 2, 1], "coords": {"011": 1.0}},
+        {"word": [1, "2", 1], "coords": {}},
+        {"word": (1, 2, 1), "coords": {}},
+    ],
+)
+def test_cohclass_json_rejects_malformed_documents(doc):
+    with pytest.raises(ValueError):
+        CohClass.from_json_dict(A2, doc)

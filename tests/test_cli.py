@@ -219,3 +219,31 @@ def test_cap_is_enforced_and_adjustable(capsys):
     assert "CapExceeded" in err
     code, _, _ = run(capsys, "--type", "A2", "--word", "1,2,1,2,1", "table")
     assert code == 0
+
+
+MALFORMED_CLASSES = [
+    '{"word": [1, 2, 1], "coords": []}',
+    '{"word": [1, 2, 1], "coords": {"011": true}}',
+    '{"word": [1, 2, 1], "coords": {"011": 1.0}}',
+    '{"word": [1, 2, 1], "coords": {"011": null}}',
+    '{"word": [1, 2, 1], "coords": {"011": "1/0"}}',
+    '{"word": [1, 2, 1], "coords": {"011": "a1^"}}',
+    '{"word": [1, 2, 1], "coords": {"011": "1/"}}',
+    '{"word": [1, 2, 1], "coords": {"01": "1"}}',
+    '{"word": "121", "coords": {}}',
+    '{"word": [1, 2, true], "coords": {}}',
+    '{"word": [1, 2, 1]}',
+    '[1, 2, 1]',
+    '{"word": [1, 2, 1], ',
+]
+
+
+@pytest.mark.parametrize("command", ["restrict", "integrate"])
+@pytest.mark.parametrize("spec", MALFORMED_CLASSES)
+def test_malformed_class_is_a_one_line_user_error(capsys, command, spec):
+    code, out, err = run(
+        capsys, "--type", "A2", "--word", "1,2,1", command, "011", "--class", spec
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

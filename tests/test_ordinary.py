@@ -122,3 +122,10 @@ def test_json_roundtrip():
     assert doc == {"word": [1, 2, 1], "coords": {"101": -2, "011": "1/3"}}
     back = OrdinaryClass.from_json_dict(A2, json.loads(json.dumps(doc)))
     assert back == c
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, None, "1/0", "a1"])
+def test_json_rejects_inexact_or_non_numeric_coefficients(value):
+    doc = {"word": [1, 2, 1], "coords": {"011": value}}
+    with pytest.raises(ValueError):
+        OrdinaryClass.from_json_dict(A2, doc)
