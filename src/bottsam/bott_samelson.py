@@ -163,11 +163,6 @@ class BSWord:
 
     # ---- basic structure -------------------------------------------------
 
-    def simple_root(self, i: int) -> Weight:
-        """mu_i, the simple root of the (1-based) i-th letter."""
-        self._check_pos(i)
-        return self.rs.simple_roots[self.letters[i - 1] - 1]
-
     def galleries(self) -> list[Gallery]:
         """All 2^N galleries, graded by number of on bits, earlier on bits
         first within a grade."""
@@ -189,19 +184,14 @@ class BSWord:
 
     # ---- Weyl data per gallery --------------------------------------------
 
-    def v_segment(self, e: Gallery, i: int, j: int) -> WeylElement:
-        """Product of the reflections at on positions in ``i..j`` (1-based,
-        inclusive), taken in position order; identity when j < i."""
-        self.check_gallery(e)
-        w = WeylElement.identity(self.rs.rank)
-        for k in range(max(i, 1), min(j, self.n) + 1):
-            if e.bits[k - 1]:
-                w = w @ self.rs.simple_reflection(self.letters[k - 1])
-        return w
-
     def v(self, e: Gallery) -> WeylElement:
         """The Weyl-group point of the gallery: all on reflections in order."""
-        return self.v_segment(e, 1, self.n)
+        self.check_gallery(e)
+        rows = self.rs.identity_rows
+        for bit, i in zip(e.bits, self.letters):
+            if bit:
+                rows = self.rs.times_reflection(rows, i)
+        return WeylElement(rows)
 
     def alphas(self, e: Gallery) -> tuple[Weight, ...]:
         """The localization weights (alpha_1(e), .., alpha_N(e))."""
@@ -209,11 +199,11 @@ class BSWord:
         cached = self._alphas.get(e.bits)
         if cached is None:
             out = []
-            w = WeylElement.identity(self.rs.rank)
-            for pos in range(self.n):
-                out.append(w.apply(self.rs.simple_roots[self.letters[pos] - 1]))
-                if e.bits[pos]:
-                    w = w @ self.rs.simple_reflection(self.letters[pos])
+            rows = self.rs.identity_rows
+            for bit, i in zip(e.bits, self.letters):
+                out.append(Weight.of(r[i - 1] for r in rows))
+                if bit:
+                    rows = self.rs.times_reflection(rows, i)
             cached = tuple(out)
             self._alphas[e.bits] = cached
         return cached
@@ -427,10 +417,6 @@ class RestrictionFn:
         self.word = word
         self._fn = fn
         self._memo: dict[Bits, Polynomial] = {}
-
-    @classmethod
-    def from_class(cls, c: CohClass) -> "RestrictionFn":
-        return c.restriction_fn()
 
     @classmethod
     def from_values(cls, word: BSWord, values: dict[Gallery, Polynomial]) -> "RestrictionFn":

@@ -18,6 +18,7 @@ from .bott_samelson import (
     DEFAULT_GALLERY_CAP,
     Gallery,
     integrate,
+    integrate_by_localization,
     multiply,
     multiply_by_localization,
     table_lines,
@@ -27,14 +28,13 @@ from .errors import (
     NotDivisible,
     NotInSpan,
     NotLongestWord,
-    NotReducedGallery,
     ResidualDenominator,
     WordMismatch,
 )
 from .ordinary import OrdinaryClass, ordinary_multiply, relations
 from .polyring import format_polynomial
 from .rootsystem import CartanSpec, RootSystem, SimpleWord, format_word, parse_word
-from .schubert import BilleyQuery, billey, check_billey_identity, reduced_word_of_gallery
+from .schubert import BilleyQuery, billey, check_billey_identities, reduced_galleries
 
 EXIT_OK = 0
 EXIT_USER = 2
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "integrate",
         parents=[common],
-        help="localization integral of a class over a gallery subvariety",
+        help="integral of a class over a gallery subvariety",
     )
     p.add_argument("domain", help="gallery bit string to integrate over")
     p.add_argument(
@@ -177,6 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="CLASS",
         help="bit string (basis class), inline JSON, or a JSON file path",
+    )
+    p.add_argument(
+        "--check",
+        action="store_true",
+        help="cross-check the integral against the localization route",
     )
 
     p = sub.add_parser(
@@ -366,22 +371,31 @@ def cmd_product(config: CliConfig, left_text: str, right_text: str, check: bool)
     return EXIT_OK
 
 
-def cmd_integrate(config: CliConfig, domain_text: str, class_spec: str) -> int:
+def cmd_integrate(
+    config: CliConfig, domain_text: str, class_spec: str, check: bool
+) -> int:
     word = _require_word(config)
     domain = Gallery.from_string(domain_text)
     word.check_gallery(domain)
     cls = _load_class(config, word, class_spec)
     value = integrate(word, domain, cls)
+    doc = {
+        "word": list(word.letters),
+        "domain": str(domain),
+        "value": format_polynomial(value),
+    }
+    if check:
+        if integrate_by_localization(word, domain, cls) != value:
+            raise NotInSpan(
+                "integral by duality disagrees with the localization integral"
+            )
+        doc["check"] = "localization integral agrees"
     if config.as_json:
-        _emit_json(
-            {
-                "word": list(word.letters),
-                "domain": str(domain),
-                "value": format_polynomial(value),
-            }
-        )
+        _emit_json(doc)
     else:
-        print(format_polynomial(value))
+        print(doc["value"])
+        if check:
+            print(f"check: {doc['check']}")
     return EXIT_OK
 
 
@@ -400,17 +414,10 @@ def cmd_billey(config: CliConfig, w_text: str, v_text: str, verify: bool) -> int
     failed = 0
     if verify:
         word = _require_word(config)
-        passed = skipped = 0
-        for e in word.galleries():
-            try:
-                reduced_word_of_gallery(word, e)
-            except NotReducedGallery:
-                skipped += 1
-                continue
-            if check_billey_identity(word, w, e):
-                passed += 1
-            else:
-                failed += 1
+        agree = check_billey_identities(word, w, reduced_galleries(word))
+        passed = sum(agree)
+        failed = len(agree) - passed
+        skipped = len(word.galleries()) - len(agree)
         lines.append(
             f"verify: {passed} galleries agree, {failed} disagree, {skipped} skipped"
         )
@@ -478,7 +485,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if command == "product":
         return cmd_product(config, args.left, args.right, args.check)
     if command == "integrate":
-        return cmd_integrate(config, args.domain, args.class_spec)
+        return cmd_integrate(config, args.domain, args.class_spec, args.check)
     if command == "billey":
         return cmd_billey(config, args.w, args.v, args.verify)
     if command == "ordinary":

@@ -159,56 +159,56 @@ class OrdinaryClass:
 
 
 def ordinary_multiply(c1: OrdinaryClass, c2: OrdinaryClass) -> OrdinaryClass:
-    """Bilinear product rewritten to the square-free basis.
+    """Bilinear product in the square-free basis, one generator at a time.
 
-    Squares are eliminated largest position first; the relation for x_i^2
-    only produces monomials whose extra factor sits strictly left of i, so
-    the reversed exponent vector drops lexicographically and the rewriting
-    terminates.
+    ``x_a``, the product of the ``x_i`` over ``supp(a)``, is applied to
+    ``x_b`` in position order, taking apart the factor with the smaller
+    total support.  For ``i`` in ``e`` the relation of position ``i`` gives
+    ``x_i x_e = -sum_{j<i} a_{j,i} x_j x_e``: a recursion down the on
+    positions of ``e``, on integers and memoized for the call.
     """
     if c1.word != c2.word:
         raise WordMismatch("classes over different words")
     word = c1.word
     A = word.rs.cartan
     letters = word.letters
+    if sum(e.ones for e in c1.coords) < sum(e.ones for e in c2.coords):
+        c1, c2 = c2, c1
+    memo: dict[tuple[int, int], dict[int, int]] = {}
 
-    pending: dict[tuple[int, ...], Fraction] = {}
-    for e1, a in c1.coords.items():
-        for e2, b in c2.coords.items():
-            exp = tuple(x + y for x, y in zip(e1.bits, e2.bits))
-            s = pending.get(exp, Fraction(0)) + a * b
-            if s:
-                pending[exp] = s
-            else:
-                del pending[exp]
+    def times(k: int, mask: int) -> dict[int, int]:
+        """x_{k+1} x_mask, where bit k of a mask is position k + 1."""
+        if not mask >> k & 1:
+            return {mask | 1 << k: 1}
+        out = memo.get((k, mask))
+        if out is None:
+            out = {}
+            lk = letters[k] - 1
+            for j in range(k):
+                a = A[letters[j] - 1][lk]
+                if a:
+                    for m, c in times(j, mask).items():
+                        out[m] = out.get(m, 0) - a * c
+            out = memo[k, mask] = {m: c for m, c in out.items() if c}
+        return out
 
-    while True:
-        target = None
-        for exp in pending:
-            i = max((k for k, v in enumerate(exp) if v >= 2), default=-1)
-            if i >= 0:
-                target = (exp, i)
-                break
-        if target is None:
-            break
-        exp, i = target
-        coef = pending.pop(exp)
-        # x_{i+1}^2 -> -sum_{j<i} a_{j,i} x_{j+1} x_{i+1} (0-based i, j here)
-        for j in range(i):
-            a = A[letters[j] - 1][letters[i] - 1]
-            if not a:
-                continue
-            nexp = list(exp)
-            nexp[i] -= 1
-            nexp[j] += 1
-            key = tuple(nexp)
-            s = pending.get(key, Fraction(0)) - a * coef
-            if s:
-                pending[key] = s
-            else:
-                del pending[key]
-
-    return OrdinaryClass(word, {Gallery(exp): c for exp, c in pending.items()})
+    acc: dict[int, Fraction] = {}
+    for e2, q2 in c2.coords.items():
+        for e1, q1 in c1.coords.items():
+            cur = {sum(b << k for k, b in enumerate(e1.bits)): 1}
+            for i in e2.support:
+                nxt: dict[int, int] = {}
+                for mask, c in cur.items():
+                    for m, d in times(i - 1, mask).items():
+                        nxt[m] = nxt.get(m, 0) + c * d
+                cur = {m: c for m, c in nxt.items() if c}
+            q = q1 * q2
+            for m, c in cur.items():
+                acc[m] = acc.get(m, 0) + q * c
+    n = word.n
+    return OrdinaryClass(
+        word, {Gallery(tuple(m >> k & 1 for k in range(n))): c for m, c in acc.items()}
+    )
 
 
 def evaluate_at_origin(c: CohClass) -> OrdinaryClass:

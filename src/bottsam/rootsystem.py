@@ -20,6 +20,9 @@ from .errors import IndexOutOfRange, InvalidCartan, NotFiniteType, RankMismatch
 # the identity.
 SimpleWord = tuple[int, ...]
 
+# The integer matrix of a Weyl-group element, as in ``WeylElement.rows``.
+Rows = tuple[tuple[int, ...], ...]
+
 # Bourbaki-numbered Cartan matrices for the built-in labels.
 BUILTIN_CARTAN: dict[str, tuple[tuple[int, ...], ...]] = {
     "A1": ((2,),),
@@ -55,6 +58,16 @@ def format_word(word: Sequence[int]) -> str:
     return " ".join(str(i) for i in word)
 
 
+def ascends(rows: Rows, i: int) -> bool:
+    """Whether ``l(u r_i) > l(u)``: column i of ``u``, the root
+    ``u(alpha_i)``, is positive (a root's coordinates share one sign)."""
+    k = i - 1
+    for r in rows:
+        if r[k]:
+            return r[k] > 0
+    return False
+
+
 class Weight:
     """An element of the weight space, in simple-root coordinates."""
 
@@ -78,13 +91,6 @@ class Weight:
     @classmethod
     def zero(cls, rank: int) -> "Weight":
         return cls((Fraction(0),) * rank)
-
-    @classmethod
-    def simple(cls, rank: int, i: int) -> "Weight":
-        """The simple root alpha_i (1-based)."""
-        if not 1 <= i <= rank:
-            raise IndexOutOfRange(f"simple-root index {i} not in 1..{rank}")
-        return cls(tuple(Fraction(int(k == i - 1)) for k in range(rank)))
 
     @property
     def rank(self) -> int:
@@ -293,13 +299,17 @@ class RootSystem:
         self.rank = spec.rank
         self.cartan = spec.matrix
         self.label = spec.label
-        self.simple_roots: tuple[Weight, ...] = tuple(
-            Weight.simple(self.rank, i) for i in range(1, self.rank + 1)
+        # the identity and each Cartan row's nonzero entries, for the
+        # integer reflection step
+        self.identity_rows: Rows = WeylElement.identity(self.rank).rows
+        self.simple_roots = tuple(Weight.of(r) for r in self.identity_rows)
+        self._cartan_nonzero = tuple(
+            tuple((k, a) for k, a in enumerate(row) if a) for row in self.cartan
         )
-        self._reflections: tuple[WeylElement, ...] = tuple(
-            self._reflection_matrix(i) for i in range(1, self.rank + 1)
+        self._positive_int = self._close_positive_roots()
+        self.positive_roots: tuple[Weight, ...] = tuple(
+            Weight.of(b) for b in self._positive_int
         )
-        self.positive_roots: tuple[Weight, ...] = self._close_positive_roots()
         self._longest_word: SimpleWord | None = None
 
     @classmethod
@@ -344,35 +354,40 @@ class RootSystem:
         coords[i - 1] -= c
         return Weight(tuple(coords))
 
-    def _reflection_matrix(self, i: int) -> WeylElement:
-        n = self.rank
-        rows = []
-        for j in range(n):
-            if j == i - 1:
-                rows.append(tuple(int(j == k) - self.cartan[j][k] for k in range(n)))
-            else:
-                rows.append(tuple(int(j == k) for k in range(n)))
-        return WeylElement(tuple(rows))
-
     def simple_reflection(self, i: int) -> WeylElement:
         self._check_index(i)
-        return self._reflections[i - 1]
+        return WeylElement(self.times_reflection(self.identity_rows, i))
+
+    def times_reflection(self, rows: Rows, i: int) -> Rows:
+        """The rows of ``u r_i`` from the rows of ``u``: column k becomes
+        ``u(alpha_k) - A[i][k] u(alpha_i)``."""
+        k = i - 1
+        nonzero = self._cartan_nonzero[k]
+        out = []
+        for r in rows:
+            rk = r[k]
+            if rk:
+                moved = list(r)
+                for j, a in nonzero:
+                    moved[j] -= a * rk
+                r = tuple(moved)
+            out.append(r)
+        return tuple(out)
 
     def weyl_from_word(self, word: Sequence[int]) -> WeylElement:
         """The product r_{i_1}···r_{i_l}; the empty word is the identity."""
-        w = WeylElement.identity(self.rank)
+        rows = self.identity_rows
         for i in word:
             self._check_index(i)
-            w = w @ self._reflections[i - 1]
-        return w
+            rows = self.times_reflection(rows, i)
+        return WeylElement(rows)
 
     # ---- positive roots and lengths -----------------------------------
 
-    def _close_positive_roots(self) -> tuple[Weight, ...]:
+    def _close_positive_roots(self) -> tuple[tuple[int, ...], ...]:
         # Roots have integer coordinates, so the closure runs on int tuples
-        # (r_i moves coordinate i by the Cartan pairing) and makes Weights
-        # once at the end.
-        roots = {tuple(int(c) for c in w.coords) for w in self.simple_roots}
+        # (r_i moves coordinate i by the Cartan pairing).
+        roots = set(self.identity_rows)
         frontier = list(roots)
         while frontier:
             new: list[tuple[int, ...]] = []
@@ -390,23 +405,29 @@ class RootSystem:
             frontier = new
         # Height first, then reverse-lexicographic coordinates, so the
         # simple roots come out as a1, a2, ... .
-        ordered = sorted(roots, key=lambda w: (sum(w), tuple(-c for c in w)))
-        return tuple(Weight.of(w) for w in ordered)
-
-    @staticmethod
-    def _is_negative(lam: Weight) -> bool:
-        """Whether a (nonzero) root has negative coordinates."""
-        for c in lam.coords:
-            if c != 0:
-                return c < 0
-        return False
+        return tuple(sorted(roots, key=lambda w: (sum(w), tuple(-c for c in w))))
 
     def length(self, w: WeylElement) -> int:
-        """Number of positive roots sent to negative roots by ``w``."""
-        return sum(1 for beta in self.positive_roots if self._is_negative(w.apply(beta)))
+        """Number of positive roots sent to negative roots by ``w``: those
+        whose image has negative height (the column sums of ``w``)."""
+        if w.rank != self.rank:
+            raise RankMismatch(f"element of rank {w.rank} against rank {self.rank}")
+        heights = [sum(col) for col in zip(*w.rows)]
+        return sum(
+            sum(h * b for h, b in zip(heights, beta)) < 0 for beta in self._positive_int
+        )
 
     def is_reduced(self, word: Sequence[int]) -> bool:
-        return self.length(self.weyl_from_word(word)) == len(word)
+        """Whether every letter raises the length of the product before it."""
+        word = tuple(word)
+        for i in word:
+            self._check_index(i)
+        rows = self.identity_rows
+        for i in word:
+            if not ascends(rows, i):
+                return False
+            rows = self.times_reflection(rows, i)
+        return True
 
     def longest_word(self) -> SimpleWord:
         """A reduced word for w0: greedily append the smallest index that
@@ -414,12 +435,12 @@ class RootSystem:
         if self._longest_word is not None:
             return self._longest_word
         word: list[int] = []
-        w = WeylElement.identity(self.rank)
+        rows = self.identity_rows
         while True:
             for i in range(1, self.rank + 1):
-                if not self._is_negative(w.apply(self.simple_roots[i - 1])):
+                if ascends(rows, i):
                     word.append(i)
-                    w = w @ self._reflections[i - 1]
+                    rows = self.times_reflection(rows, i)
                     break
             else:
                 break
@@ -435,19 +456,18 @@ class RootSystem:
         Materializes the whole group; intended for the desk-scale built-in
         types.
         """
-        seen: dict[tuple[tuple[int, ...], ...], WeylElement] = {}
-        frontier = [WeylElement.identity(self.rank)]
-        seen[frontier[0].rows] = frontier[0]
+        frontier = [self.identity_rows]
+        seen = dict.fromkeys(frontier)
         while frontier:
-            new: list[WeylElement] = []
-            for w in frontier:
-                for s in self._reflections:
-                    ws = w @ s
-                    if ws.rows not in seen:
-                        seen[ws.rows] = ws
+            new: list[Rows] = []
+            for rows in frontier:
+                for i in range(1, self.rank + 1):
+                    ws = self.times_reflection(rows, i)
+                    if ws not in seen:
+                        seen[ws] = None
                         new.append(ws)
             frontier = new
-        return list(seen.values())
+        return [WeylElement(rows) for rows in seen]
 
 
 def build_root_system(spec: CartanSpec) -> RootSystem:

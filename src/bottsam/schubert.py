@@ -11,10 +11,13 @@ longest-element word recovers the same polynomials, which is what
 
 from __future__ import annotations
 
-from .errors import NotLongestWord, NotReducedGallery, NotReducedWord
+import itertools
+from fractions import Fraction
+
+from .errors import NotLongestWord, NotReducedGallery, NotReducedWord, RankMismatch
 from .bott_samelson import BSWord, Gallery
 from .polyring import Polynomial
-from .rootsystem import RootSystem, SimpleWord, Weight, WeylElement
+from .rootsystem import RootSystem, Rows, SimpleWord, Weight, WeylElement, ascends
 
 
 def reduced_word_of_gallery(word: BSWord, e: Gallery) -> SimpleWord:
@@ -29,32 +32,51 @@ def reduced_word_of_gallery(word: BSWord, e: Gallery) -> SimpleWord:
     return sub
 
 
+def reduced_galleries(word: BSWord) -> list[Gallery]:
+    """The galleries whose on letters form a reduced word, in gallery order."""
+    letters = word.letters
+    return [
+        e
+        for e in word.galleries()
+        if word.rs.is_reduced(tuple(letters[i - 1] for i in e.support))
+    ]
+
+
+def _beta_columns(rs: RootSystem, v_word: SimpleWord) -> list[tuple[int, ...]]:
+    """``beta_j`` as integer coordinates: column ``i_j`` of the prefix
+    product, which must be positive at every step (the word is reduced)."""
+    v_word = tuple(v_word)
+    for i in v_word:
+        rs._check_index(i)
+    rows = rs.identity_rows
+    out: list[tuple[int, ...]] = []
+    for i in v_word:
+        if not ascends(rows, i):
+            raise NotReducedWord(f"{v_word} is not reduced")
+        out.append(tuple(r[i - 1] for r in rows))
+        rows = rs.times_reflection(rows, i)
+    return out
+
+
 def beta_sequence(rs: RootSystem, v_word: SimpleWord) -> list[Weight]:
     """``beta_j = r_{i_1} .. r_{i_{j-1}}(alpha_{i_j})`` for a reduced word;
     these are distinct positive roots (the inversions of v)."""
-    v_word = tuple(v_word)
-    if not rs.is_reduced(v_word):
-        raise NotReducedWord(f"{v_word} is not reduced")
-    out: list[Weight] = []
-    w = WeylElement.identity(rs.rank)
-    for i in v_word:
-        out.append(w.apply(rs.simple_roots[i - 1]))
-        w = w @ rs.simple_reflection(i)
-    return out
+    return [Weight.of(b) for b in _beta_columns(rs, v_word)]
 
 
 class BilleyQuery:
     """A restriction query: the class of ``w`` evaluated at the point of
     ``v_word`` (a reduced word)."""
 
-    __slots__ = ("rs", "w", "v_word")
+    __slots__ = ("rs", "w", "v_word", "_betas")
 
     def __init__(self, rs: RootSystem, w: WeylElement, v_word: SimpleWord):
+        if w.rank != rs.rank:
+            raise RankMismatch(f"element of rank {w.rank} against rank {rs.rank}")
         self.rs = rs
         self.w = w
         self.v_word = tuple(v_word)
-        if not rs.is_reduced(self.v_word):
-            raise NotReducedWord(f"{self.v_word} is not reduced")
+        self._betas = _beta_columns(rs, self.v_word)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not BilleyQuery:
@@ -68,46 +90,80 @@ class BilleyQuery:
         return f"BilleyQuery(rs={self.rs!r}, w={self.w!r}, v_word={self.v_word!r})"
 
 
+def _weak_interval(
+    rs: RootSystem, w: WeylElement
+) -> tuple[list[dict[int, int]], int | None]:
+    """Number the elements below ``w`` in the right weak order (prefixes of
+    reduced words of ``w``) from 0 for ``w``, removing right descents.
+
+    Returns ``up``, with ``up[x][i]`` the number of ``x r_i`` whenever that
+    is above ``x`` and in the interval, and the number of the identity:
+    ``None`` when ``w`` is no product of this system's reflections.
+    """
+    ids = {w.rows: 0}
+    up: list[dict[int, int]] = [{}]
+    frontier = [w.rows]
+    while frontier:
+        new: list[Rows] = []
+        for rows in frontier:
+            top = ids[rows]
+            for i in range(1, rs.rank + 1):
+                if not ascends(rows, i):
+                    x = rs.times_reflection(rows, i)
+                    k = ids.get(x)
+                    if k is None:
+                        k = ids[x] = len(up)
+                        up.append({})
+                        new.append(x)
+                    up[k][i] = top
+        frontier = new
+    return up, ids.get(rs.identity_rows)
+
+
 def billey(q: BilleyQuery) -> Polynomial:
     """Sum of beta products over increasing subwords of ``v_word`` that
     multiply to ``w``; zero when no subword does, one for ``w`` = identity.
 
-    Depth-first over positions, pruning branches that cannot reach the
-    required subword length.
+    Every prefix of such a subword lies in the weak interval below ``w``, so
+    one pass over the positions carries, for each ``u`` in the interval, the
+    sum over the subwords read so far that multiply to ``u`` reducedly;
+    letter ``s`` extends ``u`` when ``l(us) > l(u)`` and ``us`` is in the
+    interval.  The sums are integer polynomials whose monomials are packed
+    into integers in base ``len(v_word) + 1``, above every exponent.
     """
     rs = q.rs
-    m = rs.length(q.w)
-    betas = beta_sequence(rs, q.v_word)
-    beta_polys = [Polynomial.from_weight(b) for b in betas]
-    n = len(betas)
-    refls = [rs.simple_reflection(i) for i in q.v_word]
-    total = Polynomial.zero(rs.rank)
-    identity = WeylElement.identity(rs.rank)
-
-    def walk(pos: int, elem: WeylElement, taken: int, prod: Polynomial):
-        nonlocal total
-        if taken == m:
-            if elem == q.w:
-                total = total + prod
-            return
-        if n - pos < m - taken:
-            return
-        for j in range(pos, n):
-            if n - j < m - taken:
-                break
-            walk(j + 1, elem @ refls[j], taken + 1, prod * beta_polys[j])
-
-    walk(0, identity, 0, Polynomial.one(rs.rank))
-    return total
+    up, identity = _weak_interval(rs, q.w)
+    if identity is None:
+        return Polynomial.zero(rs.rank)
+    base = len(q.v_word) + 1
+    powers = [base**k for k in range(rs.rank)]
+    states: dict[int, dict[int, int]] = {identity: {0: 1}}
+    for i, beta in zip(q.v_word, q._betas):
+        form = [(p, b) for p, b in zip(powers, beta) if b]
+        for x, poly in list(states.items()):
+            u = up[x].get(i)
+            if u is None:
+                continue
+            # u has a descent at i, so it is never a source at this letter:
+            # adding into it in place leaves this pass's sources unchanged.
+            acc = states.setdefault(u, {})
+            for mono, c in poly.items():
+                for p, b in form:
+                    acc[mono + p] = acc.get(mono + p, 0) + c * b
+    terms = states.get(0, {}).items()
+    return Polynomial(
+        rs.rank,
+        {tuple(m // p % base for p in powers): Fraction(c) for m, c in terms},
+    )
 
 
 def fiber(word: BSWord, w: WeylElement) -> set[Gallery]:
     """Galleries whose on-count equals ``length(w)`` and whose reflection
     product is ``w``."""
-    target_len = word.rs.length(w)
     out = set()
-    for e in word.galleries():
-        if e.ones == target_len and word.v(e) == w:
+    for on in itertools.combinations(range(word.n), word.rs.length(w)):
+        e = Gallery(tuple(int(k in on) for k in range(word.n)))
+        if word.v(e) == w:
             out.add(e)
     return out
 
@@ -119,17 +175,26 @@ def check_billey_identity(word: BSWord, w: WeylElement, e: Gallery) -> bool:
     ``word`` must be a reduced decomposition of the longest element, and the
     subword selected by ``e`` must be reduced.
     """
+    return check_billey_identities(word, w, [e])[0]
+
+
+def check_billey_identities(
+    word: BSWord, w: WeylElement, galleries: list[Gallery]
+) -> list[bool]:
+    """:func:`check_billey_identity` at each gallery; the fiber of ``w`` is
+    found once for all of them."""
     rs = word.rs
-    if not (
-        rs.is_reduced(word.letters)
-        and len(word.letters) == len(rs.positive_roots)
-    ):
+    longest = len(word.letters) == len(rs.positive_roots)
+    if not (longest and rs.is_reduced(word.letters)):
         raise NotLongestWord(
             f"{word.letters} is not a reduced decomposition of the longest element"
         )
-    v_word = reduced_word_of_gallery(word, e)
-    lhs = billey(BilleyQuery(rs, w, v_word))
-    rhs = Polynomial.zero(rs.rank)
-    for ep in fiber(word, w):
-        rhs = rhs + word.sigma(ep, e)
-    return lhs == rhs
+    fib = fiber(word, w)
+    out = []
+    for e in galleries:
+        lhs = billey(BilleyQuery(rs, w, reduced_word_of_gallery(word, e)))
+        rhs = Polynomial.zero(rs.rank)
+        for ep in fib:
+            rhs = rhs + word.sigma(ep, e)
+        out.append(lhs == rhs)
+    return out

@@ -119,6 +119,27 @@ def test_integrate_inline_json_class(capsys):
     assert out.strip() == "3"
 
 
+def test_integrate_check_flag(capsys, monkeypatch):
+    word = ("--type", "A2", "--word", "1,2,1")
+    spec = json.dumps({"word": [1, 2, 1], "coords": {"011": "1/2", "110": "a1"}})
+    for domain, value in (("011", "1/2"), ("110", "a1"), ("111", "0")):
+        code, out, _ = run(capsys, *word, "integrate", domain, "--class", spec, "--check")
+        assert (code, out) == (0, f"{value}\ncheck: localization integral agrees\n")
+    doc = run_json(capsys, *word, "integrate", "011", "--class", spec, "--check", "--json")
+    assert (doc["value"], doc["check"]) == ("1/2", "localization integral agrees")
+    assert "check" not in run_json(capsys, *word, "integrate", "011", "--class", spec, "--json")
+    # an integral that disagrees with localization is an internal error
+    import bottsam.cli
+    from bottsam import Polynomial
+
+    monkeypatch.setattr(bottsam.cli, "integrate", lambda w, e, c: Polynomial.zero(2))
+    code, out, err = run(capsys, *word, "integrate", "011", "--class", spec, "--check")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: NotInSpan") and err.count("\n") == 1
+    code, out, _ = run(capsys, *word, "integrate", "011", "--class", spec)
+    assert (code, out) == (0, "0\n")
+
+
 def test_class_file_input(tmp_path, capsys):
     path = tmp_path / "cls.json"
     path.write_text(json.dumps({"word": [1, 2, 1], "coords": {"001": "1"}}))
@@ -147,6 +168,11 @@ def test_billey_verify(capsys):
     assert code == 0
     assert "verify:" in out
     assert "0 disagree" in out
+    argv = ("--type", "A2", "--word", "1,2,1", "billey", "--w", "1", "--v", "1,2,1")
+    code, out, _ = run(capsys, *argv, "--verify")
+    assert (code, out) == (0, "a1 + a2\nverify: 7 galleries agree, 0 disagree, 1 skipped\n")
+    doc = run_json(capsys, *argv, "--verify", "--json")
+    assert doc["verify"] == {"passed": 7, "failed": 0, "skipped": 1}
 
 
 def test_billey_non_reduced_v_is_a_user_error(capsys):

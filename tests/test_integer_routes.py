@@ -1,0 +1,215 @@
+"""The integer routes of the Schubert layer against independent ones.
+
+``billey`` (a forward pass over the weak interval) is compared with the
+plain subword sum, ``ordinary_multiply`` (one generator at a time) with the
+equivariant product evaluated at the origin, and the integer descent walks
+of the root system with the inversion count and with chained matrix
+products.
+"""
+
+import functools
+import itertools
+import operator
+import random
+from fractions import Fraction
+
+import pytest
+
+from bottsam import (
+    BUILTIN_CARTAN,
+    BSWord,
+    BilleyQuery,
+    CartanSpec,
+    CohClass,
+    Gallery,
+    IndexOutOfRange,
+    NotReducedWord,
+    OrdinaryClass,
+    RankMismatch,
+    Polynomial,
+    RootSystem,
+    WeylElement,
+    beta_sequence,
+    billey,
+    check_billey_identity,
+    evaluate_at_origin,
+    fiber,
+    multiply,
+    ordinary_multiply,
+)
+from bottsam.schubert import check_billey_identities
+
+CUSTOM = {
+    "A1xA1": ((2, 0), (0, 2)),
+    "A1xB2": ((2, 0, 0), (0, 2, -1), (0, -2, 2)),
+}
+SYSTEMS = [RootSystem.from_label(label) for label in sorted(BUILTIN_CARTAN)] + [
+    RootSystem(CartanSpec(matrix, label)) for label, matrix in CUSTOM.items()
+]
+IDS = [rs.label for rs in SYSTEMS]
+
+
+def chained(rs, word):
+    """The product of simple reflections by matrix multiplication."""
+    return functools.reduce(
+        operator.matmul,
+        (rs.simple_reflection(i) for i in word),
+        WeylElement.identity(rs.rank),
+    )
+
+
+def subword_sum(rs, v_word, w):
+    """Billey's formula as written: every set of positions of ``v_word`` of
+    size ``l(w)`` whose reflections multiply to ``w``, times the product of
+    the betas at those positions."""
+    betas = []
+    for j, i in enumerate(v_word):
+        betas.append(chained(rs, v_word[:j]).apply(rs.simple_roots[i - 1]))
+    total = Polynomial.zero(rs.rank)
+    for on in itertools.combinations(range(len(v_word)), rs.length(w)):
+        if chained(rs, [v_word[j] for j in on]) == w:
+            term = Polynomial.one(rs.rank)
+            for j in on:
+                term = term * Polynomial.from_weight(betas[j])
+            total = total + term
+    return total
+
+
+@pytest.mark.parametrize("rs", SYSTEMS, ids=IDS)
+def test_billey_matches_the_subword_sum_on_longest_word_prefixes(rs):
+    rng = random.Random(f"billey:{rs.label}")
+    lw = rs.longest_word()
+    w0 = rs.longest_element()
+    identity = WeylElement.identity(rs.rank)
+    zeros = 0
+    for n in range(len(lw) + 1):
+        v = lw[:n]
+        elements = [identity, w0]
+        elements += [rs.simple_reflection(i) for i in range(1, rs.rank + 1)]
+        for _ in range(2):
+            word = [rng.randint(1, rs.rank) for _ in range(rng.randint(1, max(1, n)))]
+            elements.append(rs.weyl_from_word(word))
+            # a subword of v: below v, so its value is nonzero
+            on = sorted(rng.sample(range(n), rng.randint(n // 2, n)))
+            elements.append(rs.weyl_from_word([v[j] for j in on]))
+        for w in elements:
+            value = billey(BilleyQuery(rs, w, v))
+            assert value == subword_sum(rs, v, w), (v, w)
+            zeros += value.is_zero
+        assert billey(BilleyQuery(rs, identity, v)) == 1
+    # w0 at w0 is the product of all betas, and nonzero
+    full = billey(BilleyQuery(rs, w0, lw))
+    product = Polynomial.one(rs.rank)
+    for beta in beta_sequence(rs, lw):
+        product = product * Polynomial.from_weight(beta)
+    assert full == product and not full.is_zero
+    assert zeros > 0  # w0 below the full word, at least
+
+
+@pytest.mark.parametrize("rs", SYSTEMS, ids=IDS)
+def test_beta_sequence_matches_matrix_products(rs):
+    lw = rs.longest_word()
+    expected = [
+        chained(rs, lw[:j]).apply(rs.simple_roots[i - 1]) for j, i in enumerate(lw)
+    ]
+    assert beta_sequence(rs, lw) == expected
+    assert set(expected) == set(rs.positive_roots)
+
+
+@pytest.mark.parametrize("rs", SYSTEMS, ids=IDS)
+def test_ordinary_multiply_matches_the_product_at_the_origin(rs):
+    rng = random.Random(f"ordinary:{rs.label}")
+    for _ in range(4):
+        n = rng.randint(1, 10)
+        word = BSWord(rs, [rng.randint(1, rs.rank) for _ in range(n)])
+        for _ in range(6):
+            a = Gallery(tuple(rng.randint(0, 1) for _ in range(n)))
+            b = Gallery(tuple(rng.randint(0, 1) for _ in range(n)))
+            expected = evaluate_at_origin(
+                multiply(CohClass.basis(word, a), CohClass.basis(word, b))
+            )
+            got = ordinary_multiply(
+                OrdinaryClass.basis(word, a), OrdinaryClass.basis(word, b)
+            )
+            assert got == expected, (word, a, b)
+        # combinations with non-integer rational coefficients
+        classes = []
+        for _ in range(2):
+            coords = {
+                Gallery(tuple(rng.randint(0, 1) for _ in range(n))): Fraction(
+                    rng.choice([-5, -3, -1, 1, 2, 7]), rng.choice([2, 3, 4])
+                )
+                for _ in range(3)
+            }
+            constants = {e: Polynomial.constant(rs.rank, c) for e, c in coords.items()}
+            classes.append((OrdinaryClass(word, coords), CohClass(word, constants)))
+        (x, cx), (y, cy) = classes
+        assert ordinary_multiply(x, y) == evaluate_at_origin(multiply(cx, cy))
+        assert ordinary_multiply(x, y) == ordinary_multiply(y, x)
+
+
+@pytest.mark.parametrize("rs", SYSTEMS, ids=IDS)
+def test_descent_walks_match_inversion_counts_and_matrix_products(rs):
+    rng = random.Random(f"walks:{rs.label}")
+    top = len(rs.positive_roots) + 2
+    reduced = 0
+    for _ in range(300):
+        word = tuple(rng.randint(1, rs.rank) for _ in range(rng.randint(0, top)))
+        w = rs.weyl_from_word(word)
+        assert w == chained(rs, word)
+        assert rs.is_reduced(word) == (rs.length(w) == len(word))
+        reduced += rs.is_reduced(word)
+    assert reduced > 0
+    lw = rs.longest_word()
+    assert rs.is_reduced(lw)
+    assert rs.length(rs.longest_element()) == len(rs.positive_roots)
+    # the point of a gallery is the product of its on reflections
+    word = BSWord(rs, [rng.randint(1, rs.rank) for _ in range(8)])
+    for e in word.galleries()[::7]:
+        assert word.v(e) == chained(rs, [word.letters[k - 1] for k in e.support])
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_fiber_and_identities_over_every_gallery(label):
+    rs = RootSystem.from_label(label)
+    word = BSWord(rs, rs.longest_word())
+    gals = word.galleries()
+    reduced = [e for e in gals if rs.is_reduced([word.letters[k - 1] for k in e.support])]
+    for w in rs.weyl_elements():
+        by_definition = {e for e in gals if e.ones == rs.length(w) and word.v(e) == w}
+        assert fiber(word, w) == by_definition
+        agree = check_billey_identities(word, w, reduced)
+        assert agree == [True] * len(reduced)
+    w = rs.simple_reflection(1)
+    assert check_billey_identities(word, w, reduced[:3]) == [
+        check_billey_identity(word, w, e) for e in reduced[:3]
+    ]
+
+
+def test_non_reduced_and_out_of_range_words_still_raise():
+    a2 = RootSystem.from_label("A2")
+    w = a2.weyl_from_word((1,))
+    for v in [(1, 1), (2, 1, 2, 1), (1, 2, 1, 1)]:
+        with pytest.raises(NotReducedWord):
+            BilleyQuery(a2, w, v)
+        with pytest.raises(NotReducedWord):
+            beta_sequence(a2, v)
+    # a bad letter is reported even after a non-reduced prefix
+    for v in [(3,), (0, 1), (1, 1, 5)]:
+        with pytest.raises(IndexOutOfRange):
+            BilleyQuery(a2, w, v)
+        with pytest.raises(IndexOutOfRange):
+            beta_sequence(a2, v)
+        with pytest.raises(IndexOutOfRange):
+            a2.is_reduced(v)
+        with pytest.raises(IndexOutOfRange):
+            a2.weyl_from_word(v)
+    # an element of another rank is refused, not read as a wrong matrix
+    a3 = RootSystem.from_label("A3").weyl_from_word((1, 3))
+    with pytest.raises(RankMismatch):
+        BilleyQuery(a2, a3, (1, 2))
+    with pytest.raises(RankMismatch):
+        a2.length(a3)
+    # an element of the same rank outside the group is no subword product
+    b2 = RootSystem.from_label("B2").weyl_from_word((1, 2, 1, 2))
+    assert billey(BilleyQuery(a2, b2, (1, 2, 1))).is_zero
