@@ -55,15 +55,23 @@ class Gallery:
     __slots__ = ("bits",)
 
     def __init__(self, bits: Bits):
-        self.bits = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in self.bits):
+        self.bits = tuple(map(int, bits))
+        if not {*self.bits} <= {0, 1}:
             raise ValueError("gallery bits must be 0 or 1")
+
+    @classmethod
+    def _of(cls, bits: Bits) -> "Gallery":
+        """A gallery from a tuple of 0/1 ints that this package built itself,
+        without the validation of the public constructor."""
+        g = cls.__new__(cls)
+        g.bits = bits
+        return g
 
     @classmethod
     def from_string(cls, text: str) -> "Gallery":
         if not text or any(ch not in "01" for ch in text):
             raise ValueError(f"not a gallery bit string: {text!r}")
-        return cls(tuple(int(ch) for ch in text))
+        return cls._of(tuple(map(int, text)))
 
     @classmethod
     def zero(cls, n: int) -> "Gallery":
@@ -167,7 +175,7 @@ class BSWord:
         """All 2^N galleries, graded by number of on bits, earlier on bits
         first within a grade."""
         if self._galleries is None:
-            alls = [Gallery(bits) for bits in itertools.product((0, 1), repeat=self.n)]
+            alls = [Gallery._of(bits) for bits in itertools.product((0, 1), repeat=self.n)]
             alls.sort(key=Gallery.sort_key)
             self._galleries = alls
         return self._galleries
@@ -499,16 +507,19 @@ def _generator_terms(word: BSWord, i: int, bits: Bits) -> list[tuple[Bits, objec
         return [(_flip_on(bits, k), 1)]
     rs = word.rs
     letters = word.letters
-    alpha = rs.simple_roots[letters[k] - 1]
+    # alpha on int coordinates: the pairing with letter l is the dot product
+    # with Cartan row l, and r_l moves coordinate l only (as rs.reflect)
+    alpha = list(rs.identity_rows[letters[k] - 1])
+    rows = rs._cartan_nonzero
     terms: list[tuple[Bits, object]] = []
     for j in range(k - 1, -1, -1):
+        lj = letters[j] - 1
+        c = sum(alpha[m] * a for m, a in rows[lj])
         if bits[j]:
-            alpha = rs.reflect(letters[j], alpha)
-        else:
-            c = rs.cartan_pairing(alpha, letters[j])
-            if c:
-                terms.append((_flip_on(bits, j), -c))
-    terms.append((bits, word._poly_of(alpha)))
+            alpha[lj] -= c
+        elif c:
+            terms.append((_flip_on(bits, j), -c))
+    terms.append((bits, word._poly_of(Weight(tuple(alpha)))))
     return terms
 
 
@@ -556,7 +567,7 @@ def multiply(c1: CohClass, c2: CohClass) -> CohClass:
             cur = _times_generator(word, i, cur)
         for bits, p in cur.items():
             _add_term(out, bits, p * q)
-    return CohClass(word, {Gallery(bits): p for bits, p in out.items()})
+    return CohClass(word, {Gallery._of(bits): p for bits, p in out.items()})
 
 
 def multiply_by_localization(c1: CohClass, c2: CohClass) -> CohClass:
@@ -583,7 +594,7 @@ def multiply_generator(word: BSWord, i: int, e: Gallery) -> CohClass:
     word._check_pos(i)
     word.check_gallery(e)
     return CohClass(
-        word, {Gallery(bits): c for bits, c in _generator_terms(word, i, e.bits)}
+        word, {Gallery._of(bits): c for bits, c in _generator_terms(word, i, e.bits)}
     )
 
 

@@ -53,6 +53,10 @@ class NotInSpan(BottsamError):
     """A restriction function is not an S-combination of the basis classes."""
 
 
+class NotInWeylGroup(BottsamError):
+    """A matrix of the right rank is not an element of this Weyl group."""
+
+
 class NotReducedWord(BottsamError):
     """A word required to be reduced is not."""
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import WordMismatch
+from .rootsystem import exact
 from .bott_samelson import (
     DEFAULT_GALLERY_CAP,
     BSWord,
@@ -69,16 +70,17 @@ def relations(word: BSWord) -> list[Relation]:
 
 
 class OrdinaryClass:
-    """A class in the square-free monomial basis, with rational coefficients."""
+    """A class in the square-free monomial basis, with exact coefficients
+    (``int`` when integral, else ``Fraction``)."""
 
     __slots__ = ("word", "coords")
 
-    def __init__(self, word: BSWord, coords: dict[Gallery, Fraction]):
+    def __init__(self, word: BSWord, coords: dict[Gallery, int | Fraction]):
         self.word = word
-        clean: dict[Gallery, Fraction] = {}
+        clean: dict[Gallery, int | Fraction] = {}
         for e, c in coords.items():
             word.check_gallery(e)
-            c = Fraction(c)
+            c = exact(c)
             if c:
                 clean[e] = c
         self.coords = clean
@@ -89,7 +91,7 @@ class OrdinaryClass:
 
     @classmethod
     def basis(cls, word: BSWord, e: Gallery) -> "OrdinaryClass":
-        return cls(word, {e: Fraction(1)})
+        return cls(word, {e: 1})
 
     @property
     def is_zero(self) -> bool:
@@ -102,7 +104,7 @@ class OrdinaryClass:
             raise WordMismatch("classes over different words")
         out = dict(self.coords)
         for e, c in other.coords.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -153,7 +155,7 @@ class OrdinaryClass:
     ) -> "OrdinaryClass":
         word, items = read_class_doc(rs, doc, cap)
         try:
-            return cls(word, {e: Fraction(v) for e, v in items.items()})
+            return cls(word, items)
         except ZeroDivisionError:
             raise ValueError("coefficient with a zero denominator") from None
 
@@ -192,7 +194,7 @@ def ordinary_multiply(c1: OrdinaryClass, c2: OrdinaryClass) -> OrdinaryClass:
             out = memo[k, mask] = {m: c for m, c in out.items() if c}
         return out
 
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, int | Fraction] = {}
     for e2, q2 in c2.coords.items():
         for e1, q1 in c1.coords.items():
             cur = {sum(b << k for k, b in enumerate(e1.bits)): 1}
@@ -207,7 +209,7 @@ def ordinary_multiply(c1: OrdinaryClass, c2: OrdinaryClass) -> OrdinaryClass:
                 acc[m] = acc.get(m, 0) + q * c
     n = word.n
     return OrdinaryClass(
-        word, {Gallery(tuple(m >> k & 1 for k in range(n))): c for m, c in acc.items()}
+        word, {Gallery._of(tuple(m >> k & 1 for k in range(n))): c for m, c in acc.items()}
     )
 
 

@@ -1,8 +1,10 @@
 """Exact sparse polynomials in the simple-root variables, plus fractions
 whose denominators are multisets of linear forms.
 
-A :class:`Polynomial` is a map from exponent vectors to nonzero rationals;
-the variables ``a1..ar`` are the simple roots, so the ring carries a
+A :class:`Polynomial` is a map from exponent vectors to nonzero exact
+coefficients: ``int``, since every root is an integer vector, and ``Fraction``
+only where the input has one (a ``p/q`` in the text, or an inexact quotient).
+The variables ``a1..ar`` are the simple roots, so the ring carries a
 Weyl-group action by substituting each variable with the image root.  The
 fraction type never expands its denominator: localization produces only
 products of roots, so cancellation reduces to repeated exact division by
@@ -13,10 +15,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotDivisible, RankMismatch, ResidualDenominator, ZeroForm
-from .rootsystem import Weight, WeylElement
+from .rootsystem import Weight, WeylElement, exact
 
 Monomial = tuple[int, ...]
 
@@ -27,11 +30,11 @@ def _term_sort_key(exp: Monomial) -> tuple:
 
 
 class Polynomial:
-    """A sparse multivariate polynomial with exact rational coefficients."""
+    """A sparse multivariate polynomial with exact coefficients."""
 
     __slots__ = ("rank", "terms")
 
-    def __init__(self, rank: int, terms: dict[Monomial, Fraction] | None = None):
+    def __init__(self, rank: int, terms: dict[Monomial, int | Fraction] | None = None):
         self.rank = rank
         if terms:
             self.terms = {e: c for e, c in terms.items() if c != 0}
@@ -50,20 +53,20 @@ class Polynomial:
 
     @classmethod
     def constant(cls, rank: int, value: Fraction | int) -> "Polynomial":
-        v = Fraction(value)
+        v = exact(value)
         return cls(rank, {(0,) * rank: v} if v else None)
 
     @classmethod
     def variable(cls, rank: int, i: int) -> "Polynomial":
         """The degree-1 polynomial a_i (1-based)."""
         exp = tuple(int(k == i - 1) for k in range(rank))
-        return cls(rank, {exp: Fraction(1)})
+        return cls(rank, {exp: 1})
 
     @classmethod
     def from_weight(cls, w: Weight) -> "Polynomial":
         """The linear form with the weight's coordinates."""
         rank = w.rank
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, int | Fraction] = {}
         for k, c in enumerate(w.coords):
             if c != 0:
                 terms[tuple(int(j == k) for j in range(rank))] = c
@@ -75,8 +78,8 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.rank, Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get((0,) * self.rank, 0)
 
     def total_degree(self) -> int:
         """Maximum total degree; 0 for the zero polynomial."""
@@ -86,8 +89,8 @@ class Polynomial:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def coefficient(self, exp: Monomial) -> Fraction:
-        return self.terms.get(exp, Fraction(0))
+    def coefficient(self, exp: Monomial) -> int | Fraction:
+        return self.terms.get(exp, 0)
 
     # ---- ring operations ------------------------------------------------
 
@@ -149,10 +152,10 @@ class Polynomial:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in p.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
@@ -223,6 +226,14 @@ def weyl_act(w: WeylElement, p: Polynomial) -> Polynomial:
     return out
 
 
+def _quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """``a / b`` exactly: floor division when ``b`` divides the integer
+    ``a``, else a ``Fraction`` (``/`` on two ints would give a float)."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return exact(Fraction(a, b))
+
+
 def divide_exact(p: Polynomial, form: Weight) -> Polynomial:
     """Exact quotient of ``p`` by a nonzero linear form.
 
@@ -239,7 +250,7 @@ def divide_exact(p: Polynomial, form: Weight) -> Polynomial:
     c_lead = form.coords[k]
     form_poly = Polynomial.from_weight(form)
 
-    quot: dict[Monomial, Fraction] = {}
+    quot: dict[Monomial, int | Fraction] = {}
     rem = p
     while True:
         if rem.is_zero:
@@ -249,7 +260,7 @@ def divide_exact(p: Polynomial, form: Weight) -> Polynomial:
             raise NotDivisible(f"{p} is not divisible by {form}")
         # peel the whole top slice in the pivot variable at once
         t_terms = {
-            e[:k] + (e[k] - 1,) + e[k + 1:]: coef / c_lead
+            e[:k] + (e[k] - 1,) + e[k + 1:]: _quotient(coef, c_lead)
             for e, coef in rem.terms.items()
             if e[k] == deg
         }
@@ -457,22 +468,24 @@ def parse_polynomial(text: str, rank: int, var_prefix: str = "a") -> Polynomial:
         pos += 1
         return tok
 
-    def parse_number() -> Fraction:
+    def parse_number() -> int | Fraction:
         kind, val = take()
         if kind != "num":
             raise ValueError(f"expected a number, got {val!r}")
-        value = Fraction(int(val))
+        value = int(val)
         nxt = peek()
         if nxt == ("op", "/"):
             take()
             kind2, val2 = take()
             if kind2 != "num" or int(val2) == 0:
                 raise ValueError("expected a nonzero denominator after '/'")
-            value /= int(val2)
+            value = Fraction(value, int(val2))
         return value
 
-    def parse_term(sign: int) -> Polynomial:
-        coef = Fraction(sign)
+    terms: dict[Monomial, int | Fraction] = {}
+
+    def parse_term(sign: int) -> None:
+        coef = sign
         exps = [0] * rank
         while True:
             tok = peek()
@@ -500,9 +513,9 @@ def parse_polynomial(text: str, rank: int, var_prefix: str = "a") -> Polynomial:
                 take()
                 continue
             break
-        return Polynomial(rank, {tuple(exps): coef})
+        exp = tuple(exps)
+        terms[exp] = terms.get(exp, 0) + coef
 
-    total = Polynomial.zero(rank)
     sign = 1
     tok = peek()
     if tok == ("op", "-"):
@@ -511,7 +524,7 @@ def parse_polynomial(text: str, rank: int, var_prefix: str = "a") -> Polynomial:
     elif tok == ("op", "+"):
         take()
     while True:
-        total = total + parse_term(sign)
+        parse_term(sign)
         tok = peek()
         if tok is None:
             break
@@ -523,4 +536,4 @@ def parse_polynomial(text: str, rank: int, var_prefix: str = "a") -> Polynomial:
             sign = -1
         else:
             raise ValueError(f"unexpected {tok[1]!r} between terms")
-    return total
+    return Polynomial(rank, {e: exact(c) for e, c in terms.items()})

@@ -1,9 +1,10 @@
 """Finite-type root systems: Cartan data, exact weights, Weyl-group elements.
 
 All coordinates are taken in the simple-root basis.  A :class:`Weight` stores
-exact rational coefficients, so every identity downstream is checked exactly;
-a :class:`WeylElement` stores the integer matrix of its action on the root
-lattice, which makes equality of group elements plain matrix equality.
+exact coefficients, ``int`` when integral and ``Fraction`` otherwise, so every
+identity downstream is checked exactly; a :class:`WeylElement` stores the
+integer matrix of its action on the root lattice, which makes equality of
+group elements plain matrix equality.
 
 Simple-root indices are 1-based throughout the public interface, matching the
 usual Bourbaki numbering of Dynkin diagrams.
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import IndexOutOfRange, InvalidCartan, NotFiniteType, RankMismatch
+from .errors import IndexOutOfRange, InvalidCartan, NotFiniteType, NotInWeylGroup, RankMismatch
 
 # A word in the simple reflections, as 1-based indices.  The empty word is
 # the identity.
@@ -58,6 +59,15 @@ def format_word(word: Sequence[int]) -> str:
     return " ".join(str(i) for i in word)
 
 
+def exact(value) -> int | Fraction:
+    """An exact coefficient: ``int`` when ``value`` is integral, else a
+    ``Fraction``.  Roots and everything built from them stay on ``int``."""
+    if type(value) is int:
+        return value
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
 def ascends(rows: Rows, i: int) -> bool:
     """Whether ``l(u r_i) > l(u)``: column i of ``u``, the root
     ``u(alpha_i)``, is positive (a root's coordinates share one sign)."""
@@ -73,7 +83,7 @@ class Weight:
 
     __slots__ = ("coords",)
 
-    def __init__(self, coords: tuple[Fraction, ...]):
+    def __init__(self, coords: tuple[int | Fraction, ...]):
         self.coords = coords
 
     def __eq__(self, other) -> bool:
@@ -86,11 +96,11 @@ class Weight:
 
     @classmethod
     def of(cls, values: Iterable[Fraction | int]) -> "Weight":
-        return cls(tuple(Fraction(v) for v in values))
+        return cls(tuple(exact(v) for v in values))
 
     @classmethod
     def zero(cls, rank: int) -> "Weight":
-        return cls((Fraction(0),) * rank)
+        return cls((0,) * rank)
 
     @property
     def rank(self) -> int:
@@ -112,7 +122,7 @@ class Weight:
         return Weight(tuple(-a for a in self.coords))
 
     def __rmul__(self, scalar: Fraction | int) -> "Weight":
-        s = Fraction(scalar)
+        s = exact(scalar)
         return Weight(tuple(s * a for a in self.coords))
 
     def _check_rank(self, other: "Weight") -> None:
@@ -187,7 +197,7 @@ class WeylElement:
             )
         return Weight(
             tuple(
-                sum((row[k] * lam.coords[k] for k in range(self.rank)), Fraction(0))
+                sum(row[k] * lam.coords[k] for k in range(self.rank))
                 for row in self.rows
             )
         )
@@ -332,7 +342,7 @@ class RootSystem:
         if not 1 <= i <= self.rank:
             raise IndexOutOfRange(f"simple-root index {i} not in 1..{self.rank}")
 
-    def cartan_pairing(self, lam: Weight, i: int) -> Fraction:
+    def cartan_pairing(self, lam: Weight, i: int) -> int | Fraction:
         """The coefficient c with r_i(lam) = lam - c*alpha_i.
 
         For lam in the root lattice this is the integer <lam, alpha_i^vee>.
@@ -343,7 +353,7 @@ class RootSystem:
                 f"weight of rank {len(lam.coords)} against rank {self.rank}"
             )
         row = self.cartan[i - 1]
-        return sum((c * a for c, a in zip(lam.coords, row) if a), Fraction(0))
+        return sum(c * a for c, a in zip(lam.coords, row) if a)
 
     def reflect(self, i: int, lam: Weight) -> Weight:
         c = self.cartan_pairing(lam, i)
@@ -408,14 +418,24 @@ class RootSystem:
         return tuple(sorted(roots, key=lambda w: (sum(w), tuple(-c for c in w))))
 
     def length(self, w: WeylElement) -> int:
-        """Number of positive roots sent to negative roots by ``w``: those
-        whose image has negative height (the column sums of ``w``)."""
+        """Number of right descents removed on the way from ``w`` down to
+        the identity (each step lowers the length by one).
+
+        A matrix of the right rank that is not in this group (say, from
+        another Cartan matrix) misses the identity within ``|Phi+|`` steps
+        and raises :class:`~bottsam.errors.NotInWeylGroup`.
+        """
         if w.rank != self.rank:
             raise RankMismatch(f"element of rank {w.rank} against rank {self.rank}")
-        heights = [sum(col) for col in zip(*w.rows)]
-        return sum(
-            sum(h * b for h, b in zip(heights, beta)) < 0 for beta in self._positive_int
-        )
+        rows = w.rows
+        for steps in range(len(self._positive_int) + 1):
+            if rows == self.identity_rows:
+                return steps
+            i = next((i for i in range(1, self.rank + 1) if not ascends(rows, i)), None)
+            if i is None:
+                break
+            rows = self.times_reflection(rows, i)
+        raise NotInWeylGroup(f"{w!r} is not in the Weyl group of {self!r}")
 
     def is_reduced(self, word: Sequence[int]) -> bool:
         """Whether every letter raises the length of the product before it."""

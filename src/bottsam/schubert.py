@@ -12,7 +12,6 @@ longest-element word recovers the same polynomials, which is what
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .errors import NotLongestWord, NotReducedGallery, NotReducedWord, RankMismatch
 from .bott_samelson import BSWord, Gallery
@@ -153,7 +152,7 @@ def billey(q: BilleyQuery) -> Polynomial:
     terms = states.get(0, {}).items()
     return Polynomial(
         rs.rank,
-        {tuple(m // p % base for p in powers): Fraction(c) for m, c in terms},
+        {tuple(m // p % base for p in powers): c for m, c in terms},
     )
 
 
@@ -162,7 +161,7 @@ def fiber(word: BSWord, w: WeylElement) -> set[Gallery]:
     product is ``w``."""
     out = set()
     for on in itertools.combinations(range(word.n), word.rs.length(w)):
-        e = Gallery(tuple(int(k in on) for k in range(word.n)))
+        e = Gallery._of(tuple(int(k in on) for k in range(word.n)))
         if word.v(e) == w:
             out.add(e)
     return out

@@ -31,6 +31,19 @@ A2 = RootSystem.from_label("A2")
 B2 = RootSystem.from_label("B2")
 
 
+def test_public_gallery_constructor_still_validates():
+    with pytest.raises(ValueError):
+        Gallery((0, 2))
+    with pytest.raises(ValueError):
+        Gallery((1, -1, 0))
+    with pytest.raises(ValueError):
+        Gallery.from_string("012")
+    assert Gallery((True, 0, "1")).bits == (1, 0, 1)
+    # galleries built inside a product compare and hash like public ones
+    product = multiply(CohClass.basis(word121(), g("001")), CohClass.basis(word121(), g("001")))
+    assert set(product.coords) == {Gallery((0, 0, 1)), Gallery((1, 0, 1)), Gallery((0, 1, 1))}
+
+
 def word121():
     return BSWord(A2, (1, 2, 1))
 

@@ -140,6 +140,21 @@ def test_integrate_check_flag(capsys, monkeypatch):
     assert (code, out) == (0, "0\n")
 
 
+def test_element_outside_the_weyl_group_is_a_user_error(capsys, monkeypatch):
+    # the CLI builds w from a word, so only a foreign matrix slipped in
+    # behind it reaches RootSystem.length (through the fiber of --verify)
+    from bottsam import RootSystem
+
+    foreign = RootSystem.from_label("B2").weyl_from_word((1, 2, 1, 2))
+    monkeypatch.setattr(RootSystem, "weyl_from_word", lambda self, word: foreign)
+    code, out, err = run(
+        capsys, "--type", "A2", "--word", "1,2,1", "billey", "--w", "1", "--v", "1,2,1",
+        "--verify",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: NotInWeylGroup: ") and err.count("\n") == 1
+
+
 def test_class_file_input(tmp_path, capsys):
     path = tmp_path / "cls.json"
     path.write_text(json.dumps({"word": [1, 2, 1], "coords": {"001": "1"}}))

@@ -58,6 +58,12 @@ def chained(rs, word):
     )
 
 
+def inversions(rs, w):
+    """The positive roots that ``w`` sends to negative roots, by applying
+    its matrix to each of them."""
+    return sum(any(c < 0 for c in w.apply(beta).coords) for beta in rs.positive_roots)
+
+
 def subword_sum(rs, v_word, w):
     """Billey's formula as written: every set of positions of ``v_word`` of
     size ``l(w)`` whose reflections multiply to ``w``, times the product of
@@ -157,6 +163,7 @@ def test_descent_walks_match_inversion_counts_and_matrix_products(rs):
         word = tuple(rng.randint(1, rs.rank) for _ in range(rng.randint(0, top)))
         w = rs.weyl_from_word(word)
         assert w == chained(rs, word)
+        assert rs.length(w) == inversions(rs, w)
         assert rs.is_reduced(word) == (rs.length(w) == len(word))
         reduced += rs.is_reduced(word)
     assert reduced > 0

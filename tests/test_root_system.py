@@ -7,6 +7,7 @@ from bottsam import (
     IndexOutOfRange,
     InvalidCartan,
     NotFiniteType,
+    NotInWeylGroup,
     RankMismatch,
     RootSystem,
     Weight,
@@ -84,6 +85,19 @@ def test_length_and_is_reduced():
     assert rs.is_reduced((1, 2, 1))
     assert not rs.is_reduced((1, 1))
     assert not rs.is_reduced((2, 1, 2, 1))  # only length 3 in A2
+
+
+def test_length_refuses_an_element_of_another_cartan_matrix():
+    a2 = RootSystem.from_label("A2")
+    b2 = RootSystem.from_label("B2")
+    with pytest.raises(NotInWeylGroup) as info:
+        a2.length(b2.weyl_from_word((1, 2, 1, 2)))
+    assert "\n" not in str(info.value)
+    # B2's own longest element has length 4 there
+    assert b2.length(b2.weyl_from_word((1, 2, 1, 2))) == 4
+    # a B2 reflection is no A2 element either, though the walk can start
+    with pytest.raises(NotInWeylGroup):
+        a2.length(b2.simple_reflection(2))
 
 
 def test_longest_words():
