@@ -69,7 +69,7 @@ class Gallery:
 
     @classmethod
     def from_string(cls, text: str) -> "Gallery":
-        if not text or any(ch not in "01" for ch in text):
+        if not text or text.strip("01"):
             raise ValueError(f"not a gallery bit string: {text!r}")
         return cls._of(tuple(map(int, text)))
 
@@ -128,10 +128,6 @@ class Gallery:
 
     def __repr__(self) -> str:
         return f"Gallery({self})"
-
-
-def gallery_leq(e1: Gallery, e2: Gallery) -> bool:
-    return e1.leq(e2)
 
 
 class BSWord:
@@ -215,10 +211,6 @@ class BSWord:
             cached = tuple(out)
             self._alphas[e.bits] = cached
         return cached
-
-    def alpha(self, e: Gallery, i: int) -> Weight:
-        self._check_pos(i)
-        return self.alphas(e)[i - 1]
 
     def _poly_of(self, w: Weight) -> Polynomial:
         p = self._form_poly.get(w)
@@ -387,7 +379,9 @@ def read_class_doc(
 
     Returns the word and the coordinates keyed by gallery, each coefficient
     still an ``int`` or the text to parse.  Floats and booleans are refused:
-    a float is not exact, and JSON ``true`` is not a number.
+    a float is not exact, and JSON ``true`` is not a number.  Gallery
+    lengths are left to the class constructor, which checks every
+    coordinate against the word.
     """
     if not isinstance(doc, dict) or "word" not in doc or "coords" not in doc:
         raise ValueError("expected an object with 'word' and 'coords'")
@@ -405,9 +399,7 @@ def read_class_doc(
                 f"coefficient of {bits} is {kind}, not a string or an integer"
                 " (write rationals as 'p/q')"
             )
-        e = Gallery.from_string(bits)
-        word.check_gallery(e)
-        items[e] = value
+        items[Gallery.from_string(bits)] = value
     return word, items
 
 

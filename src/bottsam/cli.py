@@ -25,6 +25,7 @@ from .bott_samelson import (
 )
 from .errors import (
     BottsamError,
+    CapExceeded,
     NotDivisible,
     NotInSpan,
     NotLongestWord,
@@ -40,7 +41,7 @@ EXIT_OK = 0
 EXIT_USER = 2
 EXIT_INTERNAL = 3
 
-TABLE_WARN_LETTERS = 12
+TABLE_MAX_LETTERS = 12
 
 INTERNAL_ERRORS = (ResidualDenominator, NotInSpan, NotDivisible)
 
@@ -299,10 +300,10 @@ def cmd_roots(config: CliConfig) -> int:
 
 def cmd_table(config: CliConfig) -> int:
     word = _require_word(config)
-    if word.n > TABLE_WARN_LETTERS:
-        print(
-            f"warning: emitting a {2 ** word.n} x {2 ** word.n} table",
-            file=sys.stderr,
+    if word.n > TABLE_MAX_LETTERS:
+        raise CapExceeded(
+            f"a table of a {word.n}-letter word has 4^{word.n} entries;"
+            f" table is limited to {TABLE_MAX_LETTERS} letters"
         )
     gals = word.galleries()
     if config.as_json:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import NotDivisible, RankMismatch, ResidualDenominator, ZeroForm
 from .rootsystem import Weight, WeylElement, exact
@@ -306,12 +306,6 @@ class LinearCombFraction:
     def rank(self) -> int:
         return self.numerator.rank
 
-    def denominator_forms(self) -> Iterator[Weight]:
-        """The denominator multiset, each form repeated by multiplicity."""
-        for w, m in self.denominator.items():
-            for _ in range(m):
-                yield w
-
     def reduce(self) -> "LinearCombFraction":
         """Cancel every denominator form that exactly divides the numerator."""
         if self.numerator.is_zero or not self.denominator:
@@ -424,116 +418,75 @@ def format_polynomial(p: Polynomial, var_prefix: str = "a") -> str:
     return " ".join(parts)
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<var>[a-zA-Z]+\d+)|(?P<num>\d+)|(?P<op>[-+*/^]))")
-
-
-def _tokenize(text: str, var_prefix: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"bad character in polynomial at {text[pos:]!r}")
-        if m.lastgroup == "var":
-            name = m.group("var")
-            if not name.startswith(var_prefix):
-                raise ValueError(f"unknown variable {name!r}")
-            tokens.append(("var", name[len(var_prefix):]))
-        elif m.lastgroup == "num":
-            tokens.append(("num", m.group("num")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    return tokens
+# One step of the scan: an operator, then a factor, each after optional
+# whitespace.  The operator is "+" or "-" before a term (optional before the
+# first one) or "*" between two factors of a term; a factor is a number with
+# an optional "/denominator", or a variable with an optional "^power".
+_STEP = re.compile(
+    r"\s*([-+*]?)\s*(?:(\d+)(?:\s*/\s*(\d+))?|([a-zA-Z]+)(\d+)(?:\s*\^\s*(\d+))?)"
+)
 
 
 def parse_polynomial(text: str, rank: int, var_prefix: str = "a") -> Polynomial:
     """Parse the canonical polynomial text form (inverse of
-    :func:`format_polynomial`); also accepts rational coefficients ``p/q``."""
-    tokens = _tokenize(text, var_prefix)
-    if not tokens:
-        raise ValueError("empty polynomial text")
-    pos = 0
+    :func:`format_polynomial`); also accepts rational coefficients ``p/q``.
 
-    def peek() -> tuple[str, str] | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> tuple[str, str]:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError(f"polynomial text {text!r} ends too early")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_number() -> int | Fraction:
-        kind, val = take()
-        if kind != "num":
-            raise ValueError(f"expected a number, got {val!r}")
-        value = int(val)
-        nxt = peek()
-        if nxt == ("op", "/"):
-            take()
-            kind2, val2 = take()
-            if kind2 != "num" or int(val2) == 0:
-                raise ValueError("expected a nonzero denominator after '/'")
-            value = Fraction(value, int(val2))
-        return value
-
+    A term is an optional sign and factors joined by ``*``; a factor is
+    ``n``, ``p/q`` with ``q`` nonzero, ``aK`` or ``aK^n`` with ``K`` in
+    ``1..rank``.  Whitespace may separate any two tokens.  Any other text
+    raises a :class:`ValueError` with a one-line message.
+    """
     terms: dict[Monomial, int | Fraction] = {}
-
-    def parse_term(sign: int) -> None:
-        coef = sign
-        exps = [0] * rank
-        while True:
-            tok = peek()
-            if tok is None:
-                raise ValueError("term ended unexpectedly")
-            kind, val = tok
-            if kind == "num":
-                coef *= parse_number()
-            elif kind == "var":
-                take()
-                idx = int(val)
-                if not 1 <= idx <= rank:
-                    raise ValueError(f"variable index {idx} out of range 1..{rank}")
-                e = 1
-                if peek() == ("op", "^"):
-                    take()
-                    kind2, val2 = take()
-                    if kind2 != "num":
-                        raise ValueError("expected an exponent after '^'")
-                    e = int(val2)
-                exps[idx - 1] += e
-            else:
-                raise ValueError(f"unexpected {val!r} in term")
-            if peek() == ("op", "*"):
-                take()
-                continue
-            break
-        exp = tuple(exps)
-        terms[exp] = terms.get(exp, 0) + coef
-
-    sign = 1
-    tok = peek()
-    if tok == ("op", "-"):
-        take()
-        sign = -1
-    elif tok == ("op", "+"):
-        take()
+    exps = None  # exponents of the open term, None until the first term
+    pos = 0
+    match = _STEP.match
     while True:
-        parse_term(sign)
-        tok = peek()
-        if tok is None:
-            break
-        if tok == ("op", "+"):
-            take()
-            sign = 1
-        elif tok == ("op", "-"):
-            take()
-            sign = -1
+        m = match(text, pos)
+        if m is None:
+            op = None
         else:
-            raise ValueError(f"unexpected {tok[1]!r} between terms")
-    return Polynomial(rank, {e: exact(c) for e, c in terms.items()})
+            op, n, d, name, idx, power = m.groups()
+        if op == "*":
+            if exps is None:
+                raise ValueError(f"polynomial text {text!r} starts with '*'")
+        else:
+            if exps is not None:
+                if op == "":
+                    raise ValueError(f"expected an operator at {text[pos:]!r}")
+                if num:
+                    exp = tuple(exps)
+                    c = num // den if not num % den else Fraction(num, den)
+                    if exp in terms:
+                        c = exact(terms[exp] + c)
+                    if c:
+                        terms[exp] = c
+                    else:
+                        del terms[exp]
+            if m is None:
+                break
+            exps = [0] * rank
+            num = -1 if op == "-" else 1
+            den = 1
+        if n is not None:
+            num *= int(n)
+            if d is not None:
+                d = int(d)
+                if not d:
+                    raise ValueError(f"zero denominator in polynomial text {text!r}")
+                den *= d
+        else:
+            if name != var_prefix:
+                raise ValueError(f"unknown variable {name + idx!r}")
+            k = int(idx)
+            if not 1 <= k <= rank:
+                raise ValueError(f"variable index {k} out of range 1..{rank}")
+            exps[k - 1] += 1 if power is None else int(power)
+        pos = m.end()
+    if text[pos:].strip():
+        raise ValueError(f"cannot read polynomial text at {text[pos:]!r}")
+    if exps is None:
+        raise ValueError("empty polynomial text")
+    res = Polynomial.__new__(Polynomial)
+    res.rank = rank
+    res.terms = terms  # zero terms were never stored
+    return res

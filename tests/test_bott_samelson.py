@@ -18,7 +18,6 @@ from bottsam import (
     Weight,
     WordMismatch,
     expand,
-    gallery_leq,
     integrate,
     multiply,
     multiply_by_localization,
@@ -76,11 +75,11 @@ def test_gallery_order_and_leq():
     word = word121()
     order = [str(e) for e in word.galleries()]
     assert order == ["000", "100", "010", "001", "110", "101", "011", "111"]
-    assert gallery_leq(g("101"), g("111"))
-    assert not gallery_leq(g("101"), g("011"))
-    assert gallery_leq(g("000"), g("000"))
+    assert g("101").leq(g("111"))
+    assert not g("101").leq(g("011"))
+    assert g("000").leq(g("000"))
     with pytest.raises(LengthMismatch):
-        gallery_leq(g("10"), g("101"))
+        g("10").leq(g("101"))
 
 
 def test_word_validation():
@@ -100,9 +99,6 @@ def test_localization_weights():
     # after switching on position 1, later weights pass through r1
     assert word.alphas(g("100")) == (Weight.of((1, 0)), Weight.of((1, 1)), Weight.of((-1, 0)))
     assert word.alphas(g("110"))[2] == Weight.of((0, 1))
-    assert word.alpha(g("100"), 3) == Weight.of((-1, 0))
-    with pytest.raises(IndexOutOfRange):
-        word.alpha(g("100"), 4)
 
 
 A2_TABLE = {
@@ -292,3 +288,10 @@ def test_cohclass_json_roundtrip():
 def test_cohclass_json_rejects_malformed_documents(doc):
     with pytest.raises(ValueError):
         CohClass.from_json_dict(A2, doc)
+
+
+@pytest.mark.parametrize("coords", [{"01": "a1"}, {"0110": "1/2"}, {"011": 1, "01": "0"}])
+def test_cohclass_json_gallery_of_the_wrong_length(coords):
+    # zero coefficients are dropped, but only after the length check
+    with pytest.raises(LengthMismatch):
+        CohClass.from_json_dict(A2, {"word": [1, 2, 1], "coords": coords})

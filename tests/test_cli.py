@@ -92,6 +92,15 @@ def test_product_length_mismatch_is_a_user_error(capsys):
     assert "LengthMismatch" in err
 
 
+def test_class_gallery_of_the_wrong_length_is_a_user_error(capsys):
+    spec = json.dumps({"word": [1, 2, 1], "coords": {"011": "1", "01": "a1"}})
+    code, out, err = run(
+        capsys, "--type", "A2", "--word", "1,2,1", "integrate", "011", "--class", spec
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: LengthMismatch: ") and err.count("\n") == 1
+
+
 def test_restrict(capsys):
     code, out, _ = run(
         capsys, "--type", "A2", "--word", "1,2,1", "restrict", "111", "--class", "001"
@@ -260,6 +269,20 @@ def test_cap_is_enforced_and_adjustable(capsys):
     assert "CapExceeded" in err
     code, _, _ = run(capsys, "--type", "A2", "--word", "1,2,1,2,1", "table")
     assert code == 0
+
+
+def test_table_refuses_words_over_twelve_letters(capsys, monkeypatch):
+    from bottsam import BSWord
+
+    def unreachable(self):
+        raise AssertionError("galleries() called for a refused table")
+
+    monkeypatch.setattr(BSWord, "galleries", unreachable)
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "--type", "A1", "--word", ",".join("1" * 13), "table", *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: CapExceeded: ") and err.count("\n") == 1
+        assert "12 letters" in err
 
 
 MALFORMED_CLASSES = [

@@ -7,6 +7,7 @@ from bottsam import (
     BSWord,
     CohClass,
     Gallery,
+    LengthMismatch,
     OrdinaryClass,
     RootSystem,
     WordMismatch,
@@ -129,3 +130,9 @@ def test_json_rejects_inexact_or_non_numeric_coefficients(value):
     doc = {"word": [1, 2, 1], "coords": {"011": value}}
     with pytest.raises(ValueError):
         OrdinaryClass.from_json_dict(A2, doc)
+
+
+@pytest.mark.parametrize("coords", [{"01": 1}, {"0110": "1/2"}, {"011": 1, "01": 0}])
+def test_json_gallery_of_the_wrong_length(coords):
+    with pytest.raises(LengthMismatch):
+        OrdinaryClass.from_json_dict(A2, {"word": [1, 2, 1], "coords": coords})
