@@ -164,6 +164,8 @@ class BSWord:
         self._alphas: dict[Bits, tuple[Weight, ...]] = {}
         self._sigma: dict[tuple[Bits, Bits], Polynomial] = {}
         self._form_poly: dict[Weight, Polynomial] = {}
+        # ``ordinary_multiply``'s rewrites of x_{k+1} x_low, keyed by (k, low)
+        self._rewrites: dict[tuple[int, int], dict[int, int]] = {}
 
     # ---- basic structure -------------------------------------------------
 

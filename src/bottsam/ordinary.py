@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import rootsystem
 from .errors import WordMismatch
+from .polyring import parse_polynomial
 from .rootsystem import exact
 from .bott_samelson import (
     DEFAULT_GALLERY_CAP,
@@ -153,11 +155,47 @@ class OrdinaryClass:
     def from_json_dict(
         cls, rs, doc: dict, cap: int = DEFAULT_GALLERY_CAP
     ) -> "OrdinaryClass":
+        """Read a class document; a text coefficient is a constant in the
+        polynomial grammar of :func:`~bottsam.polyring.parse_polynomial`."""
         word, items = read_class_doc(rs, doc, cap)
-        try:
-            return cls(word, items)
-        except ZeroDivisionError:
-            raise ValueError("coefficient with a zero denominator") from None
+        coords = {}
+        for e, v in items.items():
+            if isinstance(v, str):
+                p = parse_polynomial(v, rs.rank)
+                if any(any(m) for m in p.terms):
+                    raise ValueError(f"coefficient of {e} is not a constant: {v!r}")
+                v = p.constant_term()
+            coords[e] = v
+        return cls(word, coords)
+
+
+def _rewrite(word: BSWord, k: int, low: int, spill: dict) -> dict[int, int]:
+    """x_{k+1} x_low as ``{added bit: coefficient}``, where bit k of a mask
+    is position k + 1 and ``low`` has no bit above k.
+
+    With bit k on, the relation of position k + 1 gives a recursion down the
+    on bits of ``low`` that adds exactly one bit below k.  Its results are
+    kept in ``word`` up to ``MEMO_MAX_ENTRIES``, then in ``spill`` for the
+    rest of the call.
+    """
+    if not low >> k & 1:
+        return {1 << k: 1}
+    key = (k, low)
+    out = word._rewrites.get(key)
+    if out is None:
+        out = spill.get(key)
+    if out is None:
+        A, letters = word.rs.cartan, word.letters
+        acc: dict[int, int] = {}
+        for j in range(k):
+            a = A[letters[j] - 1][letters[k] - 1]
+            if a:
+                for b, c in _rewrite(word, j, low & (2 << j) - 1, spill).items():
+                    acc[b] = acc.get(b, 0) - a * c
+        out = {b: c for b, c in acc.items() if c}
+        full = len(word._rewrites) >= rootsystem.MEMO_MAX_ENTRIES
+        (spill if full else word._rewrites)[key] = out
+    return out
 
 
 def ordinary_multiply(c1: OrdinaryClass, c2: OrdinaryClass) -> OrdinaryClass:
@@ -165,44 +203,30 @@ def ordinary_multiply(c1: OrdinaryClass, c2: OrdinaryClass) -> OrdinaryClass:
 
     ``x_a``, the product of the ``x_i`` over ``supp(a)``, is applied to
     ``x_b`` in position order, taking apart the factor with the smaller
-    total support.  For ``i`` in ``e`` the relation of position ``i`` gives
-    ``x_i x_e = -sum_{j<i} a_{j,i} x_j x_e``: a recursion down the on
-    positions of ``e``, on integers and memoized for the call.
+    total support; ``x_i x_e`` is ``x_{e + i}`` when ``i`` is off in ``e``
+    and a rewrite of the word's table (:func:`_rewrite`) otherwise, on
+    integers throughout.
     """
     if c1.word != c2.word:
         raise WordMismatch("classes over different words")
     word = c1.word
-    A = word.rs.cartan
-    letters = word.letters
     if sum(e.ones for e in c1.coords) < sum(e.ones for e in c2.coords):
         c1, c2 = c2, c1
-    memo: dict[tuple[int, int], dict[int, int]] = {}
-
-    def times(k: int, mask: int) -> dict[int, int]:
-        """x_{k+1} x_mask, where bit k of a mask is position k + 1."""
-        if not mask >> k & 1:
-            return {mask | 1 << k: 1}
-        out = memo.get((k, mask))
-        if out is None:
-            out = {}
-            lk = letters[k] - 1
-            for j in range(k):
-                a = A[letters[j] - 1][lk]
-                if a:
-                    for m, c in times(j, mask).items():
-                        out[m] = out.get(m, 0) - a * c
-            out = memo[k, mask] = {m: c for m, c in out.items() if c}
-        return out
-
+    spill: dict[tuple[int, int], dict[int, int]] = {}
     acc: dict[int, int | Fraction] = {}
     for e2, q2 in c2.coords.items():
         for e1, q1 in c1.coords.items():
             cur = {sum(b << k for k, b in enumerate(e1.bits)): 1}
             for i in e2.support:
+                k = i - 1
+                bit, low = 1 << k, (2 << k) - 1
                 nxt: dict[int, int] = {}
                 for mask, c in cur.items():
-                    for m, d in times(i - 1, mask).items():
-                        nxt[m] = nxt.get(m, 0) + c * d
+                    if mask & bit:
+                        for b, d in _rewrite(word, k, mask & low, spill).items():
+                            nxt[mask | b] = nxt.get(mask | b, 0) + c * d
+                    else:
+                        nxt[mask | bit] = nxt.get(mask | bit, 0) + c
                 cur = {m: c for m, c in nxt.items() if c}
             q = q1 * q2
             for m, c in cur.items():

@@ -41,6 +41,13 @@ BUILTIN_CARTAN: dict[str, tuple[tuple[int, ...], ...]] = {
 # every finite type of desk-scale rank stays far below it.
 ROOT_CLOSURE_BOUND = 10_000
 
+# Entries at which a rewrite table stops inserting: the beta columns a
+# root system keeps per reduced word, and the square-free rewrites a word
+# keeps for ``ordinary_multiply``.  An entry takes at most about 3 KB on the
+# built-in types (the betas of a 12-letter D4 word), so a table stays
+# within about 12 MB.
+MEMO_MAX_ENTRIES = 4096
+
 
 def parse_word(text: str) -> SimpleWord:
     """Parse a comma- or space-separated word of 1-based indices.
@@ -321,6 +328,8 @@ class RootSystem:
             Weight.of(b) for b in self._positive_int
         )
         self._longest_word: SimpleWord | None = None
+        # ``billey``'s beta columns per reduced word (``schubert._beta_columns``)
+        self._betas: dict[SimpleWord, tuple[tuple[int, ...], ...]] = {}
 
     @classmethod
     def from_label(cls, label: str) -> "RootSystem":

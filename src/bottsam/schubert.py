@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 
+from . import rootsystem
 from .errors import NotLongestWord, NotReducedGallery, NotReducedWord, RankMismatch
 from .bott_samelson import BSWord, Gallery
 from .polyring import Polynomial
@@ -41,26 +42,32 @@ def reduced_galleries(word: BSWord) -> list[Gallery]:
     ]
 
 
-def _beta_columns(rs: RootSystem, v_word: SimpleWord) -> list[tuple[int, ...]]:
+def _beta_columns(rs: RootSystem, v_word: SimpleWord) -> tuple[tuple[int, ...], ...]:
     """``beta_j`` as integer coordinates: column ``i_j`` of the prefix
-    product, which must be positive at every step (the word is reduced)."""
-    v_word = tuple(v_word)
-    for i in v_word:
-        rs._check_index(i)
-    rows = rs.identity_rows
-    out: list[tuple[int, ...]] = []
-    for i in v_word:
-        if not ascends(rows, i):
-            raise NotReducedWord(f"{v_word} is not reduced")
-        out.append(tuple(r[i - 1] for r in rows))
-        rows = rs.times_reflection(rows, i)
+    product, which must be positive at every step (the word is reduced).
+    Kept in ``rs`` until it holds ``MEMO_MAX_ENTRIES`` words; only reduced
+    words are kept, so any other word raises every time."""
+    out = rs._betas.get(v_word)
+    if out is None:
+        for i in v_word:
+            rs._check_index(i)
+        rows = rs.identity_rows
+        cols = []
+        for i in v_word:
+            if not ascends(rows, i):
+                raise NotReducedWord(f"{v_word} is not reduced")
+            cols.append(tuple(r[i - 1] for r in rows))
+            rows = rs.times_reflection(rows, i)
+        out = tuple(cols)
+        if len(rs._betas) < rootsystem.MEMO_MAX_ENTRIES:
+            rs._betas[v_word] = out
     return out
 
 
 def beta_sequence(rs: RootSystem, v_word: SimpleWord) -> list[Weight]:
     """``beta_j = r_{i_1} .. r_{i_{j-1}}(alpha_{i_j})`` for a reduced word;
     these are distinct positive roots (the inversions of v)."""
-    return [Weight.of(b) for b in _beta_columns(rs, v_word)]
+    return [Weight.of(b) for b in _beta_columns(rs, tuple(v_word))]
 
 
 class BilleyQuery:
@@ -130,8 +137,12 @@ def billey(q: BilleyQuery) -> Polynomial:
     interval.  The sums are integer polynomials whose monomials are packed
     into integers in base ``len(v_word) + 1``, above every exponent.
     """
+    return _sweep(q, *_weak_interval(q.rs, q.w))
+
+
+def _sweep(q: BilleyQuery, up: list[dict[int, int]], identity: int | None) -> Polynomial:
+    """:func:`billey` over the weak interval ``up`` below ``q.w``."""
     rs = q.rs
-    up, identity = _weak_interval(rs, q.w)
     if identity is None:
         return Polynomial.zero(rs.rank)
     base = len(q.v_word) + 1
@@ -180,8 +191,8 @@ def check_billey_identity(word: BSWord, w: WeylElement, e: Gallery) -> bool:
 def check_billey_identities(
     word: BSWord, w: WeylElement, galleries: list[Gallery]
 ) -> list[bool]:
-    """:func:`check_billey_identity` at each gallery; the fiber of ``w`` is
-    found once for all of them."""
+    """:func:`check_billey_identity` at each gallery; the fiber of ``w`` and
+    its weak interval are found once for all of them."""
     rs = word.rs
     longest = len(word.letters) == len(rs.positive_roots)
     if not (longest and rs.is_reduced(word.letters)):
@@ -189,9 +200,10 @@ def check_billey_identities(
             f"{word.letters} is not a reduced decomposition of the longest element"
         )
     fib = fiber(word, w)
+    interval = _weak_interval(rs, w)
     out = []
     for e in galleries:
-        lhs = billey(BilleyQuery(rs, w, reduced_word_of_gallery(word, e)))
+        lhs = _sweep(BilleyQuery(rs, w, reduced_word_of_gallery(word, e)), *interval)
         rhs = Polynomial.zero(rs.rank)
         for ep in fib:
             rhs = rhs + word.sigma(ep, e)

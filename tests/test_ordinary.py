@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -125,7 +126,9 @@ def test_json_roundtrip():
     assert back == c
 
 
-@pytest.mark.parametrize("value", [1.5, 2.0, True, None, "1/0", "a1"])
+@pytest.mark.parametrize(
+    "value", [1.5, 2.0, True, None, "1/0", "a1", "a1 + 1", "1.5", "1e3", "1_000"]
+)
 def test_json_rejects_inexact_or_non_numeric_coefficients(value):
     doc = {"word": [1, 2, 1], "coords": {"011": value}}
     with pytest.raises(ValueError):
@@ -136,3 +139,34 @@ def test_json_rejects_inexact_or_non_numeric_coefficients(value):
 def test_json_gallery_of_the_wrong_length(coords):
     with pytest.raises(LengthMismatch):
         OrdinaryClass.from_json_dict(A2, {"word": [1, 2, 1], "coords": coords})
+
+
+def read_constant(cls, text):
+    """The coefficient a class document with one text coefficient holds,
+    or None when the document is refused."""
+    doc = {"word": [1, 2, 1], "coords": {"011": text}}
+    try:
+        c = cls.from_json_dict(A2, doc)
+    except ValueError:
+        return None
+    value = c.coords.get(g("011"), 0)
+    if cls is CohClass:
+        assert not value or set(value.terms) == {(0, 0)}
+        value = value.constant_term() if value else 0
+    return (value, type(value))
+
+
+def test_ordinary_and_equivariant_documents_read_the_same_constants():
+    tokens = ["0", "1", "3", "12", "007", "/", ".", "e", "E", "_", "+", "-", "*",
+              " ", "\t", "^", "2", "x", "(", ")", "1e3", "1.5", "inf"]
+    rng = random.Random("coefficients")
+    texts = ["1.5", "1e3", "1_000", " 3 ", "-3/6", "+ 4", "2*3/4", "1/2 - 1/2", ""]
+    texts += ["".join(rng.choice(tokens) for _ in range(rng.randint(1, 6))) for _ in range(3000)]
+    accepted = 0
+    for text in texts:
+        got = read_constant(OrdinaryClass, text)
+        assert got == read_constant(CohClass, text), text
+        accepted += got is not None
+    assert 200 < accepted < len(texts) - 200
+    for text in ("1.5", "1e3", "1_000"):
+        assert read_constant(OrdinaryClass, text) is None
