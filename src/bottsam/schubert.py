@@ -12,6 +12,7 @@ longest-element word recovers the same polynomials, which is what
 from __future__ import annotations
 
 import itertools
+import operator
 
 from . import rootsystem
 from .errors import NotLongestWord, NotReducedGallery, NotReducedWord, RankMismatch
@@ -47,6 +48,7 @@ def _beta_columns(rs: RootSystem, v_word: SimpleWord) -> tuple[tuple[int, ...], 
     product, which must be positive at every step (the word is reduced).
     Kept in ``rs`` until it holds ``MEMO_MAX_ENTRIES`` words; only reduced
     words are kept, so any other word raises every time."""
+    v_word = tuple(map(operator.index, v_word))  # 1.0 must not find (1,)
     out = rs._betas.get(v_word)
     if out is None:
         for i in v_word:
@@ -67,7 +69,7 @@ def _beta_columns(rs: RootSystem, v_word: SimpleWord) -> tuple[tuple[int, ...], 
 def beta_sequence(rs: RootSystem, v_word: SimpleWord) -> list[Weight]:
     """``beta_j = r_{i_1} .. r_{i_{j-1}}(alpha_{i_j})`` for a reduced word;
     these are distinct positive roots (the inversions of v)."""
-    return [Weight.of(b) for b in _beta_columns(rs, tuple(v_word))]
+    return [Weight.of(b) for b in _beta_columns(rs, v_word)]
 
 
 class BilleyQuery:

@@ -42,7 +42,9 @@ def fresh(rs):
 
 
 def seeded_pairs(rng, n, count):
-    bits = lambda: Gallery(tuple(rng.randint(0, 1) for _ in range(n)))  # noqa: E731
+    def bits():
+        return Gallery(tuple(rng.randint(0, 1) for _ in range(n)))
+
     return [(bits(), bits()) for _ in range(count)]
 
 
@@ -123,6 +125,10 @@ def test_a_non_reduced_word_raises_every_time():
             with pytest.raises(NotReducedWord):
                 BilleyQuery(a2, w, v)
     assert set(a2._betas) == {(1, 2, 1)}
+    # letters that only compare equal to integers never reach a cached word
+    for v in [(1.0, 2.0, 1.0), (1, 2, 1.5)]:
+        with pytest.raises(TypeError):
+            BilleyQuery(a2, w, v)
 
 
 @pytest.mark.parametrize("rs", SYSTEMS, ids=IDS)
