@@ -170,14 +170,11 @@ class OrdinaryClass:
 
 
 def _rewrite(word: BSWord, k: int, low: int, spill: dict) -> dict[int, int]:
-    """x_{k+1} x_low as ``{added bit: coefficient}``, where bit k of a mask
-    is position k + 1 and ``low`` has no bit above k.
-
-    With bit k on, the relation of position k + 1 gives a recursion down the
-    on bits of ``low`` that adds exactly one bit below k.  Its results are
-    kept in ``word`` up to ``MEMO_MAX_ENTRIES``, then in ``spill`` for the
-    rest of the call.
-    """
+    """x_{k+1} x_low as ``{added bit: coefficient}``; bit k of a mask is
+    position k + 1, and ``low`` has no bit above k.  With bit k on, the
+    relation of position k + 1 recurses down the on bits of ``low`` and adds
+    one bit below k.  Results are kept in ``word`` up to
+    ``MEMO_MAX_ENTRIES``, then in ``spill`` for the rest of the call."""
     if not low >> k & 1:
         return {1 << k: 1}
     key = (k, low)

@@ -41,11 +41,9 @@ BUILTIN_CARTAN: dict[str, tuple[tuple[int, ...], ...]] = {
 # every finite type of desk-scale rank stays far below it.
 ROOT_CLOSURE_BOUND = 10_000
 
-# Entries at which a rewrite table stops inserting: the beta columns a
-# root system keeps per reduced word, and the square-free rewrites a word
-# keeps for ``ordinary_multiply``.  An entry takes at most about 3 KB on the
-# built-in types (the betas of a 12-letter D4 word), so a table stays
-# within about 12 MB.
+# Entries at which a rewrite table stops inserting: the betas a root system
+# keeps per reduced word, and the rewrites a word keeps for ordinary_multiply.
+# An entry takes at most about 3 KB on the built-in types, a table 12 MB.
 MEMO_MAX_ENTRIES = 4096
 
 
