@@ -48,7 +48,7 @@ def _beta_columns(rs: RootSystem, v_word: SimpleWord) -> tuple[tuple[int, ...], 
     product, which must be positive at every step (the word is reduced).
     Kept in ``rs`` until it holds ``MEMO_MAX_ENTRIES`` words; only reduced
     words are kept, so any other word raises every time."""
-    v_word = tuple(map(operator.index, v_word))  # 1.0 must not find (1,)
+    v_word = tuple([operator.index(i) for i in v_word])  # 1.0 must not find (1,)
     out = rs._betas.get(v_word)
     if out is None:
         for i in v_word:
