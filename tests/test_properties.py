@@ -8,7 +8,7 @@ Derandomized, so every run draws the same examples.
 
 import pytest
 
-hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from bottsam import (  # noqa: E402
