@@ -20,7 +20,6 @@ from .errors import (
     NotReducedGallery,
     NotReducedWord,
     RankMismatch,
-    ResidualDenominator,
     WordMismatch,
     ZeroForm,
 )
@@ -31,25 +30,19 @@ from .rootsystem import (
     SimpleWord,
     Weight,
     WeylElement,
-    build_root_system,
     format_word,
     parse_word,
 )
 from .polyring import (
-    LinearCombFraction,
     Polynomial,
     divide_exact,
     format_polynomial,
-    fraction_sum,
-    fraction_to_polynomial,
     parse_polynomial,
-    weyl_act,
 )
 from .bott_samelson import (
     BSWord,
     CohClass,
     Gallery,
-    RestrictionFn,
     expand,
     integrate,
     integrate_by_localization,
@@ -89,7 +82,6 @@ __all__ = [
     "NotReducedGallery",
     "NotReducedWord",
     "RankMismatch",
-    "ResidualDenominator",
     "WordMismatch",
     "ZeroForm",
     "BUILTIN_CARTAN",
@@ -98,21 +90,15 @@ __all__ = [
     "SimpleWord",
     "Weight",
     "WeylElement",
-    "build_root_system",
     "format_word",
     "parse_word",
-    "LinearCombFraction",
     "Polynomial",
     "divide_exact",
     "format_polynomial",
-    "fraction_sum",
-    "fraction_to_polynomial",
     "parse_polynomial",
-    "weyl_act",
     "BSWord",
     "CohClass",
     "Gallery",
-    "RestrictionFn",
     "expand",
     "integrate",
     "integrate_by_localization",

@@ -11,9 +11,11 @@ Products use the closed one-generator rule: ``sigma_eps`` is the product of
 the one-bit classes ``x_i`` over the on positions of ``eps``, and ``x_i``
 acts on a basis class by an explicit combinatorial formula.  Integration is
 duality: the integral over the subvariety of ``eps`` reads off the
-``eps`` coordinate.  The localization routes (pointwise product on fixed
-points followed by triangular expansion, and the alternating sum of
-fractions) are kept as independent oracles for the checks.
+``eps`` coordinate.  The localization routes are kept as independent
+oracles for the checks: the variety is a tower of P^1-bundles, pushing
+forward along one bundle is a divided difference, and one butterfly of
+exact divisions over the fixed-point values gives every coordinate and
+every localization integral at once.
 """
 
 from __future__ import annotations
@@ -29,15 +31,7 @@ from .errors import (
     NotInSpan,
     WordMismatch,
 )
-from .polyring import (
-    LinearCombFraction,
-    Polynomial,
-    divide_exact,
-    format_polynomial,
-    fraction_sum,
-    fraction_to_polynomial,
-    parse_polynomial,
-)
+from .polyring import Polynomial, divide_exact, format_polynomial, parse_polynomial
 from .rootsystem import RootSystem, Weight, WeylElement
 
 DEFAULT_GALLERY_CAP = 20
@@ -136,8 +130,8 @@ class BSWord:
     Caches, per gallery, the list of localization weights
     ``alpha_i(eps) = v_{i-1}(eps)(mu_i)``, where ``v_j(eps)`` is the product
     of the reflections at the on positions up to ``j`` (applied
-    left-to-right), and from them the triangular restriction values
-    ``sigma_eps(eps')``.
+    left-to-right); the triangular restriction values ``sigma_eps(eps')``
+    are products of them.
     """
 
     def __init__(
@@ -162,7 +156,6 @@ class BSWord:
         self.n = len(letters)
         self._galleries: list[Gallery] | None = None
         self._alphas: dict[Bits, tuple[Weight, ...]] = {}
-        self._sigma: dict[tuple[Bits, Bits], Polynomial] = {}
         self._form_poly: dict[Weight, Polynomial] = {}
         # ``ordinary_multiply``'s rewrites of x_{k+1} x_low, keyed by (k, low)
         self._rewrites: dict[tuple[int, int], dict[int, int]] = {}
@@ -207,7 +200,7 @@ class BSWord:
             out = []
             rows = self.rs.identity_rows
             for bit, i in zip(e.bits, self.letters):
-                out.append(Weight.of(r[i - 1] for r in rows))
+                out.append(Weight(tuple(r[i - 1] for r in rows)))
                 if bit:
                     rows = self.rs.times_reflection(rows, i)
             cached = tuple(out)
@@ -230,22 +223,11 @@ class BSWord:
         self.check_gallery(ep)
         if not e.leq(ep):
             return Polynomial.zero(self.rs.rank)
-        key = (e.bits, ep.bits)
-        cached = self._sigma.get(key)
-        if cached is not None:
-            return cached
         weights = self.alphas(ep)
         out = Polynomial.one(self.rs.rank)
         for i in e.support:
             out = out * self._poly_of(weights[i - 1])
-        if self.n <= 10:  # 4^N pairs; skip the memo for huge words
-            self._sigma[key] = out
         return out
-
-    def sigma_diagonal(self, e: Gallery) -> list[Weight]:
-        """The linear factors of sigma_e(e), in position order."""
-        weights = self.alphas(e)
-        return [weights[i - 1] for i in e.support]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BSWord):
@@ -302,9 +284,6 @@ class CohClass:
             if e.leq(ep):
                 out = out + c * self.word.sigma(e, ep)
         return out
-
-    def restriction_fn(self) -> "RestrictionFn":
-        return RestrictionFn(self.word, self.restriction)
 
     def __add__(self, other) -> "CohClass":
         if not isinstance(other, CohClass):
@@ -405,81 +384,79 @@ def read_class_doc(
     return word, items
 
 
-class RestrictionFn:
-    """A gallery-indexed family of polynomials, evaluated lazily and memoized.
+def _cube(base: Bits, free: list[int]) -> list[Bits]:
+    """Every bit tuple that equals ``base`` outside the 0-based positions
+    ``free``."""
+    out = []
+    for on in itertools.product((0, 1), repeat=len(free)):
+        bits = list(base)
+        for k, b in zip(free, on):
+            bits[k] = b
+        out.append(tuple(bits))
+    return out
 
-    The image of a class under restriction to the fixed points; products of
-    classes are computed pointwise here before being expanded back into
-    coordinates.
+
+def _butterfly(
+    word: BSWord, values: dict[Bits, Polynomial], positions
+) -> dict[Bits, Polynomial]:
+    """Push fixed-point values down the word's tower of P^1-bundles.
+
+    Going through the 1-based ``positions`` from last to first, every
+    gallery ``b`` with bit k on takes ``(F[b] - F[b without k]) /
+    alpha_k(b)``; a gallery missing from ``values`` reads as zero, and so
+    does one missing from the result.  Since ``alpha_k(b)`` depends only on
+    the bits before k, once the positions of a gallery ``e`` are passed,
+    ``F[e]`` is the localization integral of the values over the subvariety
+    of ``e``: the ``e`` coordinate of the class they restrict.  Each
+    division is exact for the values of a class (its first level is the GKM
+    edge condition); a remainder raises :class:`NotInSpan`.
     """
-
-    __slots__ = ("word", "_fn", "_memo")
-
-    def __init__(self, word: BSWord, fn):
-        self.word = word
-        self._fn = fn
-        self._memo: dict[Bits, Polynomial] = {}
-
-    @classmethod
-    def from_values(cls, word: BSWord, values: dict[Gallery, Polynomial]) -> "RestrictionFn":
-        table = {}
-        for e, p in values.items():
-            word.check_gallery(e)
-            if isinstance(p, (int, Fraction)):
-                p = Polynomial.constant(word.rs.rank, p)
-            table[e.bits] = p
-
-        def fn(e: Gallery) -> Polynomial:
+    f = {b: p for b, p in values.items() if not p.is_zero}
+    for i in sorted(positions, reverse=True):
+        k = i - 1
+        before, f = f, {}
+        for b, p in before.items():
+            if b[k]:
+                low = before.get(b[:k] + (0,) + b[k + 1 :])
+                if low is not None:
+                    p = p - low
+                    if p.is_zero:
+                        continue
+            else:
+                f[b] = p
+                b = b[:k] + (1,) + b[k + 1 :]
+                if b in before:
+                    continue  # the difference is taken at b
+                p = -p
+            form = word.alphas(Gallery._of(b))[k]
             try:
-                return table[e.bits]
-            except KeyError:
-                raise ValueError(f"no value supplied for gallery {e}") from None
-
-        return cls(word, fn)
-
-    def __call__(self, e: Gallery) -> Polynomial:
-        self.word.check_gallery(e)
-        val = self._memo.get(e.bits)
-        if val is None:
-            val = self._fn(e)
-            self._memo[e.bits] = val
-        return val
-
-    def pointwise_product(self, other: "RestrictionFn") -> "RestrictionFn":
-        if self.word != other.word:
-            raise WordMismatch("restriction functions over different words")
-        return RestrictionFn(self.word, lambda e: self(e) * other(e))
+                f[b] = divide_exact(p, form)
+            except NotDivisible:
+                raise NotInSpan(
+                    f"the divided difference at position {i} of gallery"
+                    f" {Gallery._of(b)} is not a multiple of {form}"
+                ) from None
+    return f
 
 
-def expand(f: RestrictionFn) -> CohClass:
-    """Invert the triangular system: find the unique coordinates whose
-    restriction equals ``f``.
+def _class_of(word: BSWord, values: dict[Bits, Polynomial]) -> CohClass:
+    coords = _butterfly(word, values, range(1, word.n + 1))
+    return CohClass(word, {Gallery._of(b): p for b, p in coords.items()})
 
-    Walks galleries by grade; at each gallery the residual after subtracting
-    the already-found lower terms must factor as the full product of that
-    gallery's localization weights, which is checked by exact division.
-    Raises :class:`NotInSpan` when the input is not a polynomial combination
-    of the basis classes.
+
+def expand(word: BSWord, values: dict[Gallery, Polynomial]) -> CohClass:
+    """The class whose value at each fixed point is given by ``values``; a
+    gallery left out reads as zero.
+
+    Raises :class:`NotInSpan` when the values are not those of a class.
     """
-    word = f.word
-    coords: dict[Gallery, Polynomial] = {}
-    for e in word.galleries():
-        acc = f(e)
-        for ep, c in coords.items():
-            if ep.leq(e):
-                acc = acc - c * word.sigma(ep, e)
-        if acc.is_zero:
-            continue
-        q = acc
-        try:
-            for form in word.sigma_diagonal(e):
-                q = divide_exact(q, form)
-        except NotDivisible:
-            raise NotInSpan(
-                f"residual at gallery {e} is not a multiple of its weight product"
-            ) from None
-        coords[e] = q
-    return CohClass(word, coords)
+    table = {}
+    for e, p in values.items():
+        word.check_gallery(e)
+        if isinstance(p, (int, Fraction)):
+            p = Polynomial.constant(word.rs.rank, p)
+        table[e.bits] = p
+    return _class_of(word, table)
 
 
 def _flip_on(bits: Bits, k: int) -> Bits:
@@ -567,12 +544,23 @@ def multiply(c1: CohClass, c2: CohClass) -> CohClass:
 def multiply_by_localization(c1: CohClass, c2: CohClass) -> CohClass:
     """Product of two classes pointwise on fixed points, then expanded.
 
-    The independent route behind the product checks; :func:`multiply` is
-    the one to use.
+    The product vanishes at a fixed point unless it lies above the join of
+    a support gallery of each factor, so only those points are evaluated;
+    for two basis classes they form one cube.  The independent route
+    behind the product checks; :func:`multiply` is the one to use.
     """
     if c1.word != c2.word:
         raise WordMismatch("classes over different words")
-    return expand(c1.restriction_fn().pointwise_product(c2.restriction_fn()))
+    points: set[Bits] = set()
+    for e1 in c1.coords:
+        for e2 in c2.coords:
+            join = tuple(map(max, e1.bits, e2.bits))
+            points.update(_cube(join, [k for k, b in enumerate(join) if not b]))
+    values = {}
+    for b in points:
+        e = Gallery._of(b)
+        values[b] = c1.restriction(e) * c2.restriction(e)
+    return _class_of(c1.word, values)
 
 
 def multiply_generator(word: BSWord, i: int, e: Gallery) -> CohClass:
@@ -620,34 +608,15 @@ def integrate(word: BSWord, e: Gallery, c: CohClass) -> Polynomial:
 def integrate_by_localization(word: BSWord, e: Gallery, c: CohClass) -> Polynomial:
     """Localization integral over the subvariety of gallery ``e``.
 
-    The alternating sum, over fixed points below ``e``, of the class value
-    divided by the product of the weights of ``e``'s on positions at that
-    fixed point.  The fractions cancel exactly; a residual denominator means
-    the input was not a genuine class and raises
-    :class:`ResidualDenominator`.  The independent route behind the
-    integral checks; :func:`integrate` is the one to use.
+    Pushes the values of ``c`` at the fixed points below ``e`` down the
+    tower of ``e``'s on positions: ``|e| * 2^(|e| - 1)`` exact divisions.
+    Raises :class:`NotInSpan` when a division leaves a remainder, which for
+    a genuine class means a bug.  The independent route behind the integral
+    checks; :func:`integrate` is the one to use.
     """
     word.check_gallery(e)
     if c.word != word:
         raise WordMismatch("class over a different word")
-    rank = word.rs.rank
-    support = e.support
-    sign_e = (-1) ** e.ones
-    fractions: list[LinearCombFraction] = []
-    for on in itertools.chain.from_iterable(
-        itertools.combinations(support, k) for k in range(len(support) + 1)
-    ):
-        bits = [0] * word.n
-        for pos in on:
-            bits[pos - 1] = 1
-        ep = Gallery(tuple(bits))
-        num = c.restriction(ep)
-        if num.is_zero:
-            continue
-        sign = sign_e * (-1) ** ep.ones
-        weights = word.alphas(ep)
-        forms = [weights[i - 1] for i in support]
-        fractions.append(LinearCombFraction(num * sign, forms))
-    if not fractions:
-        return Polynomial.zero(rank)
-    return fraction_to_polynomial(fraction_sum(fractions))
+    below = _cube((0,) * word.n, [i - 1 for i in e.support])
+    values = {b: c.restriction(Gallery._of(b)) for b in below}
+    return _butterfly(word, values, e.support).get(e.bits, Polynomial.zero(word.rs.rank))

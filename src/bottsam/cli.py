@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 2 for input problems (bad Cartan data, malformed
 words or galleries, length mismatches), 3 when an internal invariant is
-violated (a localization denominator fails to cancel, or a selftest check
-fails).
+violated (a localization division leaves a remainder, a ``--check``
+disagrees, or a selftest check fails).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .errors import (
     NotDivisible,
     NotInSpan,
     NotLongestWord,
-    ResidualDenominator,
     WordMismatch,
 )
 from .ordinary import OrdinaryClass, ordinary_multiply, relations
@@ -43,7 +42,7 @@ EXIT_INTERNAL = 3
 
 TABLE_MAX_LETTERS = 12
 
-INTERNAL_ERRORS = (ResidualDenominator, NotInSpan, NotDivisible)
+INTERNAL_ERRORS = (NotInSpan, NotDivisible)
 
 
 class CliConfig:

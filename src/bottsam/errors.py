@@ -2,10 +2,10 @@
 
 Errors raised for bad user input (invalid Cartan data, out-of-range indices,
 mismatched ranks or words) all derive from :class:`BottsamError`.
-``ResidualDenominator`` is special: it signals that a localization sum failed
-to cancel, which for genuine cohomology classes can only mean a bug, so the
-command-line driver reports it as an internal failure rather than a usage
-error.
+``NotInSpan`` and ``NotDivisible`` are special: a localization route raises
+them when an exact division leaves a remainder, which for genuine cohomology
+classes can only mean a bug, so the command-line driver reports them as
+internal failures rather than usage errors.
 """
 
 
@@ -45,12 +45,9 @@ class NotDivisible(BottsamError):
     """Exact polynomial division left a nonzero remainder."""
 
 
-class ResidualDenominator(BottsamError):
-    """A fraction expected to cancel completely kept denominator factors."""
-
-
 class NotInSpan(BottsamError):
-    """A restriction function is not an S-combination of the basis classes."""
+    """Fixed-point values are not those of a polynomial combination of the
+    basis classes."""
 
 
 class NotInWeylGroup(BottsamError):

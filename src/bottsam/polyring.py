@@ -1,14 +1,13 @@
-"""Exact sparse polynomials in the simple-root variables, plus fractions
-whose denominators are multisets of linear forms.
+"""Exact sparse polynomials in the simple-root variables, exact division
+by a linear form, and the canonical text form.
 
 A :class:`Polynomial` is a map from exponent vectors to nonzero exact
 coefficients: ``int``, since every root is an integer vector, and ``Fraction``
 only where the input has one (a ``p/q`` in the text, or an inexact quotient).
-The variables ``a1..ar`` are the simple roots, so the ring carries a
-Weyl-group action by substituting each variable with the image root.  The
-fraction type never expands its denominator: localization produces only
-products of roots, so cancellation reduces to repeated exact division by
-linear forms and no multivariate gcd is needed.
+The variables ``a1..ar`` are the simple roots.  Localization divides only by
+roots, so :func:`divide_exact` by one linear form at a time is all the
+division the package needs; no fraction of polynomials and no multivariate
+gcd is ever formed.
 """
 
 from __future__ import annotations
@@ -16,10 +15,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Sequence
 
-from .errors import NotDivisible, RankMismatch, ResidualDenominator, ZeroForm
-from .rootsystem import Weight, WeylElement, exact
+from .errors import NotDivisible, RankMismatch, ZeroForm
+from .rootsystem import Weight, exact
 
 Monomial = tuple[int, ...]
 
@@ -168,18 +166,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Polynomial.one(self.rank)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.rank, other)
@@ -194,36 +180,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
-
-
-def weyl_act(w: WeylElement, p: Polynomial) -> Polynomial:
-    """The ring automorphism sending each variable a_i to w(alpha_i).
-
-    Degree-preserving; multiplicative by construction.
-    """
-    if w.rank != p.rank:
-        raise RankMismatch(f"element of rank {w.rank} on polynomial of rank {p.rank}")
-    rank = p.rank
-    # column k of the matrix is the image of alpha_{k+1}
-    images = [
-        Polynomial.from_weight(Weight(tuple(w.rows[j][k] for j in range(rank))))
-        for k in range(rank)
-    ]
-    powers: list[dict[int, Polynomial]] = [{} for _ in range(rank)]
-
-    def image_power(k: int, n: int) -> Polynomial:
-        if n not in powers[k]:
-            powers[k][n] = images[k] ** n
-        return powers[k][n]
-
-    out = Polynomial.zero(rank)
-    for exp, coef in p.terms.items():
-        term = Polynomial.constant(rank, coef)
-        for k, e in enumerate(exp):
-            if e:
-                term = term * image_power(k, e)
-        out = out + term
-    return out
 
 
 def _quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
@@ -273,121 +229,6 @@ def divide_exact(p: Polynomial, form: Weight) -> Polynomial:
                 del quot[e]
         rem = rem - t * form_poly
     return Polynomial(p.rank, quot)
-
-
-class LinearCombFraction:
-    """``numerator / product of linear forms``, the shape of localization
-    summands.
-
-    Denominator forms are sign-normalized (first nonzero coordinate
-    positive), with the compensating sign folded into the numerator; a zero
-    numerator clears the denominator, so zero is canonical.
-    """
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: Polynomial, forms: Iterable[Weight] = ()):
-        sign = 1
-        den: dict[Weight, int] = {}
-        for f in forms:
-            if f.rank != numerator.rank:
-                raise RankMismatch("denominator form has the wrong rank")
-            if f.is_zero:
-                raise ZeroForm("zero linear form in a denominator")
-            s, nf = f.sign_normalized()
-            sign *= s
-            den[nf] = den.get(nf, 0) + 1
-        if numerator.is_zero:
-            den = {}
-        self.numerator = numerator if sign == 1 else -numerator
-        self.denominator = den
-
-    @property
-    def rank(self) -> int:
-        return self.numerator.rank
-
-    def reduce(self) -> "LinearCombFraction":
-        """Cancel every denominator form that exactly divides the numerator."""
-        if self.numerator.is_zero or not self.denominator:
-            return self
-        num = self.numerator
-        den = dict(self.denominator)
-        progress = True
-        while progress and den:
-            progress = False
-            for form in sorted(den, key=lambda w: w.coords):
-                while den.get(form, 0) > 0:
-                    try:
-                        num = divide_exact(num, form)
-                    except NotDivisible:
-                        break
-                    den[form] -= 1
-                    progress = True
-                if den.get(form) == 0:
-                    del den[form]
-        out = LinearCombFraction.__new__(LinearCombFraction)
-        out.numerator = num
-        out.denominator = den
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinearCombFraction):
-            return NotImplemented
-        return (
-            self.numerator == other.numerator
-            and self.denominator == other.denominator
-        )
-
-    __hash__ = None
-
-    def __str__(self) -> str:
-        if not self.denominator:
-            return str(self.numerator)
-        parts = []
-        for w in sorted(self.denominator, key=lambda w: w.coords):
-            m = self.denominator[w]
-            parts.append(f"({w})" if m == 1 else f"({w})^{m}")
-        return f"({self.numerator}) / {'*'.join(parts)}"
-
-    def __repr__(self) -> str:
-        return f"LinearCombFraction({self})"
-
-
-def fraction_sum(fractions: Sequence[LinearCombFraction]) -> LinearCombFraction:
-    """Exact sum over the least common multiple of the denominator multisets,
-    followed by :meth:`LinearCombFraction.reduce`."""
-    fracs = list(fractions)
-    if not fracs:
-        raise ValueError("fraction_sum needs at least one fraction")
-    rank = fracs[0].rank
-    lcm: dict[Weight, int] = {}
-    for f in fracs:
-        if f.rank != rank:
-            raise RankMismatch("fractions of different ranks")
-        for w, m in f.denominator.items():
-            if lcm.get(w, 0) < m:
-                lcm[w] = m
-    order = sorted(lcm, key=lambda w: w.coords)
-    form_polys = {w: Polynomial.from_weight(w) for w in order}
-    total = Polynomial.zero(rank)
-    for f in fracs:
-        if f.numerator.is_zero:
-            continue
-        scaled = f.numerator
-        for w in order:
-            for _ in range(lcm[w] - f.denominator.get(w, 0)):
-                scaled = scaled * form_polys[w]
-        total = total + scaled
-    forms = [w for w in order for _ in range(lcm[w])]
-    return LinearCombFraction(total, forms).reduce()
-
-
-def fraction_to_polynomial(f: LinearCombFraction) -> Polynomial:
-    """Assert full cancellation and return the numerator."""
-    reduced = f.reduce()
-    if reduced.denominator:
-        raise ResidualDenominator(f"denominator did not cancel: {reduced}")
-    return reduced.numerator
 
 
 # ---- text form ----------------------------------------------------------

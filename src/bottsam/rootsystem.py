@@ -136,15 +136,6 @@ class Weight:
                 f"weights of rank {len(self.coords)} and {len(other.coords)}"
             )
 
-    def sign_normalized(self) -> tuple[int, "Weight"]:
-        """Return ``(sign, w)`` with ``w = sign * self`` and the first nonzero
-        coordinate of ``w`` positive.  The zero weight returns ``(1, self)``.
-        """
-        for c in self.coords:
-            if c != 0:
-                return (1, self) if c > 0 else (-1, -self)
-        return (1, self)
-
     def __str__(self) -> str:
         parts: list[str] = []
         for k, c in enumerate(self.coords):
@@ -495,8 +486,3 @@ class RootSystem:
                         new.append(ws)
             frontier = new
         return [WeylElement(rows) for rows in seen]
-
-
-def build_root_system(spec: CartanSpec) -> RootSystem:
-    """Validate a Cartan spec and derive its positive-root data."""
-    return RootSystem(spec)

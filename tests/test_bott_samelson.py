@@ -13,7 +13,6 @@ from bottsam import (
     LengthMismatch,
     NotInSpan,
     Polynomial,
-    RestrictionFn,
     RootSystem,
     Weight,
     WordMismatch,
@@ -153,20 +152,19 @@ def test_class_normalization_and_equality():
 def test_expand_recovers_basis_square():
     word = word121()
     base = CohClass.basis(word, g("001"))
-    f = base.restriction_fn().pointwise_product(base.restriction_fn())
-    assert expand(f) == CohClass(
+    values = {e: base.restriction(e) * base.restriction(e) for e in word.galleries()}
+    assert expand(word, values) == CohClass(
         word, {g("001"): p("a1"), g("101"): p("-2"), g("011"): p("1")}
     )
 
 
 def test_expand_rejects_values_outside_the_span():
     word = BSWord(RootSystem.from_label("A1"), (1,))
-    f = RestrictionFn.from_values(
-        word, {g("0"): Polynomial.zero(1), g("1"): Polynomial.one(1)}
-    )
     # jumps by a constant across the edge: not a polynomial combination
     with pytest.raises(NotInSpan):
-        expand(f)
+        expand(word, {g("0"): Polynomial.zero(1), g("1"): Polynomial.one(1)})
+    with pytest.raises(LengthMismatch):
+        expand(word, {g("01"): 1})
 
 
 def test_multiply_disjoint_supports():
@@ -242,25 +240,6 @@ def test_integrate_linearity():
         lhs = integrate(word, e, c1 + c2.scaled(3))
         rhs = integrate(word, e, c1) + 3 * integrate(word, e, c2)
         assert lhs == rhs
-
-
-def test_restriction_fn_memoizes_and_validates():
-    word = word121()
-    calls = []
-
-    def fn(e):
-        calls.append(str(e))
-        return Polynomial.one(2)
-
-    f = RestrictionFn(word, fn)
-    f(g("000"))
-    f(g("000"))
-    assert calls == ["000"]
-    with pytest.raises(LengthMismatch):
-        f(g("0000"))
-    partial = RestrictionFn.from_values(word, {g("000"): Polynomial.one(2)})
-    with pytest.raises(ValueError):
-        partial(g("111"))
 
 
 def test_cohclass_json_roundtrip():

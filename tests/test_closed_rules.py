@@ -2,8 +2,8 @@
 
 ``multiply`` applies one-generator rules and ``integrate`` reads off a
 coordinate; ``multiply_by_localization`` and ``integrate_by_localization``
-compute the same quantities through fixed-point values, triangular
-expansion and cancelling fractions.  The two must agree on every input.
+compute the same quantities through fixed-point values and exact division
+down the tower of P^1-bundles.  The two must agree on every input.
 """
 
 import random

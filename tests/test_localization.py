@@ -1,0 +1,133 @@
+"""The localization routes: ``expand``, ``integrate_by_localization`` and
+``multiply_by_localization`` all push fixed-point values down the word's
+tower of P^1-bundles by exact division (``tests/test_closed_rules.py``
+compares the last two with the closed rules).
+
+The butterfly is checked against the classes whose values it is fed, against
+the flat Atiyah-Bott sum evaluated at rational points, and on values that are
+not those of a class.  Runs on the nine built-in types and on the reducible
+A1×A1 and A1×B2 Cartan matrices.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from bottsam import (
+    BUILTIN_CARTAN,
+    BSWord,
+    CartanSpec,
+    CohClass,
+    Gallery,
+    NotInSpan,
+    Polynomial,
+    RootSystem,
+    expand,
+    integrate_by_localization,
+)
+
+SYSTEMS = {label: RootSystem.from_label(label) for label in BUILTIN_CARTAN}
+SYSTEMS["A1xA1"] = RootSystem(CartanSpec.from_rows([[2, 0], [0, 2]]))
+SYSTEMS["A1xB2"] = RootSystem(CartanSpec.from_rows([[2, 0, 0], [0, 2, -1], [0, -2, 2]]))
+
+
+def random_word(rng, rs, max_letters=5):
+    n = rng.randint(1, max_letters)
+    return BSWord(rs, [rng.randint(1, rs.rank) for _ in range(n)])
+
+
+def random_polynomial(rng, rank, degree=2):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exp = [0] * rank
+        for _ in range(rng.randint(0, degree)):
+            exp[rng.randrange(rank)] += 1
+        terms[tuple(exp)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return Polynomial(rank, terms)
+
+
+def random_class(rng, word):
+    gals = word.galleries()
+    coords = {e: random_polynomial(rng, word.rs.rank) for e in rng.sample(gals, min(4, len(gals)))}
+    return CohClass(word, coords)
+
+
+def nonzero_values(c):
+    """The class's values, leaving out the galleries where it vanishes."""
+    values = {e: c.restriction(e) for e in c.word.galleries()}
+    return {e: v for e, v in values.items() if not v.is_zero}
+
+
+def cases(label, count):
+    rs = SYSTEMS[label]
+    rng = random.Random(f"localization {label}")
+    for _ in range(count):
+        word = random_word(rng, rs)
+        yield rng, word, random_class(rng, word)
+
+
+@pytest.mark.parametrize("label", sorted(SYSTEMS))
+def test_expand_returns_the_class_of_its_values(label):
+    for _, word, c in cases(label, 8):
+        assert expand(word, nonzero_values(c)) == c, (word, str(c))
+
+
+@pytest.mark.parametrize("label", sorted(SYSTEMS))
+def test_missing_galleries_read_as_zero(label):
+    # alpha_1 is the same root at every fixed point, so alpha_1 * sigma_0 - sigma_{10..0}
+    # vanishes at every gallery with bit 1 on, while both coordinates are nonzero
+    rng = random.Random(f"zeros {label}")
+    for _ in range(4):
+        word = random_word(rng, SYSTEMS[label])
+        first = Polynomial.from_weight(word.alphas(Gallery.zero(word.n))[0])
+        c = CohClass(word, {Gallery.zero(word.n): first, Gallery.unit(word.n, 1): -1})
+        values = nonzero_values(c)
+        assert all(e.bits[0] == 0 for e in values)
+        assert expand(word, values) == c
+
+
+@pytest.mark.parametrize("label", sorted(SYSTEMS))
+def test_perturbing_one_value_leaves_the_span(label):
+    for rng, word, c in cases(label, 6):
+        values = {e: c.restriction(e) for e in word.galleries()}
+        e = rng.choice(word.galleries())
+        # a jump with a nonzero constant term is divisible by no root
+        jump = random_polynomial(rng, word.rs.rank)
+        values[e] = values[e] + jump + (1 - jump.constant_term())
+        with pytest.raises(NotInSpan):
+            expand(word, values)
+
+
+def at(p, point):
+    out = Fraction(0)
+    for exp, coef in p.terms.items():
+        term = Fraction(coef)
+        for x, k in zip(point, exp):
+            term *= x**k
+        out += term
+    return out
+
+
+def flat_integral(word, e, c, point):
+    """Sum over e' <= e of (-1)^(|e| - |e'|) c(e') / prod_{i in e} alpha_i(e'),
+    evaluated at ``point``, where every root is nonzero."""
+    total = Fraction(0)
+    for ep in word.galleries():
+        if not ep.leq(e):
+            continue
+        den = Fraction(1)
+        for i in e.support:
+            den *= sum(a * x for a, x in zip(word.alphas(ep)[i - 1].coords, point))
+        total += (-1) ** (e.ones - ep.ones) * at(c.restriction(ep), point) / den
+    return total
+
+
+@pytest.mark.parametrize("label", sorted(SYSTEMS))
+def test_integral_equals_the_flat_atiyah_bott_sum(label):
+    for rng, word, c in cases(label, 6):
+        point = [rng.randint(1, 9) for _ in range(word.rs.rank)]
+        for e in rng.sample(word.galleries(), min(5, 2**word.n)):
+            value = integrate_by_localization(word, e, c)
+            assert at(value, point) == flat_integral(word, e, c, point), (word, str(e))
+

@@ -1,7 +1,8 @@
-"""Property tests of the ordinary quotient: ``ordinary_multiply`` is
-commutative and associative, and evaluation at the origin carries the
-equivariant product to it, on every built-in type and on the custom
-A1×A1 and A1×B2 Cartan matrices.
+"""Property tests on every built-in type and on the custom A1×A1 and A1×B2
+Cartan matrices: ``multiply`` and ``ordinary_multiply`` are commutative and
+associative, evaluation at the origin carries the equivariant product to the
+ordinary one, the integral by duality equals the localization integral, and
+polynomial text reads back to the polynomial it was written from.
 
 Derandomized, so every run draws the same examples.
 """
@@ -22,8 +23,12 @@ from bottsam import (  # noqa: E402
     RootSystem,
     Weight,
     evaluate_at_origin,
+    format_polynomial,
+    integrate,
+    integrate_by_localization,
     multiply,
     ordinary_multiply,
+    parse_polynomial,
 )
 
 CUSTOM = {
@@ -83,3 +88,31 @@ def test_evaluation_at_the_origin_is_a_ring_homomorphism(data):
     assert evaluate_at_origin(multiply(x, y)) == ordinary_multiply(
         evaluate_at_origin(x), evaluate_at_origin(y)
     )
+
+
+@PROPERTY
+@given(st.data())
+def test_multiply_is_commutative_and_associative(data):
+    w = data.draw(word(max_letters=5))
+    x, y, z = (data.draw(equivariant_class(w)) for _ in range(3))
+    assert multiply(x, y) == multiply(y, x)
+    assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
+
+
+@PROPERTY
+@given(st.data())
+def test_integral_by_duality_equals_the_localization_integral(data):
+    w = data.draw(word(max_letters=6))
+    c = multiply(data.draw(equivariant_class(w)), data.draw(equivariant_class(w)))
+    e = data.draw(gallery(w.n))
+    assert integrate(w, e, c) == integrate_by_localization(w, e, c)
+
+
+@PROPERTY
+@given(st.data())
+def test_polynomial_text_reads_back(data):
+    rank = data.draw(st.sampled_from(SYSTEMS)).rank
+    exponents = st.tuples(*[st.integers(0, 3)] * rank)
+    terms = data.draw(st.dictionaries(exponents, COEFFICIENTS, max_size=5))
+    p = Polynomial(rank, terms)
+    assert parse_polynomial(format_polynomial(p), rank) == p
