@@ -9,7 +9,8 @@ fixed point ``eps'`` is an explicit product of roots.
 
 Products use the closed one-generator rule: ``sigma_eps`` is the product of
 the one-bit classes ``x_i`` over the on positions of ``eps``, and ``x_i``
-acts on a basis class by an explicit combinatorial formula.  Integration is
+acts on a basis class by an explicit combinatorial formula, kept per word
+in a table and applied to packed integers.  Integration is
 duality: the integral over the subvariety of ``eps`` reads off the
 ``eps`` coordinate.  The localization routes are kept as independent
 oracles for the checks: the variety is a tower of P^1-bundles, pushing
@@ -22,7 +23,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import mul
 
+from . import rootsystem
 from .errors import (
     CapExceeded,
     IndexOutOfRange,
@@ -159,6 +162,8 @@ class BSWord:
         self._form_poly: dict[Weight, Polynomial] = {}
         # ``ordinary_multiply``'s rewrites of x_{k+1} x_low, keyed by (k, low)
         self._rewrites: dict[tuple[int, int], dict[int, int]] = {}
+        # ``multiply``'s rule for x_{k+1} on bit k on, keyed by (k, bits below k)
+        self._generators: dict[tuple[int, int], tuple[tuple, tuple]] = {}
 
     # ---- basic structure -------------------------------------------------
 
@@ -176,10 +181,6 @@ class BSWord:
             raise LengthMismatch(
                 f"gallery of length {len(e)} against a word of length {self.n}"
             )
-
-    def _check_pos(self, i: int) -> None:
-        if not 1 <= i <= self.n:
-            raise IndexOutOfRange(f"position {i} out of range 1..{self.n}")
 
     # ---- Weyl data per gallery --------------------------------------------
 
@@ -259,12 +260,21 @@ class CohClass:
         self.coords = clean
 
     @classmethod
+    def _of(cls, word: BSWord, coords: dict[Gallery, Polynomial]) -> "CohClass":
+        """A class of nonzero coordinates the package built, unvalidated."""
+        c = cls.__new__(cls)
+        c.word = word
+        c.coords = coords
+        return c
+
+    @classmethod
     def zero(cls, word: BSWord) -> "CohClass":
         return cls(word, {})
 
     @classmethod
     def basis(cls, word: BSWord, e: Gallery) -> "CohClass":
-        return cls(word, {e: Polynomial.one(word.rs.rank)})
+        word.check_gallery(e)
+        return cls._of(word, {e: Polynomial.one(word.rs.rank)})
 
     @classmethod
     def unit(cls, word: BSWord) -> "CohClass":
@@ -459,62 +469,47 @@ def expand(word: BSWord, values: dict[Gallery, Polynomial]) -> CohClass:
     return _class_of(word, table)
 
 
-def _flip_on(bits: Bits, k: int) -> Bits:
-    return bits[:k] + (1,) + bits[k + 1 :]
+def _generator(word: BSWord, k: int, low: int, spill: dict) -> tuple[tuple, tuple]:
+    """:func:`multiply_generator`'s rule at bit k on, below it the mask
+    ``low``: ``(mask of j, coefficient)`` corrections, ``(variable,
+    coefficient)`` diagonal.  Kept in ``word`` up to ``MEMO_MAX_ENTRIES``,
+    then in ``spill`` for the rest of the call."""
+    key = (k, low)
+    entry = word._generators.get(key) or spill.get(key)
+    if entry is None:
+        letters, rows = word.letters, word.rs._cartan_nonzero
+        alpha = list(word.rs.identity_rows[letters[k] - 1])
+        corrections = []
+        for j in range(k - 1, -1, -1):  # reflect at on bits, pair at off bits
+            lj = letters[j] - 1
+            c = sum(alpha[m] * a for m, a in rows[lj])
+            if low >> 8 * j & 1:
+                alpha[lj] -= c
+            elif c:
+                corrections.append((1 << 8 * j, -c))
+        entry = (tuple(corrections), tuple((v, a) for v, a in enumerate(alpha) if a))
+        full = len(word._generators) >= rootsystem.MEMO_MAX_ENTRIES
+        (spill if full else word._generators)[key] = entry
+    return entry
 
 
-def _generator_terms(word: BSWord, i: int, bits: Bits) -> list[tuple[Bits, object]]:
-    """The closed rule for ``x_i * sigma_bits`` as (bits, coefficient) pairs;
-    a coefficient is a rational constant or a linear polynomial.
-
-    Bit i off: the single class with that bit turned on.  Bit i on: one
-    correction ``-<alpha_j^i, letter_j^vee>`` per off position ``j < i``,
-    where ``alpha_j^i = v_{j+1..i-1}(mu_i)``, plus ``alpha_i(bits)`` on the
-    diagonal.  Walking j down from i-1 carries ``alpha_j^i``, reflected once
-    at each on position; at the end of the walk it is ``alpha_i(bits)``.
-    """
-    k = i - 1
-    if not bits[k]:
-        return [(_flip_on(bits, k), 1)]
-    rs = word.rs
-    letters = word.letters
-    # alpha on int coordinates: the pairing with letter l is the dot product
-    # with Cartan row l, and r_l moves coordinate l only (as rs.reflect)
-    alpha = list(rs.identity_rows[letters[k] - 1])
-    rows = rs._cartan_nonzero
-    terms: list[tuple[Bits, object]] = []
-    for j in range(k - 1, -1, -1):
-        lj = letters[j] - 1
-        c = sum(alpha[m] * a for m, a in rows[lj])
-        if bits[j]:
-            alpha[lj] -= c
-        elif c:
-            terms.append((_flip_on(bits, j), -c))
-    terms.append((bits, word._poly_of(Weight(tuple(alpha)))))
-    return terms
+def _add_into(d: dict, p: dict, c, shift: int = 0) -> None:
+    """``d += c * p``, each monomial of ``p`` moved by ``shift``."""
+    for m, v in p.items():
+        m += shift
+        v = d.get(m, 0) + v * c
+        if v:
+            d[m] = v
+        else:
+            del d[m]
 
 
-def _add_term(out: dict[Bits, Polynomial], bits: Bits, p: Polynomial) -> None:
-    prev = out.get(bits)
-    if prev is None:
-        out[bits] = p
-        return
-    s = prev + p
-    if s.is_zero:
-        del out[bits]
-    else:
-        out[bits] = s
+# Bit k of a gallery is bit 8k of its mask, and a monomial packs its exponents
+# ``size`` bytes each, ``units`` being the packed variables; ``int.to_bytes``
+# reads a mask, or a one-byte monomial, back as its tuple.
 
-
-def _times_generator(
-    word: BSWord, i: int, coords: dict[Bits, Polynomial]
-) -> dict[Bits, Polynomial]:
-    """``x_i`` times the class with these coordinates."""
-    out: dict[Bits, Polynomial] = {}
-    for bits, p in coords.items():
-        for eb, q in _generator_terms(word, i, bits):
-            _add_term(out, eb, p * q)
-    return out
+def _pack(p: Polynomial, units: list[int]) -> dict:
+    return {sum(map(mul, e, units)): c for e, c in p.terms.items()}
 
 
 def multiply(c1: CohClass, c2: CohClass) -> CohClass:
@@ -522,23 +517,62 @@ def multiply(c1: CohClass, c2: CohClass) -> CohClass:
 
     Each term ``q * sigma_b`` of one factor is ``q`` times the product of the
     generators ``x_i`` over ``supp(b)``; those are applied one by one, in
-    position order, to the other factor.  The factor with the smaller total
-    support is the one taken apart.  No restriction values and no division.
+    position order, to the whole other factor, which has the larger total
+    support.  No restriction values and no division; a generator does
+    arithmetic only where its bit is on, for two basis classes where they
+    overlap: ``sigma_a sigma_b = sigma_{a or b} prod_{i in a and b} x_i``.
     """
     if c1.word != c2.word:
         raise WordMismatch("classes over different words")
-    word = c1.word
+    word, rank = c1.word, c1.word.rs.rank
     if sum(e.ones for e in c1.coords) < sum(e.ones for e in c2.coords):
         c1, c2 = c2, c1
-    start = {e.bits: p for e, p in c1.coords.items()}
-    out: dict[Bits, Polynomial] = {}
+    # a generator raises the degree by at most one
+    degree = [max(map(Polynomial.total_degree, c.coords.values()), default=0) for c in (c1, c2)]
+    size = ((word.n + sum(degree)).bit_length() + 7) // 8
+    units = [1 << 8 * size * v for v in range(rank)]
+    start = {int.from_bytes(bytes(e.bits), "little"): _pack(p, units)
+             for e, p in c1.coords.items()}
+    spill, out = {}, {}
     for e, q in c2.coords.items():
         cur = start
         for i in e.support:
-            cur = _times_generator(word, i, cur)
-        for bits, p in cur.items():
-            _add_term(out, bits, p * q)
-    return CohClass(word, {Gallery._of(bits): p for bits, p in out.items()})
+            bit = 1 << 8 * (i - 1)
+            nxt: dict[int, dict] = {}
+            # The dicts of cur are never written: the rule's terms go into
+            # fresh dicts, and a mask with the bit off moves to the mask with
+            # it on, sharing its dict, which can only meet a fresh one there.
+            for mask, p in cur.items():
+                if mask & bit:
+                    corrections, diagonal = _generator(word, i - 1, mask & (bit - 1), spill)
+                    for b, c in corrections:
+                        _add_into(nxt.setdefault(mask | b, {}), p, c)
+                    d = nxt.setdefault(mask, {})
+                    for var, a in diagonal:
+                        _add_into(d, p, a, units[var])
+            for mask, p in cur.items():
+                if not mask & bit:
+                    d = nxt.get(mask | bit)
+                    if d is None:
+                        nxt[mask | bit] = p
+                    else:
+                        _add_into(d, p, 1)
+            cur = nxt
+        q = _pack(q, units)
+        for mask, p in cur.items():
+            d = out.setdefault(mask, {})
+            for mq, cq in q.items():
+                _add_into(d, p, cq, mq)
+    full, coords = (1 << 8 * size) - 1, {}
+    for mask, p in out.items():
+        terms = {}
+        for m, c in p.items():
+            e = m.to_bytes(rank, "little") if size == 1 else (m // u & full for u in units)
+            terms[tuple(e)] = c if type(c) is int or c.denominator != 1 else c.numerator
+        if terms:
+            e = Gallery._of(tuple(mask.to_bytes(word.n, "little")))
+            coords[e] = Polynomial._of(rank, terms)
+    return CohClass._of(word, coords)
 
 
 def multiply_by_localization(c1: CohClass, c2: CohClass) -> CohClass:
@@ -565,19 +599,11 @@ def multiply_by_localization(c1: CohClass, c2: CohClass) -> CohClass:
 
 def multiply_generator(word: BSWord, i: int, e: Gallery) -> CohClass:
     """Product of the one-bit basis class at position ``i`` with the basis
-    class of ``e``, by the closed combinatorial rule (no expansion).
-
-    When position ``i`` is off in ``e`` the product is the single basis class
-    with that bit turned on.  When it is on, the product is
-    ``sigma_i(e) * basis(e)`` plus one correction per earlier off position
-    ``j``, with integer coefficient given by a Cartan pairing against the
-    partial product of reflections strictly between ``j`` and ``i``.
-    """
-    word._check_pos(i)
-    word.check_gallery(e)
-    return CohClass(
-        word, {Gallery._of(bits): c for bits, c in _generator_terms(word, i, e.bits)}
-    )
+    class of ``e``, by the closed rule: with ``i`` off in ``e``, the basis
+    class with it on; with ``i`` on, ``sigma_i(e) * basis(e)`` plus one
+    correction per earlier off position ``j``, an integer Cartan pairing
+    against the partial product of reflections strictly between j and i."""
+    return multiply(CohClass.basis(word, Gallery.unit(word.n, i)), CohClass.basis(word, e))
 
 
 def table_lines(word: BSWord) -> list[str]:

@@ -42,12 +42,20 @@ class Polynomial:
     # ---- constructors --------------------------------------------------
 
     @classmethod
+    def _of(cls, rank: int, terms: dict[Monomial, int | Fraction]) -> "Polynomial":
+        """A polynomial of nonzero terms the package built, unfiltered."""
+        p = cls.__new__(cls)
+        p.rank = rank
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, rank: int) -> "Polynomial":
         return cls(rank)
 
     @classmethod
     def one(cls, rank: int) -> "Polynomial":
-        return cls.constant(rank, 1)
+        return cls._of(rank, {(0,) * rank: 1})
 
     @classmethod
     def constant(cls, rank: int, value: Fraction | int) -> "Polynomial":
@@ -111,21 +119,15 @@ class Polynomial:
         for e, c in p.terms.items():
             s = out.get(e, 0) + c
             if s:
-                out[e] = s
+                out[e] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
                 out.pop(e, None)
-        res = Polynomial.__new__(Polynomial)
-        res.rank = self.rank
-        res.terms = out
-        return res
+        return Polynomial._of(self.rank, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        res = Polynomial.__new__(Polynomial)
-        res.rank = self.rank
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return Polynomial._of(self.rank, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         p = self._coerce(other)
@@ -143,26 +145,24 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Polynomial.zero(self.rank)
-            res = Polynomial.__new__(Polynomial)
-            res.rank = self.rank
-            res.terms = {e: c * other for e, c in self.terms.items()}
-            return res
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        out: dict[Monomial, int | Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in p.terms.items():
-                e = tuple(map(add, e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        res = Polynomial.__new__(Polynomial)
-        res.rank = self.rank
-        res.terms = out
-        return res
+            out = {e: c * other for e, c in self.terms.items()}
+        else:
+            p = self._coerce(other)
+            if p is None:
+                return NotImplemented
+            out = {}
+            for e1, c1 in self.terms.items():
+                for e2, c2 in p.terms.items():
+                    e = tuple(map(add, e1, e2))
+                    s = out.get(e, 0) + c1 * c2
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+        for e, c in out.items():
+            if type(c) is not int and c.denominator == 1:
+                out[e] = c.numerator
+        return Polynomial._of(self.rank, out)
 
     __rmul__ = __mul__
 
@@ -204,31 +204,28 @@ def divide_exact(p: Polynomial, form: Weight) -> Polynomial:
         return p
     k = next(i for i, c in enumerate(form.coords) if c != 0)
     c_lead = form.coords[k]
-    form_poly = Polynomial.from_weight(form)
+    others = [(j, c) for j, c in enumerate(form.coords) if c and j != k]
 
     quot: dict[Monomial, int | Fraction] = {}
-    rem = p
-    while True:
-        if rem.is_zero:
-            break
-        deg = max(e[k] for e in rem.terms)
+    rem = dict(p.terms)
+    while rem:
+        deg = max(e[k] for e in rem)
         if deg == 0:
             raise NotDivisible(f"{p} is not divisible by {form}")
-        # peel the whole top slice in the pivot variable at once
-        t_terms = {
-            e[:k] + (e[k] - 1,) + e[k + 1:]: _quotient(coef, c_lead)
-            for e, coef in rem.terms.items()
-            if e[k] == deg
-        }
-        t = Polynomial(p.rank, t_terms)
-        for e, coef in t.terms.items():
-            s = quot.get(e, 0) + coef
-            if s:
-                quot[e] = s
-            else:
-                del quot[e]
-        rem = rem - t * form_poly
-    return Polynomial(p.rank, quot)
+        # peel the top slice in the pivot variable: a quotient term cancels
+        # its top term exactly, the rest of the form lands in the slice below
+        for e in [e for e in rem if e[k] == deg]:
+            t = _quotient(rem.pop(e), c_lead)
+            e = e[:k] + (deg - 1,) + e[k + 1:]
+            quot[e] = t
+            for j, c in others:
+                f = e[:j] + (e[j] + 1,) + e[j + 1:]
+                s = rem.get(f, 0) - t * c
+                if s:
+                    rem[f] = s
+                else:
+                    del rem[f]
+    return Polynomial._of(p.rank, quot)
 
 
 # ---- text form ----------------------------------------------------------
@@ -327,7 +324,4 @@ def parse_polynomial(text: str, rank: int, var_prefix: str = "a") -> Polynomial:
         raise ValueError(f"cannot read polynomial text at {text[pos:]!r}")
     if exps is None:
         raise ValueError("empty polynomial text")
-    res = Polynomial.__new__(Polynomial)
-    res.rank = rank
-    res.terms = terms  # zero terms were never stored
-    return res
+    return Polynomial._of(rank, terms)  # zero terms were never stored
