@@ -470,17 +470,18 @@ def expand(word: BSWord, values: dict[Gallery, Polynomial]) -> CohClass:
 
 
 def _generator(word: BSWord, k: int, low: int, spill: dict) -> tuple[tuple, tuple]:
-    """:func:`multiply_generator`'s rule at bit k on, below it the mask
-    ``low``: ``(mask of j, coefficient)`` corrections, ``(variable,
-    coefficient)`` diagonal.  Kept in ``word`` up to ``MEMO_MAX_ENTRIES``,
-    then in ``spill`` for the rest of the call."""
+    """:func:`multiply_generator`'s rule at bit k on, ``low`` the bits below:
+    corrections ``(mask of j, coefficient)``, diagonal ``(variable,
+    coefficient)``; kept in ``word`` up to ``MEMO_MAX_ENTRIES``, then in
+    ``spill``.  The pairing with letter l is the dot product with Cartan
+    row l, and r_l moves coordinate l only."""
     key = (k, low)
     entry = word._generators.get(key) or spill.get(key)
     if entry is None:
         letters, rows = word.letters, word.rs._cartan_nonzero
         alpha = list(word.rs.identity_rows[letters[k] - 1])
         corrections = []
-        for j in range(k - 1, -1, -1):  # reflect at on bits, pair at off bits
+        for j in range(k - 1, -1, -1):
             lj = letters[j] - 1
             c = sum(alpha[m] * a for m, a in rows[lj])
             if low >> 8 * j & 1:
@@ -507,7 +508,6 @@ def _add_into(d: dict, p: dict, c, shift: int = 0) -> None:
 # Bit k of a gallery is bit 8k of its mask, and a monomial packs its exponents
 # ``size`` bytes each, ``units`` being the packed variables; ``int.to_bytes``
 # reads a mask, or a one-byte monomial, back as its tuple.
-
 def _pack(p: Polynomial, units: list[int]) -> dict:
     return {sum(map(mul, e, units)): c for e, c in p.terms.items()}
 
@@ -528,8 +528,8 @@ def multiply(c1: CohClass, c2: CohClass) -> CohClass:
     if sum(e.ones for e in c1.coords) < sum(e.ones for e in c2.coords):
         c1, c2 = c2, c1
     # a generator raises the degree by at most one
-    degree = [max(map(Polynomial.total_degree, c.coords.values()), default=0) for c in (c1, c2)]
-    size = ((word.n + sum(degree)).bit_length() + 7) // 8
+    degrees = [max(map(Polynomial.total_degree, c.coords.values()), default=0) for c in (c1, c2)]
+    size = ((word.n + sum(degrees)).bit_length() + 7) // 8
     units = [1 << 8 * size * v for v in range(rank)]
     start = {int.from_bytes(bytes(e.bits), "little"): _pack(p, units)
              for e, p in c1.coords.items()}
