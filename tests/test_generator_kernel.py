@@ -20,9 +20,12 @@ from bottsam import (
     CartanSpec,
     CohClass,
     Gallery,
+    IndexOutOfRange,
+    LengthMismatch,
     Polynomial,
     RootSystem,
     Weight,
+    WordMismatch,
     multiply,
     multiply_by_localization,
     multiply_generator,
@@ -184,6 +187,20 @@ def test_zero_class_and_colliding_galleries():
     for b in ("01000", "01010", "11111"):
         assert multiply(a, basis(word, b)) == reference_multiply(a, basis(word, b)), b
     assert multiply(a, a) == reference_multiply(a, a) == multiply_by_localization(a, a)
+
+
+def test_bad_arguments_raise_as_before():
+    a2 = RootSystem.from_label("A2")
+    word = BSWord(a2, (1, 2, 1))
+    with pytest.raises(WordMismatch):
+        multiply(basis(word, "110"), CohClass.unit(BSWord(a2, (1, 2))))
+    with pytest.raises(LengthMismatch):
+        CohClass.basis(word, Gallery.from_string("11"))
+    with pytest.raises(LengthMismatch):
+        multiply_generator(word, 1, Gallery.from_string("1101"))
+    for i in (0, 4):
+        with pytest.raises(IndexOutOfRange, match=f"position {i} out of range 1..3"):
+            multiply_generator(word, i, Gallery.from_string("110"))
 
 
 # ---- the table: warm, cold, bounded, and never shared ----------------------------------
