@@ -505,23 +505,20 @@ def _add_into(d: dict, p: dict, c, shift: int = 0) -> None:
             del d[m]
 
 
-# Bit k of a gallery is bit 8k of its mask, and a monomial packs its exponents
-# ``size`` bytes each, ``units`` being the packed variables; ``int.to_bytes``
-# reads a mask, or a one-byte monomial, back as its tuple.
+# Bit k of a gallery is bit 8k of its mask; a monomial packs its exponents
+# ``size`` bytes each (``units``), so ``int.to_bytes`` reads one-byte ones.
 def _pack(p: Polynomial, units: list[int]) -> dict:
     return {sum(map(mul, e, units)): c for e, c in p.terms.items()}
 
 
 def multiply(c1: CohClass, c2: CohClass) -> CohClass:
-    """Product of two classes by the closed generator rule.
+    """Product of two classes by the closed generator rule, with no division.
 
-    Each term ``q * sigma_b`` of one factor is ``q`` times the product of the
-    generators ``x_i`` over ``supp(b)``; those are applied one by one, in
-    position order, to the whole other factor, which has the larger total
-    support.  No restriction values and no division; a generator does
-    arithmetic only where its bit is on, for two basis classes where they
-    overlap: ``sigma_a sigma_b = sigma_{a or b} prod_{i in a and b} x_i``.
-    """
+    Each term ``q * sigma_b`` of the factor with the smaller total support is
+    ``q`` times the generators ``x_i`` over ``supp(b)``, applied one by one in
+    position order to the whole other factor.  A generator does arithmetic
+    only where its bit is on: for two basis classes, where they overlap, as
+    ``sigma_a sigma_b = sigma_{a or b} prod_{i in a and b} x_i``."""
     if c1.word != c2.word:
         raise WordMismatch("classes over different words")
     word, rank = c1.word, c1.word.rs.rank

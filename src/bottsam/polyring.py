@@ -324,4 +324,7 @@ def parse_polynomial(text: str, rank: int, var_prefix: str = "a") -> Polynomial:
         raise ValueError(f"cannot read polynomial text at {text[pos:]!r}")
     if exps is None:
         raise ValueError("empty polynomial text")
-    return Polynomial._of(rank, terms)  # zero terms were never stored
+    res = Polynomial.__new__(Polynomial)  # inline: the parser is hot on class documents
+    res.rank = rank
+    res.terms = terms  # zero terms were never stored
+    return res
