@@ -52,9 +52,11 @@ class Gallery:
     __slots__ = ("bits",)
 
     def __init__(self, bits: Bits):
-        self.bits = tuple(map(int, bits))
-        if not {*self.bits} <= {0, 1}:
-            raise ValueError("gallery bits must be 0 or 1")
+        self.bits = bits = tuple(bits)
+        if not ({*map(type, bits)} <= {int} and {*bits} <= {0, 1}):
+            self.bits = tuple(map(int, bits))
+            if not {*self.bits} <= {0, 1}:
+                raise ValueError("gallery bits must be 0 or 1")
 
     @classmethod
     def _of(cls, bits: Bits) -> "Gallery":
@@ -506,9 +508,21 @@ def _add_into(d: dict, p: dict, c, shift: int = 0) -> None:
 
 
 # Bit k of a gallery is bit 8k of its mask; a monomial packs its exponents
-# ``size`` bytes each (``units``), so ``int.to_bytes`` reads one-byte ones.
+# ``size`` bytes each (``units``), so ``int.to_bytes`` reads them back.
 def _pack(p: Polynomial, units: list[int]) -> dict:
     return {sum(map(mul, e, units)): c for e, c in p.terms.items()}
+
+
+def _unpack(p: dict, rank: int, size: int) -> dict:
+    """The terms of ``p`` on exponent tuples, integral coefficients as ``int``."""
+    n = rank * size
+    if size == 1:
+        return {tuple(m.to_bytes(n, "little")): c if type(c) is int or c.denominator != 1
+                else c.numerator for m, c in p.items()}
+    cuts = range(0, n, size)
+    return {tuple(int.from_bytes(b[k : k + size], "little") for k in cuts): c
+            if type(c) is int or c.denominator != 1 else c.numerator
+            for m, c in p.items() for b in [m.to_bytes(n, "little")]}
 
 
 def multiply(c1: CohClass, c2: CohClass) -> CohClass:
@@ -560,15 +574,11 @@ def multiply(c1: CohClass, c2: CohClass) -> CohClass:
             d = out.setdefault(mask, {})
             for mq, cq in q.items():
                 _add_into(d, p, cq, mq)
-    full, coords = (1 << 8 * size) - 1, {}
+    coords = {}
     for mask, p in out.items():
-        terms = {}
-        for m, c in p.items():
-            e = m.to_bytes(rank, "little") if size == 1 else (m // u & full for u in units)
-            terms[tuple(e)] = c if type(c) is int or c.denominator != 1 else c.numerator
-        if terms:
+        if p:
             e = Gallery._of(tuple(mask.to_bytes(word.n, "little")))
-            coords[e] = Polynomial._of(rank, terms)
+            coords[e] = Polynomial._of(rank, _unpack(p, rank, size))
     return CohClass._of(word, coords)
 
 

@@ -4,8 +4,9 @@ The ring is generated by one degree-2 class ``x_i`` per letter, subject to
 one relation per position: ``x_i^2 + sum_{j<i} a_{j,i} x_j x_i = 0`` with
 ``a_{j,i}`` the Cartan number of letter i against the coroot of letter j.
 Square-free monomials ``x_eps`` form a basis, so products are computed by
-rewriting squares away.  Evaluation at the origin (dropping all root
-variables) maps the equivariant ring onto this one.
+rewriting squares away, only where two monomials overlap.  Evaluation at
+the origin (dropping all root variables) maps the equivariant ring onto
+this one.
 """
 
 from __future__ import annotations
@@ -88,12 +89,21 @@ class OrdinaryClass:
         self.coords = clean
 
     @classmethod
+    def _of(cls, word: BSWord, coords: dict[Gallery, int | Fraction]) -> "OrdinaryClass":
+        """A class of nonzero exact coordinates the package built, unvalidated."""
+        c = cls.__new__(cls)
+        c.word = word
+        c.coords = coords
+        return c
+
+    @classmethod
     def zero(cls, word: BSWord) -> "OrdinaryClass":
         return cls(word, {})
 
     @classmethod
     def basis(cls, word: BSWord, e: Gallery) -> "OrdinaryClass":
-        return cls(word, {e: 1})
+        word.check_gallery(e)
+        return cls._of(word, {e: 1})
 
     @property
     def is_zero(self) -> bool:
@@ -170,13 +180,13 @@ class OrdinaryClass:
 
 
 def _rewrite(word: BSWord, k: int, low: int, spill: dict) -> dict[int, int]:
-    """x_{k+1} x_low as ``{added bit: coefficient}``; bit k of a mask is
-    position k + 1, and ``low`` has no bit above k.  With bit k on, the
+    """x_{k+1} x_low as ``{added bit: coefficient}``; position k + 1 is bit
+    8k of a mask, and ``low`` has no bit above it.  With that bit on, the
     relation of position k + 1 recurses down the on bits of ``low`` and adds
-    one bit below k.  Results are kept in ``word`` up to
+    one bit below it.  Results are kept in ``word`` up to
     ``MEMO_MAX_ENTRIES``, then in ``spill`` for the rest of the call."""
-    if not low >> k & 1:
-        return {1 << k: 1}
+    if not low >> 8 * k & 1:
+        return {1 << 8 * k: 1}
     key = (k, low)
     out = word._rewrites.get(key)
     if out is None:
@@ -187,7 +197,7 @@ def _rewrite(word: BSWord, k: int, low: int, spill: dict) -> dict[int, int]:
         for j in range(k):
             a = A[letters[j] - 1][letters[k] - 1]
             if a:
-                for b, c in _rewrite(word, j, low & (2 << j) - 1, spill).items():
+                for b, c in _rewrite(word, j, low & (2 << 8 * j) - 1, spill).items():
                     acc[b] = acc.get(b, 0) - a * c
         out = {b: c for b, c in acc.items() if c}
         full = len(word._rewrites) >= rootsystem.MEMO_MAX_ENTRIES
@@ -196,41 +206,41 @@ def _rewrite(word: BSWord, k: int, low: int, spill: dict) -> dict[int, int]:
 
 
 def ordinary_multiply(c1: OrdinaryClass, c2: OrdinaryClass) -> OrdinaryClass:
-    """Bilinear product in the square-free basis, one generator at a time.
+    """Bilinear product in the square-free basis, rewriting only where the
+    factors overlap.
 
-    ``x_a``, the product of the ``x_i`` over ``supp(a)``, is applied to
-    ``x_b`` in position order, taking apart the factor with the smaller
-    total support; ``x_i x_e`` is ``x_{e + i}`` when ``i`` is off in ``e``
-    and a rewrite of the word's table (:func:`_rewrite`) otherwise, on
-    integers throughout.
+    ``x_a x_b = x_{a or b}`` times the ``x_i`` over the positions of ``a and
+    b``, applied in position order; with bit i on, ``x_i x_e`` is a rewrite
+    of the word's table (:func:`_rewrite`), which adds bits only below i, so
+    every later overlap bit is still on when its turn comes.  Galleries are
+    integer masks with position k + 1 at bit 8k.
     """
     if c1.word != c2.word:
         raise WordMismatch("classes over different words")
     word = c1.word
-    if sum(e.ones for e in c1.coords) < sum(e.ones for e in c2.coords):
-        c1, c2 = c2, c1
     spill: dict[tuple[int, int], dict[int, int]] = {}
     acc: dict[int, int | Fraction] = {}
+    masks = [(int.from_bytes(bytes(e.bits), "little"), q) for e, q in c1.coords.items()]
     for e2, q2 in c2.coords.items():
-        for e1, q1 in c1.coords.items():
-            cur = {sum(b << k for k, b in enumerate(e1.bits)): 1}
-            for i in e2.support:
-                k = i - 1
-                bit, low = 1 << k, (2 << k) - 1
+        b = int.from_bytes(bytes(e2.bits), "little")
+        for a, q1 in masks:
+            cur = {a | b: 1}
+            overlap = a & b
+            while overlap:
+                bit = overlap & -overlap
+                overlap ^= bit
+                k, low = bit.bit_length() >> 3, (bit << 1) - 1
                 nxt: dict[int, int] = {}
                 for mask, c in cur.items():
-                    if mask & bit:
-                        for b, d in _rewrite(word, k, mask & low, spill).items():
-                            nxt[mask | b] = nxt.get(mask | b, 0) + c * d
-                    else:
-                        nxt[mask | bit] = nxt.get(mask | bit, 0) + c
-                cur = {m: c for m, c in nxt.items() if c}
+                    for add, d in _rewrite(word, k, mask & low, spill).items():
+                        nxt[mask | add] = nxt.get(mask | add, 0) + c * d
+                cur = nxt
             q = q1 * q2
             for m, c in cur.items():
                 acc[m] = acc.get(m, 0) + q * c
     n = word.n
-    return OrdinaryClass(
-        word, {Gallery._of(tuple(m >> k & 1 for k in range(n))): c for m, c in acc.items()}
+    return OrdinaryClass._of(
+        word, {Gallery._of(tuple(m.to_bytes(n, "little"))): exact(c) for m, c in acc.items() if c}
     )
 
 

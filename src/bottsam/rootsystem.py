@@ -41,9 +41,10 @@ BUILTIN_CARTAN: dict[str, tuple[tuple[int, ...], ...]] = {
 # every finite type of desk-scale rank stays far below it.
 ROOT_CLOSURE_BOUND = 10_000
 
-# Entries at which a rewrite table stops inserting: the betas a root system
-# keeps per reduced word, and the rewrites a word keeps for ordinary_multiply.
-# An entry takes at most about 3 KB on the built-in types, a table 12 MB.
+# Size at which a rewrite table stops inserting.  The betas a root system keeps
+# per reduced word and the rewrites a word keeps for ordinary_multiply count
+# entries (up to about 3 KB each, 12 MB a table); the weak intervals a root
+# system keeps for billey count elements (about 260 B each, 1 MB a table).
 MEMO_MAX_ENTRIES = 4096
 
 
@@ -317,8 +318,10 @@ class RootSystem:
             Weight.of(b) for b in self._positive_int
         )
         self._longest_word: SimpleWord | None = None
-        # ``billey``'s beta columns per reduced word (``schubert._beta_columns``)
+        # ``billey``'s beta columns per reduced word and weak intervals per
+        # element (``schubert._beta_columns``, ``schubert._weak_interval``)
         self._betas: dict[SimpleWord, tuple[tuple[int, ...], ...]] = {}
+        self._intervals: dict[Rows, tuple[list[dict[int, int]], int | None]] = {}
 
     @classmethod
     def from_label(cls, label: str) -> "RootSystem":

@@ -6,7 +6,8 @@ For a reduced word of ``v``, the value of the Schubert class of ``w`` at
 the prefix-reflected simple roots ``beta_j``.  Summing the gallery basis
 values over the fiber ``{eps : ones(eps) = length(w), v(eps) = w}`` of a
 longest-element word recovers the same polynomials, which is what
-:func:`check_billey_identity` asserts.
+:func:`check_billey_identity` asserts.  Both read the weak interval below
+``w`` from one table that the root system keeps per element.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import operator
 
 from . import rootsystem
 from .errors import NotLongestWord, NotReducedGallery, NotReducedWord, RankMismatch
-from .bott_samelson import BSWord, Gallery
+from .bott_samelson import BSWord, Gallery, _unpack
 from .polyring import Polynomial
 from .rootsystem import RootSystem, Rows, SimpleWord, Weight, WeylElement, ascends
 
@@ -106,8 +107,13 @@ def _weak_interval(
 
     Returns ``up``, with ``up[x][i]`` the number of ``x r_i`` whenever that
     is above ``x`` and in the interval, and the number of the identity:
-    ``None`` when ``w`` is no product of this system's reflections.
+    ``None`` when ``w`` is no product of this system's reflections.  Kept
+    in ``rs`` while its intervals hold at most ``MEMO_MAX_ENTRIES`` elements;
+    one that does not fit serves its call only.
     """
+    out = rs._intervals.get(w.rows)
+    if out is not None:
+        return out
     ids = {w.rows: 0}
     up: list[dict[int, int]] = [{}]
     frontier = [w.rows]
@@ -125,7 +131,10 @@ def _weak_interval(
                         new.append(x)
                     up[k][i] = top
         frontier = new
-    return up, ids.get(rs.identity_rows)
+    out = up, ids.get(rs.identity_rows)
+    if sum(len(u) for u, _ in rs._intervals.values()) + len(up) <= rootsystem.MEMO_MAX_ENTRIES:
+        rs._intervals[w.rows] = out
+    return out
 
 
 def billey(q: BilleyQuery) -> Polynomial:
@@ -136,22 +145,22 @@ def billey(q: BilleyQuery) -> Polynomial:
     one pass over the positions carries, for each ``u`` in the interval, the
     sum over the subwords read so far that multiply to ``u`` reducedly;
     letter ``s`` extends ``u`` when ``l(us) > l(u)`` and ``us`` is in the
-    interval.  The sums are integer polynomials whose monomials are packed
-    into integers in base ``len(v_word) + 1``, above every exponent.
+    interval.  The sums are integer polynomials with each exponent packed
+    into the bytes that hold ``len(v_word)``, as ``multiply`` packs them.
     """
     return _sweep(q, *_weak_interval(q.rs, q.w))
 
 
 def _sweep(q: BilleyQuery, up: list[dict[int, int]], identity: int | None) -> Polynomial:
     """:func:`billey` over the weak interval ``up`` below ``q.w``."""
-    rs = q.rs
+    rank = q.rs.rank
     if identity is None:
-        return Polynomial.zero(rs.rank)
-    base = len(q.v_word) + 1
-    powers = [base**k for k in range(rs.rank)]
+        return Polynomial.zero(rank)
+    size = (len(q.v_word).bit_length() + 7) // 8 or 1
+    units = [1 << 8 * size * k for k in range(rank)]
     states: dict[int, dict[int, int]] = {identity: {0: 1}}
     for i, beta in zip(q.v_word, q._betas):
-        form = [(p, b) for p, b in zip(powers, beta) if b]
+        form = [(p, b) for p, b in zip(units, beta) if b]
         for x, poly in list(states.items()):
             u = up[x].get(i)
             if u is None:
@@ -162,11 +171,9 @@ def _sweep(q: BilleyQuery, up: list[dict[int, int]], identity: int | None) -> Po
             for mono, c in poly.items():
                 for p, b in form:
                     acc[mono + p] = acc.get(mono + p, 0) + c * b
-    terms = states.get(0, {}).items()
-    return Polynomial(
-        rs.rank,
-        {tuple(m // p % base for p in powers): c for m, c in terms},
-    )
+    # every coefficient is a sum of products of positive-root coordinates,
+    # so none is zero
+    return Polynomial._of(rank, _unpack(states.get(0, {}), rank, size))
 
 
 def fiber(word: BSWord, w: WeylElement) -> set[Gallery]:

@@ -36,7 +36,17 @@ def test_public_gallery_constructor_still_validates():
         Gallery((1, -1, 0))
     with pytest.raises(ValueError):
         Gallery.from_string("012")
-    assert Gallery((True, 0, "1")).bits == (1, 0, 1)
+    with pytest.raises(ValueError):
+        Gallery((2,))
+    with pytest.raises(ValueError):
+        Gallery((1, "2"))
+    # bits that are not 0/1 ints take the converting route
+    mixed = Gallery((True, 0, "1"))
+    assert mixed.bits == (1, 0, 1) and [type(b) for b in mixed.bits] == [int] * 3
+    assert Gallery((1.5, 0)).bits == (1, 0) and type(Gallery((1.5, 0)).bits[0]) is int
+    assert [type(b) for b in Gallery((True, False)).bits] == [int, int]
+    assert Gallery(iter([0, 1])).bits == (0, 1) and Gallery(()).bits == ()
+    assert Gallery([1, 0]) == Gallery((1, 0)) and Gallery([1, 0]).bits == (1, 0)
     # galleries built inside a product compare and hash like public ones
     product = multiply(CohClass.basis(word121(), g("001")), CohClass.basis(word121(), g("001")))
     assert set(product.coords) == {Gallery((0, 0, 1)), Gallery((1, 0, 1)), Gallery((0, 1, 1))}

@@ -1,7 +1,7 @@
 """The integer routes of the Schubert layer against independent ones.
 
 ``billey`` (a forward pass over the weak interval) is compared with the
-plain subword sum, ``ordinary_multiply`` (one generator at a time) with the
+plain subword sum, ``ordinary_multiply`` (rewrites at the overlap) with the
 equivariant product evaluated at the origin, and the integer descent walks
 of the root system with the inversion count and with chained matrix
 products.

@@ -141,6 +141,17 @@ def test_json_gallery_of_the_wrong_length(coords):
         OrdinaryClass.from_json_dict(A2, {"word": [1, 2, 1], "coords": coords})
 
 
+def test_basis_and_products_still_check_their_galleries():
+    word = BSWord(A2, (1, 2, 1))
+    for bits in [(0, 1), (0, 1, 1, 0)]:
+        with pytest.raises(LengthMismatch):
+            OrdinaryClass.basis(word, Gallery(bits))
+    other = OrdinaryClass.basis(BSWord(A2, (1, 2)), Gallery((0, 1)))
+    with pytest.raises(WordMismatch):
+        ordinary_multiply(OrdinaryClass.basis(word, Gallery((0, 1, 1))), other)
+    assert OrdinaryClass.basis(word, Gallery((0, 1, 1))).coords == {Gallery((0, 1, 1)): 1}
+
+
 def read_constant(cls, text):
     """The coefficient a class document with one text coefficient holds,
     or None when the document is refused."""

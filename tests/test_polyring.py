@@ -28,6 +28,15 @@ def test_constructors_and_zero_pruning():
     assert Polynomial.variable(2, 2) == poly("a2")
 
 
+def test_constructor_stores_integral_fractions_as_int():
+    p = Polynomial(2, {(1, 0): Fraction(2), (0, 1): Fraction(-6, 3), (1, 1): Fraction(1, 2)})
+    assert p.terms == {(1, 0): 2, (0, 1): -2, (1, 1): Fraction(1, 2)}
+    assert [type(c) for c in p.terms.values()] == [int, int, Fraction]
+    same = Polynomial(2, {(1, 0): 2, (0, 1): -2, (1, 1): Fraction(1, 2)})
+    assert str(p) == str(same) == "1/2*a1*a2 + 2*a1 - 2*a2"
+    assert repr(p) == repr(same)
+
+
 def test_arithmetic():
     a1, a2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
     assert (a1 + a2) * (a1 - a2) == a1 * a1 - a2 * a2

@@ -1,6 +1,6 @@
 """The rewrite tables that outlive a call: the square-free rewrites a word
-keeps for ``ordinary_multiply`` and the beta columns a root system keeps
-per reduced word for ``billey``.
+keeps for ``ordinary_multiply``, and the beta columns per reduced word and
+the weak intervals per element that a root system keeps for ``billey``.
 
 A warm table must give what a cold one gives, tables of different Cartan
 matrices must not mix, the bound ``MEMO_MAX_ENTRIES`` must stop a table
@@ -15,9 +15,9 @@ import pytest
 from bottsam import (
     BUILTIN_CARTAN,
     BSWord,
+    Gallery,
     BilleyQuery,
     CartanSpec,
-    Gallery,
     NotReducedWord,
     OrdinaryClass,
     RootSystem,
@@ -25,6 +25,7 @@ from bottsam import (
     ordinary_multiply,
     rootsystem,
 )
+from bottsam.schubert import check_billey_identities, reduced_galleries
 
 CUSTOM = {
     "A1xA1": ((2, 0), (0, 2)),
@@ -143,3 +144,57 @@ def test_subword_sums_are_integers_from_cold_and_warm_tables(rs):
         assert warm == cold == again
         for value in (warm, cold, billey(BilleyQuery(rs, w, lw[:k]))):
             assert all(type(c) is int for c in value.terms.values())
+
+
+def held(rs):
+    """Elements in the weak intervals ``rs`` keeps."""
+    return sum(len(up) for up, _ in rs._intervals.values())
+
+
+def interval_queries(rs):
+    """Elements of lengths up to half of w0's at prefixes of the longest
+    word, then w0 at the longest word, whose interval is the whole group."""
+    lw = rs.longest_word()
+    queries = [(rs.weyl_from_word(lw[k:][: (k + 1) // 2]), lw[: len(lw) - k % 3]) for k in range(len(lw))]
+    return queries + [(rs.longest_element(), lw)]
+
+
+@pytest.mark.parametrize("bound", [0, 5, 40])
+def test_the_interval_table_holds_at_most_the_bound_in_elements(monkeypatch, bound):
+    for label in ("B3", "D4"):
+        queries = interval_queries(RootSystem.from_label(label))
+        cold = [billey(BilleyQuery(RootSystem.from_label(label), w, v)) for w, v in queries]
+        monkeypatch.setattr(rootsystem, "MEMO_MAX_ENTRIES", bound)
+        rs = RootSystem.from_label(label)
+        for _ in range(2):  # the second round runs partly from the full table
+            assert [billey(BilleyQuery(rs, w, v)) for w, v in queries] == cold
+            assert held(rs) <= bound
+        # the intervals that fit were kept, the others serve their call only
+        assert bool(rs._intervals) == (bound > 0)
+        assert len(rs._intervals) < len({w.rows for w, _ in queries})
+        monkeypatch.undo()
+
+
+def test_intervals_are_kept_per_element_and_counted_in_elements():
+    d4 = RootSystem.from_label("D4")
+    queries = interval_queries(d4)
+    values = [billey(BilleyQuery(d4, w, v)) for w, v in queries]
+    assert d4._intervals.keys() == {w.rows for w, _ in queries}
+    assert len(d4._intervals[d4.longest_element().rows][0]) == 192  # the whole group
+    tables = dict(d4._intervals)
+    assert [billey(BilleyQuery(d4, w, v)) for w, v in queries] == values
+    assert all(d4._intervals[k] is entry for k, entry in tables.items())
+    assert held(d4) <= rootsystem.MEMO_MAX_ENTRIES
+
+
+def test_billey_identity_checks_fill_the_table_billey_reads():
+    b3 = RootSystem.from_label("B3")
+    word = BSWord(b3, b3.longest_word())
+    galleries = reduced_galleries(word)[::97]
+    w = b3.weyl_from_word((1, 2, 3, 2))
+    assert all(check_billey_identities(word, w, galleries))
+    entry = b3._intervals[w.rows]
+    assert list(b3._intervals) == [w.rows]
+    v = b3.longest_word()[:7]
+    assert billey(BilleyQuery(b3, w, v)) == billey(BilleyQuery(fresh(b3), w, v))
+    assert b3._intervals == {w.rows: entry} and b3._intervals[w.rows] is entry
