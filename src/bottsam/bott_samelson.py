@@ -42,35 +42,53 @@ DEFAULT_GALLERY_CAP = 20
 Bits = tuple[int, ...]
 
 
+# Bytes 0/1 to and from the characters of a gallery's text, and to the
+# flipped bits that order a grade.
+_FROM_TEXT = bytes.maketrans(b"01", b"\0\1")
+_TO_TEXT = bytes.maketrans(b"\0\1", b"01")
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
 class Gallery:
     """A bit string selecting a subset of the letters of a word.
 
     Printed as e.g. ``101``; position ``i`` (1-based) is *on* when the
-    corresponding letter participates.
+    corresponding letter participates.  Stored as the integer ``mask``
+    with position ``i`` at bit ``8(i - 1)``, one byte per position, and
+    the length ``n``; ``bits`` and the text are read from its bytes.
     """
 
-    __slots__ = ("bits",)
+    __slots__ = ("mask", "n")
 
     def __init__(self, bits: Bits):
-        self.bits = bits = tuple(bits)
-        if not ({*map(type, bits)} <= {int} and {*bits} <= {0, 1}):
-            self.bits = tuple(map(int, bits))
-            if not {*self.bits} <= {0, 1}:
+        bits = tuple(bits)
+        try:
+            raw = bytes(bits)  # taken as is only when every bit is 0 or 1
+        except (TypeError, ValueError):
+            raw = b"\2"
+        if raw.strip(b"\0\1"):
+            bits = tuple(map(int, bits))
+            if not {*bits} <= {0, 1}:
                 raise ValueError("gallery bits must be 0 or 1")
+            raw = bytes(bits)
+        self.mask = int.from_bytes(raw, "little")
+        self.n = len(raw)
 
     @classmethod
-    def _of(cls, bits: Bits) -> "Gallery":
-        """A gallery from a tuple of 0/1 ints that this package built itself,
-        without the validation of the public constructor."""
+    def _of_mask(cls, mask: int, n: int) -> "Gallery":
+        """A gallery of ``n`` positions from a mask this package built: each
+        set bit is bit ``8k`` for some position ``k + 1 <= n``."""
         g = cls.__new__(cls)
-        g.bits = bits
+        g.mask = mask
+        g.n = n
         return g
 
     @classmethod
     def from_string(cls, text: str) -> "Gallery":
         if not text or text.strip("01"):
             raise ValueError(f"not a gallery bit string: {text!r}")
-        return cls._of(tuple(map(int, text)))
+        mask = int.from_bytes(text.encode().translate(_FROM_TEXT), "little")
+        return cls._of_mask(mask, len(text))
 
     @classmethod
     def zero(cls, n: int) -> "Gallery":
@@ -81,49 +99,51 @@ class Gallery:
         """The gallery with a single 1 in (1-based) position ``i``."""
         if not 1 <= i <= n:
             raise IndexOutOfRange(f"position {i} out of range 1..{n}")
-        return cls(tuple(int(k == i - 1) for k in range(n)))
+        return cls._of_mask(1 << 8 * (i - 1), n)
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.n
+
+    @property
+    def bits(self) -> Bits:
+        return tuple(self.mask.to_bytes(self.n, "little"))
 
     @property
     def ones(self) -> int:
         """Number of on positions (the dimension grading)."""
-        return sum(self.bits)
+        return self.mask.bit_count()
 
     @property
     def support(self) -> tuple[int, ...]:
         """On positions, 1-based and increasing."""
-        return tuple(i + 1 for i, b in enumerate(self.bits) if b)
+        return tuple(i for i, b in enumerate(self.mask.to_bytes(self.n, "little"), 1) if b)
 
     def leq(self, other: "Gallery") -> bool:
         """Componentwise order: every on position of self is on in other."""
-        if len(self.bits) != len(other.bits):
+        if self.n != other.n:
             raise LengthMismatch("galleries of different lengths")
-        return all(a <= b for a, b in zip(self.bits, other.bits))
+        return not self.mask & ~other.mask
 
     def flipped(self, i: int) -> "Gallery":
         """The gallery with (1-based) position ``i`` toggled."""
-        if not 1 <= i <= len(self.bits):
-            raise IndexOutOfRange(f"position {i} out of range 1..{len(self.bits)}")
-        return Gallery(
-            self.bits[: i - 1] + (1 - self.bits[i - 1],) + self.bits[i:]
-        )
+        if not 1 <= i <= self.n:
+            raise IndexOutOfRange(f"position {i} out of range 1..{self.n}")
+        return Gallery._of_mask(self.mask ^ 1 << 8 * (i - 1), self.n)
 
     def sort_key(self) -> tuple:
         # grade first, then on-positions as early as possible
-        return (self.ones, tuple(1 - b for b in self.bits))
+        return (self.mask.bit_count(), self.mask.to_bytes(self.n, "little").translate(_FLIP))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gallery):
             return NotImplemented
-        return self.bits == other.bits
+        return self.mask == other.mask and self.n == other.n
 
     def __hash__(self) -> int:
-        return hash(self.bits)
+        return hash(self.mask)
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return self.mask.to_bytes(self.n, "little").translate(_TO_TEXT).decode()
 
     def __repr__(self) -> str:
         return f"Gallery({self})"
@@ -145,12 +165,12 @@ class BSWord:
         letters: tuple[int, ...] | list[int],
         cap: int = DEFAULT_GALLERY_CAP,
     ):
-        letters = tuple(int(i) for i in letters)
+        letters = tuple(map(int, letters))
         if not letters:
             raise ValueError("a word needs at least one letter")
-        for i in letters:
-            if not 1 <= i <= rs.rank:
-                raise IndexOutOfRange(f"letter {i} out of range 1..{rs.rank}")
+        if min(letters) < 1 or max(letters) > rs.rank:
+            bad = next(i for i in letters if not 1 <= i <= rs.rank)
+            raise IndexOutOfRange(f"letter {bad} out of range 1..{rs.rank}")
         if len(letters) > cap:
             raise CapExceeded(
                 f"word of length {len(letters)} exceeds the gallery cap {cap}"
@@ -160,7 +180,7 @@ class BSWord:
         self.letters = letters
         self.n = len(letters)
         self._galleries: list[Gallery] | None = None
-        self._alphas: dict[Bits, tuple[Weight, ...]] = {}
+        self._alphas: dict[int, tuple[Weight, ...]] = {}  # keyed by gallery mask
         self._form_poly: dict[Weight, Polynomial] = {}
         # ``ordinary_multiply``'s rewrites of x_{k+1} x_low, keyed by (k, low)
         self._rewrites: dict[tuple[int, int], dict[int, int]] = {}
@@ -173,15 +193,19 @@ class BSWord:
         """All 2^N galleries, graded by number of on bits, earlier on bits
         first within a grade."""
         if self._galleries is None:
-            alls = [Gallery._of(bits) for bits in itertools.product((0, 1), repeat=self.n)]
-            alls.sort(key=Gallery.sort_key)
-            self._galleries = alls
+            # combinations of a grade come with the earlier positions first
+            n, units = self.n, [1 << 8 * k for k in range(self.n)]
+            self._galleries = [
+                Gallery._of_mask(sum([units[k] for k in on]), n)
+                for grade in range(n + 1)
+                for on in itertools.combinations(range(n), grade)
+            ]
         return self._galleries
 
     def check_gallery(self, e: Gallery) -> None:
-        if len(e) != self.n:
+        if e.n != self.n:
             raise LengthMismatch(
-                f"gallery of length {len(e)} against a word of length {self.n}"
+                f"gallery of length {e.n} against a word of length {self.n}"
             )
 
     # ---- Weyl data per gallery --------------------------------------------
@@ -198,7 +222,7 @@ class BSWord:
     def alphas(self, e: Gallery) -> tuple[Weight, ...]:
         """The localization weights (alpha_1(e), .., alpha_N(e))."""
         self.check_gallery(e)
-        cached = self._alphas.get(e.bits)
+        cached = self._alphas.get(e.mask)
         if cached is None:
             out = []
             rows = self.rs.identity_rows
@@ -207,7 +231,7 @@ class BSWord:
                 if bit:
                     rows = self.rs.times_reflection(rows, i)
             cached = tuple(out)
-            self._alphas[e.bits] = cached
+            self._alphas[e.mask] = cached
         return cached
 
     def _poly_of(self, w: Weight) -> Polynomial:
@@ -224,7 +248,7 @@ class BSWord:
         ``prod_{i on in e} alpha_i(ep)`` when e <= ep, else 0."""
         self.check_gallery(e)
         self.check_gallery(ep)
-        if not e.leq(ep):
+        if e.mask & ~ep.mask:
             return Polynomial.zero(self.rs.rank)
         weights = self.alphas(ep)
         out = Polynomial.one(self.rs.rank)
@@ -292,8 +316,9 @@ class CohClass:
         contribute."""
         self.word.check_gallery(ep)
         out = Polynomial.zero(self.word.rs.rank)
+        off = ~ep.mask
         for e, c in self.coords.items():
-            if e.leq(ep):
+            if not e.mask & off:
                 out = out + c * self.word.sigma(e, ep)
         return out
 
@@ -349,11 +374,12 @@ class CohClass:
         cls, rs: RootSystem, doc: dict, cap: int = DEFAULT_GALLERY_CAP
     ) -> "CohClass":
         word, items = read_class_doc(rs, doc, cap)
-        coords = {
-            e: parse_polynomial(v, rs.rank) if isinstance(v, str) else v
-            for e, v in items.items()
-        }
-        return cls(word, coords)
+        rank, coords = rs.rank, {}
+        for e, v in items:
+            p = parse_polynomial(v, rank) if isinstance(v, str) else Polynomial.constant(rank, v)
+            if p.terms:
+                coords[e] = p
+        return cls._of(word, coords)
 
 
 _JSON_KINDS = {
@@ -367,24 +393,24 @@ _JSON_KINDS = {
 
 def read_class_doc(
     rs: RootSystem, doc, cap: int = DEFAULT_GALLERY_CAP
-) -> tuple[BSWord, dict[Gallery, int | str]]:
+) -> tuple[BSWord, list[tuple[Gallery, int | str]]]:
     """Validate a JSON class document ``{"word": [..], "coords": {bits: c}}``.
 
-    Returns the word and the coordinates keyed by gallery, each coefficient
-    still an ``int`` or the text to parse.  Floats and booleans are refused:
-    a float is not exact, and JSON ``true`` is not a number.  Gallery
-    lengths are left to the class constructor, which checks every
-    coordinate against the word.
+    Returns the word and the ``(gallery, coefficient)`` pairs in document
+    order, each coefficient still an ``int`` or the text to parse.  Floats
+    and booleans are refused: a float is not exact, and JSON ``true`` is not
+    a number.  A gallery of the wrong length is reported once every
+    coefficient has passed, the first in document order.
     """
     if not isinstance(doc, dict) or "word" not in doc or "coords" not in doc:
         raise ValueError("expected an object with 'word' and 'coords'")
     letters, coords = doc["word"], doc["coords"]
-    if not isinstance(letters, list) or any(type(i) is not int for i in letters):
+    if not isinstance(letters, list) or not {*map(type, letters)} <= {int}:
         raise ValueError("'word' must be a list of integers")
     if not isinstance(coords, dict):
         raise ValueError("'coords' must be an object from bit strings to coefficients")
     word = BSWord(rs, letters, cap=cap)
-    items: dict[Gallery, int | str] = {}
+    items, wrong = [], None
     for bits, value in coords.items():
         if type(value) is not int and not isinstance(value, str):
             kind = _JSON_KINDS.get(type(value), type(value).__name__)
@@ -392,25 +418,27 @@ def read_class_doc(
                 f"coefficient of {bits} is {kind}, not a string or an integer"
                 " (write rationals as 'p/q')"
             )
-        items[Gallery.from_string(bits)] = value
+        e = Gallery.from_string(bits)
+        if e.n != word.n and wrong is None:
+            wrong = e
+        items.append((e, value))
+    if wrong is not None:
+        word.check_gallery(wrong)
     return word, items
 
 
-def _cube(base: Bits, free: list[int]) -> list[Bits]:
-    """Every bit tuple that equals ``base`` outside the 0-based positions
-    ``free``."""
-    out = []
-    for on in itertools.product((0, 1), repeat=len(free)):
-        bits = list(base)
-        for k, b in zip(free, on):
-            bits[k] = b
-        out.append(tuple(bits))
+def _cube(base: int, free: list[int]) -> list[int]:
+    """Every mask that equals ``base`` outside the 0-based positions
+    ``free``, which are off in ``base``."""
+    out = [base]
+    for k in reversed(free):
+        out += [m | 1 << 8 * k for m in out]
     return out
 
 
 def _butterfly(
-    word: BSWord, values: dict[Bits, Polynomial], positions
-) -> dict[Bits, Polynomial]:
+    word: BSWord, values: dict[int, Polynomial], positions
+) -> dict[int, Polynomial]:
     """Push fixed-point values down the word's tower of P^1-bundles.
 
     Going through the 1-based ``positions`` from last to first, every
@@ -424,36 +452,37 @@ def _butterfly(
     edge condition); a remainder raises :class:`NotInSpan`.
     """
     f = {b: p for b, p in values.items() if not p.is_zero}
+    n = word.n
     for i in sorted(positions, reverse=True):
-        k = i - 1
+        k, bit = i - 1, 1 << 8 * (i - 1)
         before, f = f, {}
         for b, p in before.items():
-            if b[k]:
-                low = before.get(b[:k] + (0,) + b[k + 1 :])
+            if b & bit:
+                low = before.get(b ^ bit)
                 if low is not None:
                     p = p - low
                     if p.is_zero:
                         continue
             else:
                 f[b] = p
-                b = b[:k] + (1,) + b[k + 1 :]
+                b |= bit
                 if b in before:
                     continue  # the difference is taken at b
                 p = -p
-            form = word.alphas(Gallery._of(b))[k]
+            form = word.alphas(Gallery._of_mask(b, n))[k]
             try:
                 f[b] = divide_exact(p, form)
             except NotDivisible:
                 raise NotInSpan(
                     f"the divided difference at position {i} of gallery"
-                    f" {Gallery._of(b)} is not a multiple of {form}"
+                    f" {Gallery._of_mask(b, n)} is not a multiple of {form}"
                 ) from None
     return f
 
 
-def _class_of(word: BSWord, values: dict[Bits, Polynomial]) -> CohClass:
+def _class_of(word: BSWord, values: dict[int, Polynomial]) -> CohClass:
     coords = _butterfly(word, values, range(1, word.n + 1))
-    return CohClass(word, {Gallery._of(b): p for b, p in coords.items()})
+    return CohClass(word, {Gallery._of_mask(b, word.n): p for b, p in coords.items()})
 
 
 def expand(word: BSWord, values: dict[Gallery, Polynomial]) -> CohClass:
@@ -467,7 +496,7 @@ def expand(word: BSWord, values: dict[Gallery, Polynomial]) -> CohClass:
         word.check_gallery(e)
         if isinstance(p, (int, Fraction)):
             p = Polynomial.constant(word.rs.rank, p)
-        table[e.bits] = p
+        table[e.mask] = p
     return _class_of(word, table)
 
 
@@ -513,16 +542,20 @@ def _pack(p: Polynomial, units: list[int]) -> dict:
     return {sum(map(mul, e, units)): c for e, c in p.terms.items()}
 
 
-def _unpack(p: dict, rank: int, size: int) -> dict:
-    """The terms of ``p`` on exponent tuples, integral coefficients as ``int``."""
-    n = rank * size
-    if size == 1:
-        return {tuple(m.to_bytes(n, "little")): c if type(c) is int or c.denominator != 1
-                else c.numerator for m, c in p.items()}
+def _unpack(polys, rank: int, size: int) -> list[dict]:
+    """The terms of each packed polynomial of ``polys`` on exponent tuples,
+    integral coefficients as ``int``."""
+    n, out = rank * size, []
     cuts = range(0, n, size)
-    return {tuple(int.from_bytes(b[k : k + size], "little") for k in cuts): c
-            if type(c) is int or c.denominator != 1 else c.numerator
-            for m, c in p.items() for b in [m.to_bytes(n, "little")]}
+    for p in polys:
+        if size == 1:
+            out.append({tuple(m.to_bytes(n, "little")): c if type(c) is int or c.denominator != 1
+                        else c.numerator for m, c in p.items()})
+        else:
+            out.append({tuple(int.from_bytes(b[k : k + size], "little") for k in cuts): c
+                        if type(c) is int or c.denominator != 1 else c.numerator
+                        for m, c in p.items() for b in [m.to_bytes(n, "little")]})
+    return out
 
 
 def multiply(c1: CohClass, c2: CohClass) -> CohClass:
@@ -539,23 +572,25 @@ def multiply(c1: CohClass, c2: CohClass) -> CohClass:
     if sum(e.ones for e in c1.coords) < sum(e.ones for e in c2.coords):
         c1, c2 = c2, c1
     # a generator raises the degree by at most one
-    degrees = [max(map(Polynomial.total_degree, c.coords.values()), default=0) for c in (c1, c2)]
-    size = ((word.n + sum(degrees)).bit_length() + 7) // 8
+    top = sum([max([sum(e) for p in c.coords.values() for e in p.terms], default=0)
+               for c in (c1, c2)])
+    size = ((word.n + top).bit_length() + 7) // 8
     units = [1 << 8 * size * v for v in range(rank)]
-    start = {int.from_bytes(bytes(e.bits), "little"): _pack(p, units)
-             for e, p in c1.coords.items()}
+    start = {e.mask: _pack(p, units) for e, p in c1.coords.items()}
     spill, out = {}, {}
     for e, q in c2.coords.items():
-        cur = start
-        for i in e.support:
-            bit = 1 << 8 * (i - 1)
+        cur, rest = start, e.mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
             nxt: dict[int, dict] = {}
             # The dicts of cur are never written: the rule's terms go into
             # fresh dicts, and a mask with the bit off moves to the mask with
             # it on, sharing its dict, which can only meet a fresh one there.
             for mask, p in cur.items():
                 if mask & bit:
-                    corrections, diagonal = _generator(word, i - 1, mask & (bit - 1), spill)
+                    k = bit.bit_length() >> 3
+                    corrections, diagonal = _generator(word, k, mask & (bit - 1), spill)
                     for b, c in corrections:
                         _add_into(nxt.setdefault(mask | b, {}), p, c)
                     d = nxt.setdefault(mask, {})
@@ -574,12 +609,10 @@ def multiply(c1: CohClass, c2: CohClass) -> CohClass:
             d = out.setdefault(mask, {})
             for mq, cq in q.items():
                 _add_into(d, p, cq, mq)
-    coords = {}
-    for mask, p in out.items():
-        if p:
-            e = Gallery._of(tuple(mask.to_bytes(word.n, "little")))
-            coords[e] = Polynomial._of(rank, _unpack(p, rank, size))
-    return CohClass._of(word, coords)
+    out = {mask: p for mask, p in out.items() if p}
+    n = word.n
+    return CohClass._of(word, {Gallery._of_mask(mask, n): Polynomial._of(rank, terms)
+                               for mask, terms in zip(out, _unpack(out.values(), rank, size))})
 
 
 def multiply_by_localization(c1: CohClass, c2: CohClass) -> CohClass:
@@ -592,14 +625,15 @@ def multiply_by_localization(c1: CohClass, c2: CohClass) -> CohClass:
     """
     if c1.word != c2.word:
         raise WordMismatch("classes over different words")
-    points: set[Bits] = set()
+    n = c1.word.n
+    points: set[int] = set()
     for e1 in c1.coords:
         for e2 in c2.coords:
-            join = tuple(map(max, e1.bits, e2.bits))
-            points.update(_cube(join, [k for k, b in enumerate(join) if not b]))
+            join = e1.mask | e2.mask
+            points.update(_cube(join, [k for k in range(n) if not join >> 8 * k & 1]))
     values = {}
     for b in points:
-        e = Gallery._of(b)
+        e = Gallery._of_mask(b, n)
         values[b] = c1.restriction(e) * c2.restriction(e)
     return _class_of(c1.word, values)
 
@@ -632,7 +666,7 @@ def integrate(word: BSWord, e: Gallery, c: CohClass) -> Polynomial:
     coordinate of the class.
     """
     word.check_gallery(e)
-    if c.word != word:
+    if c.word is not word and c.word != word:
         raise WordMismatch("class over a different word")
     p = c.coords.get(e)
     return p if p is not None else Polynomial.zero(word.rs.rank)
@@ -650,6 +684,6 @@ def integrate_by_localization(word: BSWord, e: Gallery, c: CohClass) -> Polynomi
     word.check_gallery(e)
     if c.word != word:
         raise WordMismatch("class over a different word")
-    below = _cube((0,) * word.n, [i - 1 for i in e.support])
-    values = {b: c.restriction(Gallery._of(b)) for b in below}
-    return _butterfly(word, values, e.support).get(e.bits, Polynomial.zero(word.rs.rank))
+    below = _cube(0, [i - 1 for i in e.support])
+    values = {b: c.restriction(Gallery._of_mask(b, word.n)) for b in below}
+    return _butterfly(word, values, e.support).get(e.mask, Polynomial.zero(word.rs.rank))

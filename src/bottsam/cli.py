@@ -31,10 +31,8 @@ from .errors import (
     NotLongestWord,
     WordMismatch,
 )
-from .ordinary import OrdinaryClass, ordinary_multiply, relations
 from .polyring import format_polynomial
 from .rootsystem import CartanSpec, RootSystem, SimpleWord, format_word, parse_word
-from .schubert import BilleyQuery, billey, check_billey_identities, reduced_galleries
 
 EXIT_OK = 0
 EXIT_USER = 2
@@ -400,6 +398,9 @@ def cmd_integrate(
 
 
 def cmd_billey(config: CliConfig, w_text: str, v_text: str, verify: bool) -> int:
+    # only this command needs it; keeps start-up short
+    from .schubert import BilleyQuery, billey, check_billey_identities
+
     rs = config.rs
     w_word = parse_word(w_text)
     v_word = parse_word(v_text)
@@ -414,7 +415,7 @@ def cmd_billey(config: CliConfig, w_text: str, v_text: str, verify: bool) -> int
     failed = 0
     if verify:
         word = _require_word(config)
-        agree = check_billey_identities(word, w, reduced_galleries(word))
+        agree = check_billey_identities(word, w)
         passed = sum(agree)
         failed = len(agree) - passed
         skipped = len(word.galleries()) - len(agree)
@@ -431,6 +432,9 @@ def cmd_billey(config: CliConfig, w_text: str, v_text: str, verify: bool) -> int
 
 
 def cmd_ordinary(config: CliConfig, product_specs) -> int:
+    # only this command needs it; keeps start-up short
+    from .ordinary import OrdinaryClass, ordinary_multiply, relations
+
     word = _require_word(config)
     if product_specs:
         left = Gallery.from_string(product_specs[0])

@@ -169,7 +169,7 @@ class OrdinaryClass:
         polynomial grammar of :func:`~bottsam.polyring.parse_polynomial`."""
         word, items = read_class_doc(rs, doc, cap)
         coords = {}
-        for e, v in items.items():
+        for e, v in items:
             if isinstance(v, str):
                 p = parse_polynomial(v, rs.rank)
                 if any(any(m) for m in p.terms):
@@ -220,9 +220,9 @@ def ordinary_multiply(c1: OrdinaryClass, c2: OrdinaryClass) -> OrdinaryClass:
     word = c1.word
     spill: dict[tuple[int, int], dict[int, int]] = {}
     acc: dict[int, int | Fraction] = {}
-    masks = [(int.from_bytes(bytes(e.bits), "little"), q) for e, q in c1.coords.items()]
+    masks = [(e.mask, q) for e, q in c1.coords.items()]
     for e2, q2 in c2.coords.items():
-        b = int.from_bytes(bytes(e2.bits), "little")
+        b = e2.mask
         for a, q1 in masks:
             cur = {a | b: 1}
             overlap = a & b
@@ -239,9 +239,7 @@ def ordinary_multiply(c1: OrdinaryClass, c2: OrdinaryClass) -> OrdinaryClass:
             for m, c in cur.items():
                 acc[m] = acc.get(m, 0) + q * c
     n = word.n
-    return OrdinaryClass._of(
-        word, {Gallery._of(tuple(m.to_bytes(n, "little"))): exact(c) for m, c in acc.items() if c}
-    )
+    return OrdinaryClass._of(word, {Gallery._of_mask(m, n): exact(c) for m, c in acc.items() if c})
 
 
 def evaluate_at_origin(c: CohClass) -> OrdinaryClass:

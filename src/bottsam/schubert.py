@@ -173,7 +173,7 @@ def _sweep(q: BilleyQuery, up: list[dict[int, int]], identity: int | None) -> Po
                     acc[mono + p] = acc.get(mono + p, 0) + c * b
     # every coefficient is a sum of products of positive-root coordinates,
     # so none is zero
-    return Polynomial._of(rank, _unpack(states.get(0, {}), rank, size))
+    return Polynomial._of(rank, _unpack([states.get(0, {})], rank, size)[0])
 
 
 def fiber(word: BSWord, w: WeylElement) -> set[Gallery]:
@@ -181,7 +181,7 @@ def fiber(word: BSWord, w: WeylElement) -> set[Gallery]:
     product is ``w``."""
     out = set()
     for on in itertools.combinations(range(word.n), word.rs.length(w)):
-        e = Gallery._of(tuple(int(k in on) for k in range(word.n)))
+        e = Gallery._of_mask(sum(1 << 8 * k for k in on), word.n)
         if word.v(e) == w:
             out.add(e)
     return out
@@ -198,16 +198,19 @@ def check_billey_identity(word: BSWord, w: WeylElement, e: Gallery) -> bool:
 
 
 def check_billey_identities(
-    word: BSWord, w: WeylElement, galleries: list[Gallery]
+    word: BSWord, w: WeylElement, galleries: list[Gallery] | None = None
 ) -> list[bool]:
-    """:func:`check_billey_identity` at each gallery; the fiber of ``w`` and
-    its weak interval are found once for all of them."""
+    """:func:`check_billey_identity` at each gallery, by default at every
+    reduced gallery, listed only once the word has passed; the fiber of
+    ``w`` and its weak interval are found once for all of them."""
     rs = word.rs
     longest = len(word.letters) == len(rs.positive_roots)
     if not (longest and rs.is_reduced(word.letters)):
         raise NotLongestWord(
             f"{word.letters} is not a reduced decomposition of the longest element"
         )
+    if galleries is None:
+        galleries = reduced_galleries(word)
     fib = fiber(word, w)
     interval = _weak_interval(rs, w)
     out = []

@@ -1,0 +1,66 @@
+"""Malformed class documents: the exception and its message, from the
+library readers and from ``integrate --class``, where they are one line on
+stderr with exit 2."""
+
+import json
+
+import pytest
+
+from bottsam import CohClass, IndexOutOfRange, LengthMismatch, RootSystem
+from bottsam.cli import main
+from bottsam.ordinary import OrdinaryClass
+
+
+def refused(kind):
+    return (f"coefficient of 001 is {kind}, not a string or an integer"
+            " (write rationals as 'p/q')")
+
+
+MALFORMED = [
+    ({"word": [1, 2, 1], "coords": {"001": 1.5}}, ValueError, refused("a float")),
+    ({"word": [1, 2, 1], "coords": {"001": True}}, ValueError, refused("a boolean")),
+    ({"word": [1, 2, 1], "coords": {"001": None}}, ValueError, refused("null")),
+    ({"word": [1, 2, 1], "coords": {"001": [1]}}, ValueError, refused("an array")),
+    ({"word": [1, 2, 1], "coords": {"01": 1}}, LengthMismatch,
+     "gallery of length 2 against a word of length 3"),
+    # a zero coefficient is still checked against the word
+    ({"word": [1, 2, 1], "coords": {"111": 1, "0110": 0}}, LengthMismatch,
+     "gallery of length 4 against a word of length 3"),
+    ({"word": [1, 2, 1], "coords": {"0a1": 1}}, ValueError, "not a gallery bit string: '0a1'"),
+    ({"word": [1, 2, 1], "coords": {"": 1}}, ValueError, "not a gallery bit string: ''"),
+    ({"word": [1, 2, 3], "coords": {"001": 1}}, IndexOutOfRange, "letter 3 out of range 1..2"),
+    ({"word": [1, 5, 0], "coords": {"001": 1}}, IndexOutOfRange, "letter 5 out of range 1..2"),
+    ({"word": [], "coords": {}}, ValueError, "a word needs at least one letter"),
+    # every coefficient is checked before any gallery length, in either order
+    ({"word": [1, 2, 1], "coords": {"01": 1, "001": 1.5}}, ValueError, refused("a float")),
+    ({"word": [1, 2, 1], "coords": {"001": 1.5, "01": 1}}, ValueError, refused("a float")),
+]
+
+
+@pytest.mark.parametrize("doc, kind, message", MALFORMED)
+def test_readers_raise_the_same_exception(doc, kind, message):
+    rs = RootSystem.from_label("A2")
+    for reader in (CohClass.from_json_dict, OrdinaryClass.from_json_dict):
+        with pytest.raises(kind) as info:
+            reader(rs, doc)
+        assert type(info.value) is kind and str(info.value) == message
+
+
+@pytest.mark.parametrize("doc, kind, message", MALFORMED)
+def test_integrate_reports_one_line_and_exit_2(capsys, doc, kind, message):
+    for extra in ((), ("--json",)):
+        code = main(["--type", "A2", "--word", "1,2,1", *extra, "integrate", "111",
+                     "--class", json.dumps(doc)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {kind.__name__}: {message}\n"
+
+
+def test_a_well_formed_document_keeps_its_nonzero_coordinates():
+    rs = RootSystem.from_label("A2")
+    doc = {"word": [1, 2, 1], "coords": {"111": "0", "011": 0, "001": "a1 + 2*a2", "110": 3}}
+    c = CohClass.from_json_dict(rs, doc)
+    assert str(c) == "001: a1 + 2*a2, 110: 3"
+    assert CohClass.from_json_dict(rs, c.to_json_dict()) == c
+    assert str(OrdinaryClass.from_json_dict(rs, {"word": [1, 2, 1], "coords": {"011": "1/2"}})) \
+        == "1/2*x_{011}"

@@ -311,3 +311,21 @@ def test_malformed_class_is_a_one_line_user_error(capsys, command, spec):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_billey_verify_refuses_a_word_that_is_not_longest_before_listing_galleries(
+    capsys, monkeypatch
+):
+    from bottsam import BSWord
+
+    def unreachable(self):
+        raise AssertionError("galleries() called for a refused word")
+
+    monkeypatch.setattr(BSWord, "galleries", unreachable)
+    for extra in ((), ("--json",)):
+        code, out, err = run(
+            capsys, "--type", "A2", "--word", ",".join("12" * 8), *extra,
+            "billey", "--w", "1", "--v", "1,2,1", "--verify",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: NotLongestWord: ") and err.count("\n") == 1

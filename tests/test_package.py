@@ -47,3 +47,25 @@ def test_import_builds_no_root_system():
         "print(sum(isinstance(o, bottsam.RootSystem) for o in gc.get_objects()))"
     )
     assert fresh_interpreter(code).strip() == "0"
+
+
+def test_cli_import_loads_neither_the_quotient_nor_the_schubert_layer():
+    code = "import sys, bottsam.cli; print(*(m for m in sys.modules if m.startswith('bottsam')))"
+    loaded = fresh_interpreter(code).split()
+    assert "bottsam.cli" in loaded
+    assert "bottsam.ordinary" not in loaded and "bottsam.schubert" not in loaded
+
+
+def test_every_exported_name_resolves_in_a_fresh_interpreter():
+    code = (
+        "import bottsam, sys\n"
+        "print('bottsam.rootsystem' in sys.modules)\n"
+        "import bottsam.schubert\n"
+        "bound = vars(bottsam)\n"
+        "print(bound['billey'] is bottsam.schubert.billey, 'ordinary_multiply' in bound)\n"
+        "values = [getattr(bottsam, n) for n in bottsam.__all__]\n"
+        "from bottsam import *\n"
+        "print(all(globals()[n] is v for n, v in zip(bottsam.__all__, values)))\n"
+        "print(hasattr(bottsam, 'no_such_name'), set(bottsam.__all__) <= set(dir(bottsam)))"
+    )
+    assert fresh_interpreter(code).split() == ["False", "True", "False", "True", "False", "True"]
