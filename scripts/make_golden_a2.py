@@ -6,8 +6,12 @@ defining product-of-weights formula with sympy matrices, the two products
 are found by solving the 8x8 linear system over the table, the relations
 come from the Cartan matrix, and the subword sum is enumerated by brute
 force.  Output is meant to be reviewed by hand before being committed.
+
+Usage: ``python scripts/make_golden_a2.py [OUT]``; ``OUT`` defaults to the
+checked-in file.
 """
 
+import argparse
 import itertools
 import pathlib
 
@@ -171,7 +175,14 @@ def billey_section():
     return lines
 
 
-def main():
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "src" / "bottsam" / "data" / "golden_a2.txt"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Write the A2 worked example.")
+    parser.add_argument("out", nargs="?", type=pathlib.Path, default=GOLDEN,
+                        help="file to write (default: the checked-in golden file)")
+    out = parser.parse_args(argv).out
     lines = (
         table_section()
         + relations_section()
@@ -179,7 +190,6 @@ def main():
         + product_section((1, 0, 0), (0, 0, 1))
         + billey_section()
     )
-    out = pathlib.Path(__file__).resolve().parent.parent / "src" / "bottsam" / "data" / "golden_a2.txt"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {out}")

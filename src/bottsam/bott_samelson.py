@@ -67,7 +67,9 @@ class Gallery:
         except (TypeError, ValueError):
             raw = b"\2"
         if raw.strip(b"\0\1"):
-            bits = tuple(map(int, bits))
+            # booleans and digit strings convert; a float or any other
+            # number that is not an integer is refused, never truncated
+            bits = tuple(int(b) if isinstance(b, (int, str)) else -1 for b in bits)
             if not {*bits} <= {0, 1}:
                 raise ValueError("gallery bits must be 0 or 1")
             raw = bytes(bits)
@@ -182,9 +184,8 @@ class BSWord:
         self._galleries: list[Gallery] | None = None
         self._alphas: dict[int, tuple[Weight, ...]] = {}  # keyed by gallery mask
         self._form_poly: dict[Weight, Polynomial] = {}
-        # ``ordinary_multiply``'s rewrites of x_{k+1} x_low, keyed by (k, low)
-        self._rewrites: dict[tuple[int, int], dict[int, int]] = {}
-        # ``multiply``'s rule for x_{k+1} on bit k on, keyed by (k, bits below k)
+        # the rule for x_{k+1} on bit k on, keyed by (k, bits below k); read
+        # by ``multiply`` and, corrections only, by ``ordinary_multiply``
         self._generators: dict[tuple[int, int], tuple[tuple, tuple]] = {}
 
     # ---- basic structure -------------------------------------------------
@@ -504,8 +505,9 @@ def _generator(word: BSWord, k: int, low: int, spill: dict) -> tuple[tuple, tupl
     """:func:`multiply_generator`'s rule at bit k on, ``low`` the bits below:
     corrections ``(mask of j, coefficient)``, diagonal ``(variable,
     coefficient)``; kept in ``word`` up to ``MEMO_MAX_ENTRIES``, then in
-    ``spill``.  The pairing with letter l is the dot product with Cartan
-    row l, and r_l moves coordinate l only."""
+    ``spill``.  ``ordinary_multiply`` reads the corrections alone, the
+    diagonal being zero at the origin.  The pairing with letter l is the
+    dot product with Cartan row l, and r_l moves coordinate l only."""
     key = (k, low)
     entry = word._generators.get(key) or spill.get(key)
     if entry is None:

@@ -3,17 +3,16 @@
 The ring is generated by one degree-2 class ``x_i`` per letter, subject to
 one relation per position: ``x_i^2 + sum_{j<i} a_{j,i} x_j x_i = 0`` with
 ``a_{j,i}`` the Cartan number of letter i against the coroot of letter j.
-Square-free monomials ``x_eps`` form a basis, so products are computed by
-rewriting squares away, only where two monomials overlap.  Evaluation at
-the origin (dropping all root variables) maps the equivariant ring onto
-this one.
+Square-free monomials ``x_eps`` form a basis.  Evaluation at the origin
+(dropping all root variables) maps the equivariant ring onto this one, so
+a product takes the constant term of the equivariant generator rule, only
+where two monomials overlap.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import rootsystem
 from .errors import WordMismatch
 from .polyring import parse_polynomial
 from .rootsystem import exact
@@ -22,6 +21,7 @@ from .bott_samelson import (
     BSWord,
     CohClass,
     Gallery,
+    _generator,
     read_class_doc,
 )
 
@@ -179,46 +179,22 @@ class OrdinaryClass:
         return cls(word, coords)
 
 
-def _rewrite(word: BSWord, k: int, low: int, spill: dict) -> dict[int, int]:
-    """x_{k+1} x_low as ``{added bit: coefficient}``; position k + 1 is bit
-    8k of a mask, and ``low`` has no bit above it.  With that bit on, the
-    relation of position k + 1 recurses down the on bits of ``low`` and adds
-    one bit below it.  Results are kept in ``word`` up to
-    ``MEMO_MAX_ENTRIES``, then in ``spill`` for the rest of the call."""
-    if not low >> 8 * k & 1:
-        return {1 << 8 * k: 1}
-    key = (k, low)
-    out = word._rewrites.get(key)
-    if out is None:
-        out = spill.get(key)
-    if out is None:
-        A, letters = word.rs.cartan, word.letters
-        acc: dict[int, int] = {}
-        for j in range(k):
-            a = A[letters[j] - 1][letters[k] - 1]
-            if a:
-                for b, c in _rewrite(word, j, low & (2 << 8 * j) - 1, spill).items():
-                    acc[b] = acc.get(b, 0) - a * c
-        out = {b: c for b, c in acc.items() if c}
-        full = len(word._rewrites) >= rootsystem.MEMO_MAX_ENTRIES
-        (spill if full else word._rewrites)[key] = out
-    return out
-
-
 def ordinary_multiply(c1: OrdinaryClass, c2: OrdinaryClass) -> OrdinaryClass:
     """Bilinear product in the square-free basis, rewriting only where the
     factors overlap.
 
     ``x_a x_b = x_{a or b}`` times the ``x_i`` over the positions of ``a and
-    b``, applied in position order; with bit i on, ``x_i x_e`` is a rewrite
-    of the word's table (:func:`_rewrite`), which adds bits only below i, so
-    every later overlap bit is still on when its turn comes.  Galleries are
-    integer masks with position k + 1 at bit 8k.
+    b``, applied in position order.  With bit i on, ``x_i x_e`` is the
+    constant term of :func:`~bottsam.bott_samelson.multiply`'s rule for
+    ``x_i sigma_e``, whose diagonal term vanishes at the origin: the
+    corrections in the word's generator table.  They add bits only below
+    i, so every later overlap bit is still on when its turn comes.
+    Galleries are integer masks with position k + 1 at bit 8k.
     """
     if c1.word != c2.word:
         raise WordMismatch("classes over different words")
     word = c1.word
-    spill: dict[tuple[int, int], dict[int, int]] = {}
+    spill: dict[tuple[int, int], tuple[tuple, tuple]] = {}
     acc: dict[int, int | Fraction] = {}
     masks = [(e.mask, q) for e, q in c1.coords.items()]
     for e2, q2 in c2.coords.items():
@@ -229,10 +205,10 @@ def ordinary_multiply(c1: OrdinaryClass, c2: OrdinaryClass) -> OrdinaryClass:
             while overlap:
                 bit = overlap & -overlap
                 overlap ^= bit
-                k, low = bit.bit_length() >> 3, (bit << 1) - 1
+                k = bit.bit_length() >> 3
                 nxt: dict[int, int] = {}
                 for mask, c in cur.items():
-                    for add, d in _rewrite(word, k, mask & low, spill).items():
+                    for add, d in _generator(word, k, mask & (bit - 1), spill)[0]:
                         nxt[mask | add] = nxt.get(mask | add, 0) + c * d
                 cur = nxt
             q = q1 * q2

@@ -42,9 +42,10 @@ BUILTIN_CARTAN: dict[str, tuple[tuple[int, ...], ...]] = {
 ROOT_CLOSURE_BOUND = 10_000
 
 # Size at which a rewrite table stops inserting.  The betas a root system keeps
-# per reduced word and the rewrites a word keeps for ordinary_multiply count
-# entries (up to about 3 KB each, 12 MB a table); the weak intervals a root
-# system keeps for billey count elements (about 260 B each, 1 MB a table).
+# per reduced word and the generator rules a word keeps for multiply and
+# ordinary_multiply count entries (up to about 3 KB each, 12 MB a table); the
+# weak intervals a root system keeps for billey count elements (about 260 B
+# each, 1 MB a table).
 MEMO_MAX_ENTRIES = 4096
 
 

@@ -43,7 +43,8 @@ def test_public_gallery_constructor_still_validates():
     # bits that are not 0/1 ints take the converting route
     mixed = Gallery((True, 0, "1"))
     assert mixed.bits == (1, 0, 1) and [type(b) for b in mixed.bits] == [int] * 3
-    assert Gallery((1.5, 0)).bits == (1, 0) and type(Gallery((1.5, 0)).bits[0]) is int
+    with pytest.raises(ValueError, match="gallery bits must be 0 or 1"):
+        Gallery((1.5, 0))  # a float bit is refused, never truncated
     assert [type(b) for b in Gallery((True, False)).bits] == [int, int]
     assert Gallery(iter([0, 1])).bits == (0, 1) and Gallery(()).bits == ()
     assert Gallery([1, 0]) == Gallery((1, 0)) and Gallery([1, 0]).bits == (1, 0)

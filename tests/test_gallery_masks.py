@@ -3,6 +3,7 @@ agrees with the formulas on the tuple of bits."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -90,9 +91,9 @@ def test_flipped_unit_and_the_empty_gallery():
 
 def test_the_constructor_converts_and_refuses_as_before():
     assert Gallery((True, 0, "1")).bits == (1, 0, 1)
-    assert Gallery((1.5, 0)).bits == (1, 0)
     assert Gallery("101").bits == (1, 0, 1)
-    for bad in [(2,), (0, -1), (256,), (1, 0.5, 3)]:
+    floats = [(1.5, 0), (0.9, 1), (1.0, 0), (float("nan"),), (float("inf"),)]
+    for bad in [(2,), (0, -1), (256,), (1, 0.5, 3), (Fraction(3, 2),), *floats]:
         with pytest.raises(ValueError, match="gallery bits must be 0 or 1"):
             Gallery(bad)
     with pytest.raises(ValueError, match="invalid literal"):

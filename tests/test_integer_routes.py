@@ -1,10 +1,11 @@
 """The integer routes of the Schubert layer against independent ones.
 
 ``billey`` (a forward pass over the weak interval) is compared with the
-plain subword sum, ``ordinary_multiply`` (rewrites at the overlap) with the
-equivariant product evaluated at the origin, and the integer descent walks
-of the root system with the inversion count and with chained matrix
-products.
+plain subword sum; ``ordinary_multiply`` (the generator corrections at the
+overlap) with the localization product evaluated at the origin, which
+shares no table with it, and with ``multiply`` evaluated there; and the
+integer descent walks of the root system with the inversion count and with
+chained matrix products.
 """
 
 import functools
@@ -35,6 +36,7 @@ from bottsam import (
     evaluate_at_origin,
     fiber,
     multiply,
+    multiply_by_localization,
     ordinary_multiply,
 )
 from bottsam.schubert import check_billey_identities
@@ -131,13 +133,13 @@ def test_ordinary_multiply_matches_the_product_at_the_origin(rs):
         for _ in range(6):
             a = Gallery(tuple(rng.randint(0, 1) for _ in range(n)))
             b = Gallery(tuple(rng.randint(0, 1) for _ in range(n)))
-            expected = evaluate_at_origin(
-                multiply(CohClass.basis(word, a), CohClass.basis(word, b))
-            )
+            ca, cb = CohClass.basis(word, a), CohClass.basis(word, b)
+            expected = evaluate_at_origin(multiply_by_localization(ca, cb))
             got = ordinary_multiply(
                 OrdinaryClass.basis(word, a), OrdinaryClass.basis(word, b)
             )
             assert got == expected, (word, a, b)
+            assert evaluate_at_origin(multiply(ca, cb)) == expected, (word, a, b)
         # combinations with non-integer rational coefficients
         classes = []
         for _ in range(2):
@@ -150,6 +152,7 @@ def test_ordinary_multiply_matches_the_product_at_the_origin(rs):
             constants = {e: Polynomial.constant(rs.rank, c) for e, c in coords.items()}
             classes.append((OrdinaryClass(word, coords), CohClass(word, constants)))
         (x, cx), (y, cy) = classes
+        assert ordinary_multiply(x, y) == evaluate_at_origin(multiply_by_localization(cx, cy))
         assert ordinary_multiply(x, y) == evaluate_at_origin(multiply(cx, cy))
         assert ordinary_multiply(x, y) == ordinary_multiply(y, x)
 

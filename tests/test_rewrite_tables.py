@@ -1,6 +1,7 @@
-"""The rewrite tables that outlive a call: the square-free rewrites a word
-keeps for ``ordinary_multiply``, and the beta columns per reduced word and
-the weak intervals per element that a root system keeps for ``billey``.
+"""The rewrite tables that outlive a call: the generator rules a word keeps
+for ``multiply`` and ``ordinary_multiply`` alike, and the beta columns per
+reduced word and the weak intervals per element that a root system keeps
+for ``billey``.
 
 A warm table must give what a cold one gives, tables of different Cartan
 matrices must not mix, the bound ``MEMO_MAX_ENTRIES`` must stop a table
@@ -18,10 +19,13 @@ from bottsam import (
     Gallery,
     BilleyQuery,
     CartanSpec,
+    CohClass,
     NotReducedWord,
     OrdinaryClass,
     RootSystem,
     billey,
+    evaluate_at_origin,
+    multiply,
     ordinary_multiply,
     rootsystem,
 )
@@ -65,7 +69,7 @@ def test_warm_and_cold_rewrite_tables_give_the_same_products(rs):
         warm = BSWord(rs, letters)
         pairs = seeded_pairs(rng, n, 12)
         first = [product(warm, a, b) for a, b in pairs]
-        assert warm._rewrites  # the products rewrote some squares
+        assert warm._generators  # the products met some overlaps
         for (a, b), got in zip(pairs, first):
             cold = product(BSWord(rs, letters), a, b)
             assert got == cold and product(warm, a, b) == cold, (letters, a, b)
@@ -85,7 +89,7 @@ def test_words_over_different_cartan_matrices_never_share_entries():
     for word in words:
         cold = [product(BSWord(word.rs, letters), a, b) for a, b in pairs]
         assert results[id(word)] == cold
-    tables = [word._rewrites for word in words]
+    tables = [word._generators for word in words]
     assert len({id(t) for t in tables}) == 3
     # same keys, different rewrites: the Cartan numbers differ
     assert tables[0].keys() & tables[1].keys()
@@ -104,16 +108,32 @@ def test_bounded_tables_stop_growing_and_keep_their_results(monkeypatch):
     word, rs = BSWord(d4, letters), fresh(d4)
     assert [product(word, a, b) for a, b in pairs] == unbounded
     assert [billey(BilleyQuery(rs, w, v)) for w, v in queries] == values
-    assert len(word._rewrites) == 5 and len(rs._betas) == 5
+    assert len(word._generators) == 5 and len(rs._betas) == 5
     # a second round runs partly from the full tables, partly past them
     assert [product(word, a, b) for a, b in pairs] == unbounded
     assert [billey(BilleyQuery(rs, w, v)) for w, v in queries] == values
-    assert len(word._rewrites) == 5 and len(rs._betas) == 5
+    assert len(word._generators) == 5 and len(rs._betas) == 5
     monkeypatch.setattr(rootsystem, "MEMO_MAX_ENTRIES", 0)
     word, rs = BSWord(d4, letters), fresh(d4)
     assert [product(word, a, b) for a, b in pairs] == unbounded
     assert [billey(BilleyQuery(rs, w, v)) for w, v in queries] == values
-    assert not word._rewrites and not rs._betas
+    assert not word._generators and not rs._betas
+
+
+def test_ordinary_and_equivariant_products_share_one_table():
+    d4 = RootSystem.from_label("D4")
+    word = BSWord(d4, d4.longest_word()[:10])
+    assert not hasattr(word, "_rewrites")
+    # one overlap bit: both products need the rule at that bit for the
+    # bits of the other factor below it, and nothing else
+    pairs = [(e, Gallery.unit(word.n, i)) for e in word.galleries()[::13] for i in e.support]
+    ordinary = [product(word, a, b) for a, b in pairs]
+    table = dict(word._generators)
+    assert table
+    equivariant = [multiply(CohClass.basis(word, a), CohClass.basis(word, b)) for a, b in pairs]
+    assert word._generators.keys() == table.keys()
+    assert all(word._generators[key] is entry for key, entry in table.items())
+    assert [evaluate_at_origin(c) for c in equivariant] == ordinary
 
 
 def test_a_non_reduced_word_raises_every_time():
