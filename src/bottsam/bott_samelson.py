@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from operator import mul
+from typing import Iterator
 
 from . import rootsystem
 from .errors import (
@@ -280,7 +281,7 @@ class CohClass:
         clean: dict[Gallery, Polynomial] = {}
         for e, p in coords.items():
             word.check_gallery(e)
-            if isinstance(p, (int, Fraction)):
+            if not isinstance(p, Polynomial):
                 p = Polynomial.constant(word.rs.rank, p)
             if not p.is_zero:
                 clean[e] = p
@@ -495,7 +496,7 @@ def expand(word: BSWord, values: dict[Gallery, Polynomial]) -> CohClass:
     table = {}
     for e, p in values.items():
         word.check_gallery(e)
-        if isinstance(p, (int, Fraction)):
+        if not isinstance(p, Polynomial):
             p = Polynomial.constant(word.rs.rank, p)
         table[e.mask] = p
     return _class_of(word, table)
@@ -649,15 +650,26 @@ def multiply_generator(word: BSWord, i: int, e: Gallery) -> CohClass:
     return multiply(CohClass.basis(word, Gallery.unit(word.n, i)), CohClass.basis(word, e))
 
 
-def table_lines(word: BSWord) -> list[str]:
-    """The full restriction table as text: a column-header comment, then one
-    row per basis class with its values at every fixed point."""
+def restriction_table(word: BSWord) -> dict:
+    """The full restriction table as a document: ``columns`` lists the fixed
+    points, and ``rows`` yields each basis class with its values there as
+    text, both in the canonical gallery order.  ``rows`` is the one loop
+    over the 4^N cells: an iterator that makes each row as it is read, so
+    the whole table is never held, and that can be read once."""
     gals = word.galleries()
-    lines = ["# columns: " + ", ".join(str(g) for g in gals)]
-    for e in gals:
-        row = ", ".join(format_polynomial(word.sigma(e, ep)) for ep in gals)
-        lines.append(f"{e}: {row}")
-    return lines
+    return {
+        "word": list(word.letters),
+        "columns": [str(g) for g in gals],
+        "rows": ((str(e), [format_polynomial(word.sigma(e, ep)) for ep in gals]) for e in gals),
+    }
+
+
+def table_lines(table: dict) -> Iterator[str]:
+    """The text form of a :func:`restriction_table`: a column-header
+    comment, then one row per basis class."""
+    yield "# columns: " + ", ".join(table["columns"])
+    for e, row in table["rows"]:
+        yield f"{e}: {', '.join(row)}"
 
 
 def integrate(word: BSWord, e: Gallery, c: CohClass) -> Polynomial:

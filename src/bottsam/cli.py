@@ -1,5 +1,10 @@
 """Command-line interface.
 
+Each command takes the parsed arguments and returns one document (a
+``dict``), its text lines and an exit code.  :func:`main` prints the
+document as JSON under ``--json`` and the lines otherwise; ``selftest`` has
+no document and prints its lines either way.
+
 Exit codes: 0 on success, 2 for input problems (bad Cartan data, malformed
 words or galleries, length mismatches), 3 when an internal invariant is
 violated (a localization division leaves a remainder, a ``--check``
@@ -21,18 +26,12 @@ from .bott_samelson import (
     integrate_by_localization,
     multiply,
     multiply_by_localization,
+    restriction_table,
     table_lines,
 )
-from .errors import (
-    BottsamError,
-    CapExceeded,
-    NotDivisible,
-    NotInSpan,
-    NotLongestWord,
-    WordMismatch,
-)
+from .errors import BottsamError, CapExceeded, NotDivisible, NotInSpan, WordMismatch
 from .polyring import format_polynomial
-from .rootsystem import CartanSpec, RootSystem, SimpleWord, format_word, parse_word
+from .rootsystem import CartanSpec, RootSystem, format_word, parse_word
 
 EXIT_OK = 0
 EXIT_USER = 2
@@ -42,36 +41,17 @@ TABLE_MAX_LETTERS = 12
 
 INTERNAL_ERRORS = (NotInSpan, NotDivisible)
 
-
-class CliConfig:
-    __slots__ = ("rs", "word", "as_json", "cap", "seed")
-
-    def __init__(
-        self,
-        rs: RootSystem | None,
-        word: SimpleWord | None,
-        as_json: bool,
-        cap: int,
-        seed: int,
-    ):
-        self.rs = rs
-        self.word = word
-        self.as_json = as_json
-        self.cap = cap
-        self.seed = seed
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not CliConfig:
-            return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return (
-            f"CliConfig(rs={self.rs!r}, word={self.word!r}, as_json={self.as_json!r},"
-            f" cap={self.cap!r}, seed={self.seed!r})"
-        )
+# The common options are suppressed when absent, so that a subcommand's
+# parser does not overwrite what was given before the subcommand; these are
+# their values when given nowhere.
+COMMON_DEFAULTS = {
+    "type_label": None,
+    "cartan": None,
+    "word": None,
+    "as_json": False,
+    "cap": DEFAULT_GALLERY_CAP,
+    "seed": 0,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,54 +195,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace, need_rs: bool = True) -> CliConfig:
-    type_label = getattr(args, "type_label", None)
-    cartan_path = getattr(args, "cartan", None)
-    if type_label and cartan_path:
-        raise ValueError("give exactly one Cartan source: --type or --cartan")
-    rs = None
-    if type_label:
-        rs = RootSystem.from_label(type_label)
-    elif cartan_path:
-        with open(cartan_path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        rs = RootSystem(CartanSpec.from_json_dict(doc))
-    elif need_rs:
-        raise ValueError("choose a Cartan source with --type or --cartan")
-    word_text = getattr(args, "word", None)
-    word = parse_word(word_text) if word_text is not None else None
-    return CliConfig(
-        rs=rs,
-        word=word,
-        as_json=getattr(args, "as_json", False),
-        cap=getattr(args, "cap", DEFAULT_GALLERY_CAP),
-        seed=getattr(args, "seed", 0),
-    )
-
-
-def _require_word(config: CliConfig) -> BSWord:
-    if config.word is None or not config.word:
+def _word(args: argparse.Namespace) -> BSWord:
+    if not args.letters:
         raise ValueError("this command needs a non-empty --word")
-    return BSWord(config.rs, config.word, cap=config.cap)
+    return BSWord(args.rs, args.letters, cap=args.cap)
 
 
-def _emit_json(doc: dict) -> None:
-    print(json.dumps({"schema": 1, **doc}, indent=2))
-
-
-def _load_class(config: CliConfig, word: BSWord, spec_text: str) -> CohClass:
-    """A class argument: a bare bit string meaning a basis class, inline
-    JSON, or the path of a JSON file in the documented schema."""
-    text = spec_text.strip()
-    if text and all(ch in "01" for ch in text):
-        e = Gallery.from_string(text)
+def _galleries(word: BSWord, *texts: str) -> list[Gallery]:
+    """Galleries given as bit strings, all read before any is checked
+    against the word."""
+    galleries = [Gallery.from_string(text) for text in texts]
+    for e in galleries:
         word.check_gallery(e)
-        return CohClass.basis(word, e)
+    return galleries
+
+
+def _load_class(args: argparse.Namespace, word: BSWord) -> CohClass:
+    """The ``--class`` argument: a bare bit string meaning a basis class,
+    inline JSON, or the path of a JSON file in the documented schema."""
+    text = args.class_spec.strip()
+    if text and all(ch in "01" for ch in text):
+        return CohClass.basis(word, *_galleries(word, text))
     if not text.startswith("{"):
         with open(text, encoding="utf-8") as fh:
             text = fh.read()
-    doc = json.loads(text)
-    cls = CohClass.from_json_dict(config.rs, doc, cap=config.cap)
+    cls = CohClass.from_json_dict(args.rs, json.loads(text), cap=args.cap)
     if cls.word != word:
         raise WordMismatch(
             f"class is over word {list(cls.word.letters)}, not {list(word.letters)}"
@@ -270,231 +227,146 @@ def _load_class(config: CliConfig, word: BSWord, spec_text: str) -> CohClass:
     return cls
 
 
-# ---- commands -------------------------------------------------------------
+# ---- commands: each returns (document, text lines, exit code) -------------
 
-def cmd_roots(config: CliConfig) -> int:
-    rs = config.rs
-    if config.as_json:
-        _emit_json(
-            {
-                "label": rs.label,
-                "matrix": [list(row) for row in rs.cartan],
-                "positive_roots": [str(b) for b in rs.positive_roots],
-                "longest_length": len(rs.positive_roots),
-                "longest_word": list(rs.longest_word()),
-            }
-        )
-        return EXIT_OK
-    print(f"type: {rs.label or 'custom'}")
-    print("cartan matrix:")
-    for row in rs.cartan:
-        print("  " + " ".join(f"{v:3d}" for v in row))
-    print("positive roots: " + ", ".join(str(b) for b in rs.positive_roots))
-    print(f"longest length: {len(rs.positive_roots)}")
-    print(f"longest word: {format_word(rs.longest_word())}")
-    return EXIT_OK
+def cmd_roots(args: argparse.Namespace):
+    rs = args.rs
+    doc = {
+        "label": rs.label,
+        "matrix": [list(row) for row in rs.cartan],
+        "positive_roots": [str(b) for b in rs.positive_roots],
+        "longest_length": len(rs.positive_roots),
+        "longest_word": list(rs.longest_word()),
+    }
+    lines = [
+        f"type: {rs.label or 'custom'}",
+        "cartan matrix:",
+        *("  " + " ".join(f"{v:3d}" for v in row) for row in rs.cartan),
+        "positive roots: " + ", ".join(doc["positive_roots"]),
+        f"longest length: {doc['longest_length']}",
+        f"longest word: {format_word(doc['longest_word'])}",
+    ]
+    return doc, lines, EXIT_OK
 
 
-def cmd_table(config: CliConfig) -> int:
-    word = _require_word(config)
+def cmd_table(args: argparse.Namespace):
+    word = _word(args)
     if word.n > TABLE_MAX_LETTERS:
         raise CapExceeded(
             f"a table of a {word.n}-letter word has 4^{word.n} entries;"
             f" table is limited to {TABLE_MAX_LETTERS} letters"
         )
-    gals = word.galleries()
-    if config.as_json:
-        _emit_json(
-            {
-                "word": list(word.letters),
-                "columns": [str(g) for g in gals],
-                "rows": {
-                    str(e): [format_polynomial(word.sigma(e, ep)) for ep in gals]
-                    for e in gals
-                },
-            }
-        )
-        return EXIT_OK
-    for line in table_lines(word):
-        print(line)
-    return EXIT_OK
+    table = restriction_table(word)
+    return table, table_lines(table), EXIT_OK
 
 
-def cmd_restrict(config: CliConfig, point_text: str, class_spec: str) -> int:
-    word = _require_word(config)
-    point = Gallery.from_string(point_text)
-    word.check_gallery(point)
-    cls = _load_class(config, word, class_spec)
-    value = cls.restriction(point)
-    if config.as_json:
-        _emit_json(
-            {
-                "word": list(word.letters),
-                "point": str(point),
-                "value": format_polynomial(value),
-            }
-        )
-    else:
-        print(format_polynomial(value))
-    return EXIT_OK
+def cmd_restrict(args: argparse.Namespace):
+    word = _word(args)
+    (point,) = _galleries(word, args.point)
+    value = format_polynomial(_load_class(args, word).restriction(point))
+    return {"word": list(word.letters), "point": str(point), "value": value}, [value], EXIT_OK
 
 
-def cmd_product(config: CliConfig, left_text: str, right_text: str, check: bool) -> int:
-    word = _require_word(config)
-    left = Gallery.from_string(left_text)
-    right = Gallery.from_string(right_text)
-    word.check_gallery(left)
-    word.check_gallery(right)
+def cmd_product(args: argparse.Namespace):
+    word = _word(args)
+    left, right = _galleries(word, args.left, args.right)
     left_class, right_class = CohClass.basis(word, left), CohClass.basis(word, right)
     product = multiply(left_class, right_class)
-    check_note = None
-    if check:
+    doc, lines = product.to_json_dict(), [str(product)]
+    if args.check:
         if left.ones == 1 or right.ones == 1:
             if multiply_by_localization(left_class, right_class) != product:
                 raise NotInSpan(
                     "closed one-generator rule disagrees with the expanded product"
                 )
-            check_note = "check: closed one-generator rule agrees"
+            doc["check"] = "closed one-generator rule agrees"
         else:
-            check_note = "check: skipped (neither factor is a single generator)"
-    if config.as_json:
-        doc = product.to_json_dict()
-        if check_note:
-            doc["check"] = check_note.split(": ", 1)[1]
-        _emit_json(doc)
-    else:
-        print(product)
-        if check_note:
-            print(check_note)
-    return EXIT_OK
+            doc["check"] = "skipped (neither factor is a single generator)"
+        lines.append(f"check: {doc['check']}")
+    return doc, lines, EXIT_OK
 
 
-def cmd_integrate(
-    config: CliConfig, domain_text: str, class_spec: str, check: bool
-) -> int:
-    word = _require_word(config)
-    domain = Gallery.from_string(domain_text)
-    word.check_gallery(domain)
-    cls = _load_class(config, word, class_spec)
+def cmd_integrate(args: argparse.Namespace):
+    word = _word(args)
+    (domain,) = _galleries(word, args.domain)
+    cls = _load_class(args, word)
     value = integrate(word, domain, cls)
     doc = {
         "word": list(word.letters),
         "domain": str(domain),
         "value": format_polynomial(value),
     }
-    if check:
+    lines = [doc["value"]]
+    if args.check:
         if integrate_by_localization(word, domain, cls) != value:
             raise NotInSpan(
                 "integral by duality disagrees with the localization integral"
             )
         doc["check"] = "localization integral agrees"
-    if config.as_json:
-        _emit_json(doc)
-    else:
-        print(doc["value"])
-        if check:
-            print(f"check: {doc['check']}")
-    return EXIT_OK
+        lines.append(f"check: {doc['check']}")
+    return doc, lines, EXIT_OK
 
 
-def cmd_billey(config: CliConfig, w_text: str, v_text: str, verify: bool) -> int:
+def cmd_billey(args: argparse.Namespace):
     # only this command needs it; keeps start-up short
     from .schubert import BilleyQuery, billey, check_billey_identities
 
-    rs = config.rs
-    w_word = parse_word(w_text)
-    v_word = parse_word(v_text)
+    rs = args.rs
+    w_word = parse_word(args.w)
+    v_word = parse_word(args.v)
     w = rs.weyl_from_word(w_word)
-    value = billey(BilleyQuery(rs, w, v_word))
-    lines = [format_polynomial(value)]
-    doc = {
-        "w": list(w_word),
-        "v": list(v_word),
-        "value": format_polynomial(value),
-    }
+    value = format_polynomial(billey(BilleyQuery(rs, w, v_word)))
+    doc = {"w": list(w_word), "v": list(v_word), "value": value}
+    lines = [value]
     failed = 0
-    if verify:
-        word = _require_word(config)
+    if args.verify:
+        word = _word(args)
         agree = check_billey_identities(word, w)
         passed = sum(agree)
         failed = len(agree) - passed
-        skipped = len(word.galleries()) - len(agree)
+        skipped = 2**word.n - len(agree)
+        doc["verify"] = {"passed": passed, "failed": failed, "skipped": skipped}
         lines.append(
             f"verify: {passed} galleries agree, {failed} disagree, {skipped} skipped"
         )
-        doc["verify"] = {"passed": passed, "failed": failed, "skipped": skipped}
-    if config.as_json:
-        _emit_json(doc)
-    else:
-        for line in lines:
-            print(line)
-    return EXIT_INTERNAL if failed else EXIT_OK
+    return doc, lines, EXIT_INTERNAL if failed else EXIT_OK
 
 
-def cmd_ordinary(config: CliConfig, product_specs) -> int:
+def cmd_ordinary(args: argparse.Namespace):
     # only this command needs it; keeps start-up short
     from .ordinary import OrdinaryClass, ordinary_multiply, relations
 
-    word = _require_word(config)
-    if product_specs:
-        left = Gallery.from_string(product_specs[0])
-        right = Gallery.from_string(product_specs[1])
-        word.check_gallery(left)
-        word.check_gallery(right)
+    word = _word(args)
+    if args.product:
+        left, right = _galleries(word, *args.product)
         product = ordinary_multiply(
             OrdinaryClass.basis(word, left), OrdinaryClass.basis(word, right)
         )
-        if config.as_json:
-            _emit_json(product.to_json_dict())
-        else:
-            print(product)
-        return EXIT_OK
-    rels = relations(word)
-    if config.as_json:
-        _emit_json(
-            {
-                "word": list(word.letters),
-                "relations": [str(r) for r in rels],
-            }
-        )
-    else:
-        for r in rels:
-            print(r)
-    return EXIT_OK
+        return product.to_json_dict(), [str(product)], EXIT_OK
+    rels = [str(r) for r in relations(word)]
+    return {"word": list(word.letters), "relations": rels}, rels, EXIT_OK
 
 
-def cmd_selftest(config: CliConfig) -> int:
+def cmd_selftest(args: argparse.Namespace):
     from . import selftest  # only this command needs it; keeps start-up short
 
-    results = selftest.run_all(seed=config.seed)
-    for k, result in enumerate(results, start=1):
-        print(result.line(k))
-    passed = sum(1 for r in results if r.passed)
-    print(f"result: {passed}/{len(results)} passed")
-    return EXIT_OK if passed == len(results) else EXIT_INTERNAL
+    results = selftest.run_all(seed=args.seed)
+    passed = sum(r.passed for r in results)
+    lines = [result.line(k) for k, result in enumerate(results, start=1)]
+    lines.append(f"result: {passed}/{len(results)} passed")
+    return None, lines, EXIT_OK if passed == len(results) else EXIT_INTERNAL
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    command = args.command
-    if command == "selftest":
-        config = _resolve_config(args, need_rs=False)
-        return cmd_selftest(config)
-    config = _resolve_config(args)
-    if command == "roots":
-        return cmd_roots(config)
-    if command == "table":
-        return cmd_table(config)
-    if command == "restrict":
-        return cmd_restrict(config, args.point, args.class_spec)
-    if command == "product":
-        return cmd_product(config, args.left, args.right, args.check)
-    if command == "integrate":
-        return cmd_integrate(config, args.domain, args.class_spec, args.check)
-    if command == "billey":
-        return cmd_billey(config, args.w, args.v, args.verify)
-    if command == "ordinary":
-        return cmd_ordinary(config, args.product)
-    raise AssertionError(f"unhandled command {command!r}")
+COMMANDS = {
+    "roots": cmd_roots,
+    "table": cmd_table,
+    "restrict": cmd_restrict,
+    "product": cmd_product,
+    "integrate": cmd_integrate,
+    "billey": cmd_billey,
+    "ordinary": cmd_ordinary,
+    "selftest": cmd_selftest,
+}
 
 
 def main(argv=None) -> int:
@@ -504,8 +376,28 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print("error: a COMMAND is required", file=sys.stderr)
         return EXIT_USER
+    for name, default in COMMON_DEFAULTS.items():
+        vars(args).setdefault(name, default)
     try:
-        return _dispatch(args)
+        if args.type_label and args.cartan:
+            raise ValueError("give exactly one Cartan source: --type or --cartan")
+        args.rs = None
+        if args.type_label:
+            args.rs = RootSystem.from_label(args.type_label)
+        elif args.cartan:
+            with open(args.cartan, encoding="utf-8") as fh:
+                args.rs = RootSystem(CartanSpec.from_json_dict(json.load(fh)))
+        elif args.command != "selftest":
+            raise ValueError("choose a Cartan source with --type or --cartan")
+        args.letters = parse_word(args.word) if args.word is not None else None
+        doc, lines, code = COMMANDS[args.command](args)
+        if args.as_json and doc is not None:
+            # a document's lazy rows (the table's) print as an object
+            print(json.dumps({"schema": 1, **doc}, indent=2, default=dict))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except INTERNAL_ERRORS as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -35,7 +35,7 @@ class Polynomial:
     def __init__(self, rank: int, terms: dict[Monomial, int | Fraction] | None = None):
         self.rank = rank
         if terms:
-            self.terms = {e: exact(c) for e, c in terms.items() if c != 0}
+            self.terms = {e: q for e, c in terms.items() if (q := exact(c))}
         else:
             self.terms = {}
 

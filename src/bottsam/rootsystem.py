@@ -68,9 +68,13 @@ def format_word(word: Sequence[int]) -> str:
 
 def exact(value) -> int | Fraction:
     """An exact coefficient: ``int`` when ``value`` is integral, else a
-    ``Fraction``.  Roots and everything built from them stay on ``int``."""
+    ``Fraction``.  Roots and everything built from them stay on ``int``.
+    A ``float`` is refused: it holds a binary fraction, not the number
+    written."""
     if type(value) is int:
         return value
+    if isinstance(value, float):
+        raise ValueError(f"coefficient {value!r} is a float; give an int or a Fraction")
     q = Fraction(value)
     return q.numerator if q.denominator == 1 else q
 

@@ -21,6 +21,7 @@ from .bott_samelson import (
     multiply,
     multiply_by_localization,
     multiply_generator,
+    restriction_table,
     table_lines,
 )
 from .ordinary import OrdinaryClass, evaluate_at_origin, ordinary_multiply, relations
@@ -267,7 +268,7 @@ def golden_a2_sections() -> str:
     rs = RootSystem.from_label("A2")
     word = BSWord(rs, (1, 2, 1))
     lines = ["== table =="]
-    lines += table_lines(word)
+    lines += table_lines(restriction_table(word))
     lines.append("== ordinary relations ==")
     lines += [str(r) for r in relations(word)]
     for left, right in (("001", "001"), ("100", "001")):

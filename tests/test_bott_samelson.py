@@ -23,7 +23,7 @@ from bottsam import (
     multiply_generator,
     parse_polynomial,
 )
-from bottsam.bott_samelson import table_lines
+from bottsam.bott_samelson import restriction_table, table_lines
 
 A2 = RootSystem.from_label("A2")
 B2 = RootSystem.from_label("B2")
@@ -134,7 +134,7 @@ def test_sigma_against_worked_table():
 
 def test_table_lines():
     word = BSWord(RootSystem.from_label("A1"), (1,))
-    assert table_lines(word) == [
+    assert list(table_lines(restriction_table(word))) == [
         "# columns: 0, 1",
         "0: 1, 1",
         "1: 0, a1",

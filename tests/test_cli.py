@@ -329,3 +329,100 @@ def test_billey_verify_refuses_a_word_that_is_not_longest_before_listing_galleri
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: NotLongestWord: ") and err.count("\n") == 1
+
+
+BILLEY_A2 = ("--type", "A2", "--word", "1,2,1", "billey", "--w", "1", "--v", "1,2,1", "--verify")
+
+
+def test_billey_verify_disagreement_prints_the_value_then_exits_3(capsys, monkeypatch):
+    import bottsam.schubert
+
+    real = bottsam.schubert.check_billey_identities
+
+    def one_disagrees(word, w):
+        agree = real(word, w)
+        return [False, *agree[1:]]
+
+    monkeypatch.setattr(bottsam.schubert, "check_billey_identities", one_disagrees)
+    code, out, err = run(capsys, *BILLEY_A2)
+    verify = "verify: 6 galleries agree, 1 disagree, 1 skipped"
+    assert (code, out, err) == (3, f"a1 + a2\n{verify}\n", "")
+    code, out, err = run(capsys, *BILLEY_A2, "--json")
+    assert (code, err) == (3, "")
+    doc = json.loads(out)
+    assert doc["value"] == "a1 + a2"
+    assert doc["verify"] == {"passed": 6, "failed": 1, "skipped": 1}
+
+
+def test_product_check_disagreement_is_an_internal_error(capsys, monkeypatch):
+    import bottsam.cli
+    from bottsam import CohClass
+
+    def disagrees(x, y):
+        return CohClass.zero(x.word)
+
+    monkeypatch.setattr(bottsam.cli, "multiply_by_localization", disagrees)
+    for extra in ((), ("--json",)):
+        code, out, err = run(
+            capsys, "--type", "A2", "--word", "1,2,1", "product", "001", "001", "--check", *extra
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: NotInSpan: ") and err.count("\n") == 1
+
+
+def test_selftest_failure_prints_its_lines_then_exits_3(capsys, monkeypatch):
+    import bottsam.selftest
+    from bottsam.selftest import CheckResult
+
+    results = [
+        CheckResult("first", True, "3 pairs", 0.0),
+        CheckResult("second", False, "1 case; broken", 0.3),
+    ]
+    monkeypatch.setattr(bottsam.selftest, "run_all", lambda seed=0: results)
+    expected = (
+        "[1] first: PASS (0.0s, 3 pairs)\n"
+        "[2] second: FAIL (0.3s, 1 case; broken)\n"
+        "result: 1/2 passed\n"
+    )
+    assert run(capsys, "selftest") == (3, expected, "")
+    # selftest has no document: --json prints the same text
+    assert run(capsys, "selftest", "--json") == (3, expected, "")
+
+
+TABLE_WORDS = [
+    ("A1", (1,)),
+    ("A1", (1, 1, 1)),
+    ("A2", (1, 2, 1)),
+    ("A2", (2, 1, 1, 2)),
+    ("B2", (1, 2, 1, 2)),
+    ("B2", (2, 2, 1)),
+    ("G2", (1, 2, 1, 2, 1, 2)),
+    ("G2", (2, 1, 2)),
+    ("B3", (3, 2, 1, 3, 2)),
+    ("B3", (1, 2, 3, 2, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("label, letters", TABLE_WORDS)
+def test_table_text_and_json_read_the_same_cells(capsys, label, letters):
+    from bottsam import BSWord, RootSystem, format_polynomial
+
+    argv = ("--type", label, "--word", ",".join(map(str, letters)), "table")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    header, *rows = out.splitlines()
+    doc = run_json(capsys, *argv, "--json")
+    assert doc["word"] == list(letters)
+    assert header == "# columns: " + ", ".join(doc["columns"])
+    text_rows = {}
+    for line in rows:
+        e, cells = line.split(": ", 1)
+        text_rows[e] = cells.split(", ")
+    assert list(text_rows) == list(doc["rows"]) == doc["columns"]
+    assert text_rows == doc["rows"]
+    # the reference: each cell is the formatted restriction value
+    word = BSWord(RootSystem.from_label(label), letters)
+    gals = word.galleries()
+    assert doc["columns"] == [str(g) for g in gals]
+    for e in gals:
+        assert doc["rows"][str(e)] == [format_polynomial(word.sigma(e, ep)) for ep in gals]

@@ -147,3 +147,24 @@ def test_no_float_anywhere():
     assert half.coords == {x: Fraction(1, 2), y: 2}
     assert [type(c) for c in half.coords.values()] == [Fraction, int]
     assert str(half) == "2*x_{100} + 1/2*x_{001}"
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, 2.0, 0.0, float("inf"), float("nan")])
+def test_constructors_refuse_a_float_coefficient_alike(value):
+    word = BSWord(RootSystem.from_label("A2"), (1, 2, 1))
+    e = Gallery.from_string("001")
+    constructors = [
+        lambda: Polynomial(2, {(1, 0): value}),
+        lambda: Polynomial.constant(2, value),
+        lambda: OrdinaryClass(word, {e: value}),
+        lambda: CohClass(word, {e: value}),
+    ]
+    for build in constructors:
+        with pytest.raises(ValueError, match="is a float; give an int or a Fraction") as info:
+            build()
+        assert "\n" not in str(info.value)
+    # exact values of every kind still go in
+    half = Fraction(1, 2)
+    assert CohClass(word, {e: half}).coords == {e: Polynomial.constant(2, half)}
+    assert OrdinaryClass(word, {e: 3}).coords == {e: 3}
+    assert Polynomial(2, {(1, 0): Fraction(4, 2), (0, 1): 0}).terms == {(1, 0): 2}
