@@ -68,9 +68,9 @@ class Gallery:
         except (TypeError, ValueError):
             raw = b"\2"
         if raw.strip(b"\0\1"):
-            # booleans and digit strings convert; a float or any other
-            # number that is not an integer is refused, never truncated
-            bits = tuple(int(b) if isinstance(b, (int, str)) else -1 for b in bits)
+            # booleans and the texts "0" and "1" convert; any other number or
+            # text is refused, never truncated or read as a number
+            bits = tuple(int(b) if isinstance(b, int) or b in ("0", "1") else -1 for b in bits)
             if not {*bits} <= {0, 1}:
                 raise ValueError("gallery bits must be 0 or 1")
             raw = bytes(bits)
@@ -127,12 +127,6 @@ class Gallery:
             raise LengthMismatch("galleries of different lengths")
         return not self.mask & ~other.mask
 
-    def flipped(self, i: int) -> "Gallery":
-        """The gallery with (1-based) position ``i`` toggled."""
-        if not 1 <= i <= self.n:
-            raise IndexOutOfRange(f"position {i} out of range 1..{self.n}")
-        return Gallery._of_mask(self.mask ^ 1 << 8 * (i - 1), self.n)
-
     def sort_key(self) -> tuple:
         # grade first, then on-positions as early as possible
         return (self.mask.bit_count(), self.mask.to_bytes(self.n, "little").translate(_FLIP))
@@ -168,7 +162,7 @@ class BSWord:
         letters: tuple[int, ...] | list[int],
         cap: int = DEFAULT_GALLERY_CAP,
     ):
-        letters = tuple(map(int, letters))
+        letters = rootsystem.letters_of(letters)
         if not letters:
             raise ValueError("a word needs at least one letter")
         if min(letters) < 1 or max(letters) > rs.rank:

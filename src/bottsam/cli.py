@@ -14,6 +14,7 @@ disagrees, or a selftest check fails).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -392,8 +393,11 @@ def main(argv=None) -> int:
         args.letters = parse_word(args.word) if args.word is not None else None
         doc, lines, code = COMMANDS[args.command](args)
         if args.as_json and doc is not None:
-            # a document's lazy rows (the table's) print as an object
-            print(json.dumps({"schema": 1, **doc}, indent=2, default=dict))
+            # written in batches, never as one string; lazy rows print as an object
+            chunks = json.JSONEncoder(indent=2, default=dict).iterencode({"schema": 1, **doc})
+            for batch in iter(lambda: "".join(itertools.islice(chunks, 4096)), ""):
+                sys.stdout.write(batch)
+            print()
         else:
             for line in lines:
                 print(line)

@@ -63,12 +63,6 @@ class Polynomial:
         return cls(rank, {(0,) * rank: v} if v else None)
 
     @classmethod
-    def variable(cls, rank: int, i: int) -> "Polynomial":
-        """The degree-1 polynomial a_i (1-based)."""
-        exp = tuple(int(k == i - 1) for k in range(rank))
-        return cls(rank, {exp: 1})
-
-    @classmethod
     def from_weight(cls, w: Weight) -> "Polynomial":
         """The linear form with the weight's coordinates."""
         rank = w.rank
@@ -86,17 +80,6 @@ class Polynomial:
 
     def constant_term(self) -> int | Fraction:
         return self.terms.get((0,) * self.rank, 0)
-
-    def total_degree(self) -> int:
-        """Maximum total degree; 0 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=0)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
-    def coefficient(self, exp: Monomial) -> int | Fraction:
-        return self.terms.get(exp, 0)
 
     # ---- ring operations ------------------------------------------------
 
@@ -259,9 +242,10 @@ def format_polynomial(p: Polynomial, var_prefix: str = "a") -> str:
 # One step of the scan: an operator, then a factor, each after optional
 # whitespace.  The operator is "+" or "-" before a term (optional before the
 # first one) or "*" between two factors of a term; a factor is a number with
-# an optional "/denominator", or a variable with an optional "^power".
+# an optional "/denominator", or a variable with an optional "^power"; the
+# digits are ASCII ones, which ``\d`` and ``int`` are not limited to.
 _STEP = re.compile(
-    r"\s*([-+*]?)\s*(?:(\d+)(?:\s*/\s*(\d+))?|([a-zA-Z]+)(\d+)(?:\s*\^\s*(\d+))?)"
+    r"\s*([-+*]?)\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?|([a-zA-Z]+)([0-9]+)(?:\s*\^\s*([0-9]+))?)"
 )
 
 
@@ -271,8 +255,9 @@ def parse_polynomial(text: str, rank: int, var_prefix: str = "a") -> Polynomial:
 
     A term is an optional sign and factors joined by ``*``; a factor is
     ``n``, ``p/q`` with ``q`` nonzero, ``aK`` or ``aK^n`` with ``K`` in
-    ``1..rank``.  Whitespace may separate any two tokens.  Any other text
-    raises a :class:`ValueError` with a one-line message.
+    ``1..rank``, numbers in ASCII digits.  Whitespace may separate any two
+    tokens.  Any other text raises a :class:`ValueError` with a one-line
+    message.
     """
     terms: dict[Monomial, int | Fraction] = {}
     exps = None  # exponents of the open term, None until the first term

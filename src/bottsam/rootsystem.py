@@ -12,6 +12,7 @@ usual Bourbaki numbering of Dynkin diagrams.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -50,16 +51,24 @@ MEMO_MAX_ENTRIES = 4096
 
 
 def parse_word(text: str) -> SimpleWord:
-    """Parse a comma- or space-separated word of 1-based indices.
+    """Parse a comma- or space-separated word of 1-based indices, each ASCII
+    digits after an optional sign (``int`` would also read other digits).
 
     An empty or all-whitespace string is the empty word (the identity).
     """
     parts = text.replace(",", " ").split()
-    try:
-        letters = tuple(int(p) for p in parts)
-    except ValueError:
+    if not all(p.isascii() and p[p[0] in "+-":].isdigit() for p in parts):
         raise IndexOutOfRange(f"word {text!r} contains a non-integer letter")
-    return letters
+    return tuple(map(int, parts))
+
+
+def letters_of(word: Iterable) -> SimpleWord:
+    """A word's letters as ``int``; a float, a ``Fraction`` or a string is
+    refused, never truncated or parsed."""
+    try:
+        return tuple(map(operator.index, word))
+    except TypeError:
+        raise IndexOutOfRange(f"word {word!r} has a letter that is not an integer") from None
 
 
 def format_word(word: Sequence[int]) -> str:
@@ -69,12 +78,13 @@ def format_word(word: Sequence[int]) -> str:
 def exact(value) -> int | Fraction:
     """An exact coefficient: ``int`` when ``value`` is integral, else a
     ``Fraction``.  Roots and everything built from them stay on ``int``.
-    A ``float`` is refused: it holds a binary fraction, not the number
-    written."""
+    A ``float`` is refused, since it holds a binary fraction, not the number
+    written; so is a ``str``, since text is read by the polynomial grammar."""
     if type(value) is int:
         return value
-    if isinstance(value, float):
-        raise ValueError(f"coefficient {value!r} is a float; give an int or a Fraction")
+    if isinstance(value, (float, str)):
+        kind = type(value).__name__
+        raise ValueError(f"coefficient {value!r} is a {kind}; give an int or a Fraction")
     q = Fraction(value)
     return q.numerator if q.denominator == 1 else q
 
@@ -109,10 +119,6 @@ class Weight:
     def of(cls, values: Iterable[Fraction | int]) -> "Weight":
         return cls(tuple(exact(v) for v in values))
 
-    @classmethod
-    def zero(cls, rank: int) -> "Weight":
-        return cls((0,) * rank)
-
     @property
     def rank(self) -> int:
         return len(self.coords)
@@ -120,27 +126,6 @@ class Weight:
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
-
-    def __add__(self, other: "Weight") -> "Weight":
-        self._check_rank(other)
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        self._check_rank(other)
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
-
-    def __rmul__(self, scalar: Fraction | int) -> "Weight":
-        s = exact(scalar)
-        return Weight(tuple(s * a for a in self.coords))
-
-    def _check_rank(self, other: "Weight") -> None:
-        if len(self.coords) != len(other.coords):
-            raise RankMismatch(
-                f"weights of rank {len(self.coords)} and {len(other.coords)}"
-            )
 
     def __str__(self) -> str:
         parts: list[str] = []
@@ -187,35 +172,6 @@ class WeylElement:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    @property
-    def is_identity(self) -> bool:
-        return self == WeylElement.identity(len(self.rows))
-
-    def apply(self, lam: Weight) -> Weight:
-        if lam.rank != self.rank:
-            raise RankMismatch(
-                f"element of rank {self.rank} applied to weight of rank {lam.rank}"
-            )
-        return Weight(
-            tuple(
-                sum(row[k] * lam.coords[k] for k in range(self.rank))
-                for row in self.rows
-            )
-        )
-
-    def __matmul__(self, other: "WeylElement") -> "WeylElement":
-        """Compose: ``(self @ other)`` acts by ``other`` first."""
-        if self.rank != other.rank:
-            raise RankMismatch("composing Weyl elements of different ranks")
-        n = self.rank
-        cols = list(zip(*other.rows))
-        return WeylElement(
-            tuple(
-                tuple(sum(row[k] * col[k] for k in range(n)) for col in cols)
-                for row in self.rows
-            )
-        )
 
     def __repr__(self) -> str:
         return f"WeylElement({self.rows})"
@@ -307,14 +263,12 @@ class RootSystem:
 
     def __init__(self, spec: CartanSpec):
         spec.validate()
-        self.spec = spec
         self.rank = spec.rank
         self.cartan = spec.matrix
         self.label = spec.label
         # the identity and each Cartan row's nonzero entries, for the
         # integer reflection step
         self.identity_rows: Rows = WeylElement.identity(self.rank).rows
-        self.simple_roots = tuple(Weight.of(r) for r in self.identity_rows)
         self._cartan_nonzero = tuple(
             tuple((k, a) for k, a in enumerate(row) if a) for row in self.cartan
         )
@@ -342,37 +296,11 @@ class RootSystem:
         name = self.label or f"rank-{self.rank}"
         return f"RootSystem({name}, {len(self.positive_roots)} positive roots)"
 
-    # ---- Cartan pairing and reflections -------------------------------
+    # ---- reflections ---------------------------------------------------
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.rank:
             raise IndexOutOfRange(f"simple-root index {i} not in 1..{self.rank}")
-
-    def cartan_pairing(self, lam: Weight, i: int) -> int | Fraction:
-        """The coefficient c with r_i(lam) = lam - c*alpha_i.
-
-        For lam in the root lattice this is the integer <lam, alpha_i^vee>.
-        """
-        self._check_index(i)
-        if len(lam.coords) != self.rank:
-            raise RankMismatch(
-                f"weight of rank {len(lam.coords)} against rank {self.rank}"
-            )
-        row = self.cartan[i - 1]
-        return sum(c * a for c, a in zip(lam.coords, row) if a)
-
-    def reflect(self, i: int, lam: Weight) -> Weight:
-        c = self.cartan_pairing(lam, i)
-        if c == 0:
-            return lam
-        # lam - c * alpha_i: only the i-th coordinate moves
-        coords = list(lam.coords)
-        coords[i - 1] -= c
-        return Weight(tuple(coords))
-
-    def simple_reflection(self, i: int) -> WeylElement:
-        self._check_index(i)
-        return WeylElement(self.times_reflection(self.identity_rows, i))
 
     def times_reflection(self, rows: Rows, i: int) -> Rows:
         """The rows of ``u r_i`` from the rows of ``u``: column k becomes
@@ -393,7 +321,7 @@ class RootSystem:
     def weyl_from_word(self, word: Sequence[int]) -> WeylElement:
         """The product r_{i_1}···r_{i_l}; the empty word is the identity."""
         rows = self.identity_rows
-        for i in word:
+        for i in letters_of(word):
             self._check_index(i)
             rows = self.times_reflection(rows, i)
         return WeylElement(rows)
@@ -445,7 +373,7 @@ class RootSystem:
 
     def is_reduced(self, word: Sequence[int]) -> bool:
         """Whether every letter raises the length of the product before it."""
-        word = tuple(word)
+        word = letters_of(word)
         for i in word:
             self._check_index(i)
         rows = self.identity_rows
@@ -472,9 +400,6 @@ class RootSystem:
                 break
         self._longest_word = tuple(word)
         return self._longest_word
-
-    def longest_element(self) -> WeylElement:
-        return self.weyl_from_word(self.longest_word())
 
     def weyl_elements(self) -> list[WeylElement]:
         """All elements of W, by breadth-first closure under the generators.

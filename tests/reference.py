@@ -1,0 +1,43 @@
+"""Reference routes for the tests: Weyl-group elements as plain integer
+matrices, built straight from the Cartan matrix and multiplied row by column.
+
+Coordinates are in the simple-root basis and a matrix acts on coordinate
+columns, so column k of an element's matrix is the image of alpha_{k+1}, as
+in ``WeylElement.rows``.  The package moves an element by one reflection at a
+time (``RootSystem.times_reflection``); nothing here calls it.
+"""
+
+from bottsam import WeylElement
+
+
+def identity(n):
+    return tuple(tuple(int(j == k) for k in range(n)) for j in range(n))
+
+
+def matmul(a, b):
+    """The product of two matrices given as rows: ``b`` acts first."""
+    cols = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def act(rows, coords):
+    """The image of a coordinate tuple under a matrix given as rows."""
+    return tuple(sum(x * c for x, c in zip(row, coords)) for row in rows)
+
+
+def reflection(cartan, i):
+    """The matrix of r_i (1-based): r_i(alpha_k) = alpha_k - A[i][k] alpha_i,
+    so only row i differs from the identity."""
+    n = len(cartan)
+    return tuple(
+        tuple(int(j == k) - (j == i - 1) * cartan[i - 1][k] for k in range(n))
+        for j in range(n)
+    )
+
+
+def element(rs, word):
+    """r_{i_1} ... r_{i_l} as a product of reflection matrices."""
+    rows = identity(rs.rank)
+    for i in word:
+        rows = matmul(rows, reflection(rs.cartan, i))
+    return WeylElement(rows)

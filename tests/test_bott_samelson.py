@@ -71,12 +71,10 @@ def test_gallery_basics():
     assert e.ones == 2
     assert e.support == (1, 3)
     assert str(e) == "101"
-    assert e.flipped(2) == g("111")
-    assert e.flipped(1) == g("001")
     assert Gallery.zero(3) == g("000")
     assert Gallery.unit(3, 2) == g("010")
     with pytest.raises(IndexOutOfRange):
-        e.flipped(4)
+        Gallery.unit(3, 4)
     with pytest.raises(ValueError):
         Gallery.from_string("102")
 

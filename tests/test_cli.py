@@ -238,6 +238,14 @@ def test_bad_cartan_file_is_a_user_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_json_is_written_in_batches_as_json_dumps_would_print_it(capsys, monkeypatch):
+    writes = []
+    monkeypatch.setattr("sys.stdout.write", writes.append)
+    assert main(["--type", "B2", "--word", "1,2,1,2,1,2,1", "table", "--json"]) == 0
+    out = "".join(writes)
+    assert len(writes) > 3 and out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_conflicting_cartan_sources(tmp_path, capsys):
     path = tmp_path / "b2.json"
     path.write_text(json.dumps({"matrix": [[2, -1], [-2, 2]]}))
@@ -249,6 +257,11 @@ def test_letter_out_of_range_is_a_user_error(capsys):
     code, _, err = run(capsys, "--type", "A2", "--word", "1,3", "table")
     assert code == 2
     assert "IndexOutOfRange" in err
+    # a letter is ASCII digits: Arabic-Indic and fullwidth digits, "_" separators
+    for word in ["\u0661,2", "\uff11,\uff12", "1_0"]:
+        code, out, err = run(capsys, "--type", "A2", "--word", word, "table")
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert "contains a non-integer letter" in err
 
 
 def test_missing_word_is_a_user_error(capsys):
@@ -293,6 +306,8 @@ MALFORMED_CLASSES = [
     '{"word": [1, 2, 1], "coords": {"011": "1/0"}}',
     '{"word": [1, 2, 1], "coords": {"011": "a1^"}}',
     '{"word": [1, 2, 1], "coords": {"011": "1/"}}',
+    '{"word": [1, 2, 1], "coords": {"011": "\\u0661"}}',
+    '{"word": [1, 2, 1], "coords": {"011": "\\u0663/\\u0664*a2"}}',
     '{"word": [1, 2, 1], "coords": {"01": "1"}}',
     '{"word": "121", "coords": {}}',
     '{"word": [1, 2, true], "coords": {}}',

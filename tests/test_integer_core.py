@@ -55,13 +55,9 @@ def class_coefficients(c: CohClass) -> list:
 
 @pytest.mark.parametrize("rs", SYSTEMS, ids=IDS)
 def test_root_system_data_is_int(rs):
-    assert_int(x for b in rs.simple_roots + rs.positive_roots for x in b.coords)
-    for beta in rs.positive_roots:
-        for i in range(1, rs.rank + 1):
-            assert_int([rs.cartan_pairing(beta, i)])
-            assert_int(rs.reflect(i, beta).coords)
-            assert_int(rs.simple_reflection(i).apply(beta).coords)
-    assert_int(Weight.zero(rs.rank).coords)
+    assert_int(x for b in rs.positive_roots for x in b.coords)
+    for w in rs.weyl_elements()[:: max(1, len(rs.weyl_elements()) // 40)]:
+        assert_int(x for row in w.rows for x in row)
     assert_int(Weight.of(Fraction(k, 1) for k in range(rs.rank)).coords)
 
 
@@ -101,7 +97,7 @@ def test_rational_text_keeps_fractions():
     assert format_polynomial(p) == "1/2*a1 - 3/4"
 
     q = parse_polynomial("4/2*a1", 2)
-    assert q == parse_polynomial("2*a1", 2) == 2 * Polynomial.variable(2, 1)
+    assert q == parse_polynomial("2*a1", 2) == 2 * Polynomial.from_weight(Weight.of((1, 0)))
     assert_int(coefficients(q))
     assert format_polynomial(q) == "2*a1"
 
@@ -113,7 +109,7 @@ def test_rational_text_keeps_fractions():
 
 
 def test_inexact_quotient_is_a_fraction_and_exact_one_an_int():
-    a1 = Polynomial.variable(2, 1)
+    a1 = parse_polynomial("a1", 2)
     quot = divide_exact(a1 * a1 + a1, Weight.of((2, 0)))
     assert quot == parse_polynomial("1/2*a1 + 1/2", 2)
     assert all(type(c) is Fraction for c in coefficients(quot))
@@ -140,16 +136,20 @@ def test_no_float_anywhere():
     for p in cases:
         assert not any(isinstance(c, float) for c in coefficients(p)), p
     assert_int([Polynomial.constant(2, Fraction(6, 3)).constant_term()])
-    assert_int([Polynomial.zero(2).constant_term(), Polynomial.one(2).coefficient((1, 0))])
+    assert_int([Polynomial.zero(2).constant_term(), Polynomial.one(2).constant_term()])
     word = BSWord(RootSystem.from_label("A2"), (1, 2, 1))
     x, y = Gallery.from_string("001"), Gallery.from_string("100")
-    half = OrdinaryClass(word, {x: "2/4", y: Fraction(4, 2)})
+    half = OrdinaryClass(word, {x: Fraction(2, 4), y: Fraction(4, 2)})
     assert half.coords == {x: Fraction(1, 2), y: 2}
     assert [type(c) for c in half.coords.values()] == [Fraction, int]
     assert str(half) == "2*x_{100} + 1/2*x_{001}"
 
 
-@pytest.mark.parametrize("value", [0.1, 0.5, 2.0, 0.0, float("inf"), float("nan")])
+# a text is read by the polynomial grammar (the JSON readers), never by Fraction
+TEXTS = ["1e3", "1.5", "1_000", " 3 ", "2/4", "0"]
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, 2.0, 0.0, float("inf"), float("nan"), *TEXTS])
 def test_constructors_refuse_a_float_coefficient_alike(value):
     word = BSWord(RootSystem.from_label("A2"), (1, 2, 1))
     e = Gallery.from_string("001")
@@ -160,7 +160,7 @@ def test_constructors_refuse_a_float_coefficient_alike(value):
         lambda: CohClass(word, {e: value}),
     ]
     for build in constructors:
-        with pytest.raises(ValueError, match="is a float; give an int or a Fraction") as info:
+        with pytest.raises(ValueError, match="is a (float|str); give an int or a Fraction") as info:
             build()
         assert "\n" not in str(info.value)
     # exact values of every kind still go in

@@ -5,12 +5,11 @@ plain subword sum; ``ordinary_multiply`` (the generator corrections at the
 overlap) with the localization product evaluated at the origin, which
 shares no table with it, and with ``multiply`` evaluated there; and the
 integer descent walks of the root system with the inversion count and with
-chained matrix products.
+products of reflection matrices built from the Cartan matrix
+(``reference``).
 """
 
-import functools
 import itertools
-import operator
 import random
 from fractions import Fraction
 
@@ -29,6 +28,7 @@ from bottsam import (
     RankMismatch,
     Polynomial,
     RootSystem,
+    Weight,
     WeylElement,
     beta_sequence,
     billey,
@@ -40,6 +40,7 @@ from bottsam import (
     ordinary_multiply,
 )
 from bottsam.schubert import check_billey_identities
+from reference import act, element
 
 CUSTOM = {
     "A1xA1": ((2, 0), (0, 2)),
@@ -51,34 +52,32 @@ SYSTEMS = [RootSystem.from_label(label) for label in sorted(BUILTIN_CARTAN)] + [
 IDS = [rs.label for rs in SYSTEMS]
 
 
-def chained(rs, word):
-    """The product of simple reflections by matrix multiplication."""
-    return functools.reduce(
-        operator.matmul,
-        (rs.simple_reflection(i) for i in word),
-        WeylElement.identity(rs.rank),
-    )
-
-
 def inversions(rs, w):
     """The positive roots that ``w`` sends to negative roots, by applying
     its matrix to each of them."""
-    return sum(any(c < 0 for c in w.apply(beta).coords) for beta in rs.positive_roots)
+    return sum(any(c < 0 for c in act(w.rows, beta.coords)) for beta in rs.positive_roots)
+
+
+def betas(rs, v_word):
+    """``r_{i_1} .. r_{i_{j-1}}(alpha_{i_j})`` for each position j: the
+    image of a simple root under a prefix, by matrices."""
+    return [
+        Weight(act(element(rs, v_word[:j]).rows, rs.identity_rows[i - 1]))
+        for j, i in enumerate(v_word)
+    ]
 
 
 def subword_sum(rs, v_word, w):
     """Billey's formula as written: every set of positions of ``v_word`` of
     size ``l(w)`` whose reflections multiply to ``w``, times the product of
     the betas at those positions."""
-    betas = []
-    for j, i in enumerate(v_word):
-        betas.append(chained(rs, v_word[:j]).apply(rs.simple_roots[i - 1]))
+    roots = betas(rs, v_word)
     total = Polynomial.zero(rs.rank)
     for on in itertools.combinations(range(len(v_word)), rs.length(w)):
-        if chained(rs, [v_word[j] for j in on]) == w:
+        if element(rs, [v_word[j] for j in on]) == w:
             term = Polynomial.one(rs.rank)
             for j in on:
-                term = term * Polynomial.from_weight(betas[j])
+                term = term * Polynomial.from_weight(roots[j])
             total = total + term
     return total
 
@@ -87,13 +86,13 @@ def subword_sum(rs, v_word, w):
 def test_billey_matches_the_subword_sum_on_longest_word_prefixes(rs):
     rng = random.Random(f"billey:{rs.label}")
     lw = rs.longest_word()
-    w0 = rs.longest_element()
+    w0 = element(rs, lw)
     identity = WeylElement.identity(rs.rank)
     zeros = 0
     for n in range(len(lw) + 1):
         v = lw[:n]
         elements = [identity, w0]
-        elements += [rs.simple_reflection(i) for i in range(1, rs.rank + 1)]
+        elements += [element(rs, (i,)) for i in range(1, rs.rank + 1)]
         for _ in range(2):
             word = [rng.randint(1, rs.rank) for _ in range(rng.randint(1, max(1, n)))]
             elements.append(rs.weyl_from_word(word))
@@ -117,9 +116,7 @@ def test_billey_matches_the_subword_sum_on_longest_word_prefixes(rs):
 @pytest.mark.parametrize("rs", SYSTEMS, ids=IDS)
 def test_beta_sequence_matches_matrix_products(rs):
     lw = rs.longest_word()
-    expected = [
-        chained(rs, lw[:j]).apply(rs.simple_roots[i - 1]) for j, i in enumerate(lw)
-    ]
+    expected = betas(rs, lw)
     assert beta_sequence(rs, lw) == expected
     assert set(expected) == set(rs.positive_roots)
 
@@ -165,18 +162,18 @@ def test_descent_walks_match_inversion_counts_and_matrix_products(rs):
     for _ in range(300):
         word = tuple(rng.randint(1, rs.rank) for _ in range(rng.randint(0, top)))
         w = rs.weyl_from_word(word)
-        assert w == chained(rs, word)
+        assert w == element(rs, word)
         assert rs.length(w) == inversions(rs, w)
         assert rs.is_reduced(word) == (rs.length(w) == len(word))
         reduced += rs.is_reduced(word)
     assert reduced > 0
     lw = rs.longest_word()
     assert rs.is_reduced(lw)
-    assert rs.length(rs.longest_element()) == len(rs.positive_roots)
+    assert rs.length(element(rs, lw)) == len(rs.positive_roots)
     # the point of a gallery is the product of its on reflections
     word = BSWord(rs, [rng.randint(1, rs.rank) for _ in range(8)])
     for e in word.galleries()[::7]:
-        assert word.v(e) == chained(rs, [word.letters[k - 1] for k in e.support])
+        assert word.v(e) == element(rs, [word.letters[k - 1] for k in e.support])
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
@@ -190,7 +187,7 @@ def test_fiber_and_identities_over_every_gallery(label):
         assert fiber(word, w) == by_definition
         agree = check_billey_identities(word, w, reduced)
         assert agree == [True] * len(reduced)
-    w = rs.simple_reflection(1)
+    w = rs.weyl_from_word((1,))
     assert check_billey_identities(word, w, reduced[:3]) == [
         check_billey_identity(word, w, e) for e in reduced[:3]
     ]
@@ -214,6 +211,14 @@ def test_non_reduced_and_out_of_range_words_still_raise():
             a2.is_reduced(v)
         with pytest.raises(IndexOutOfRange):
             a2.weyl_from_word(v)
+    # a letter that is not an integer is refused, never truncated or parsed
+    calls = [a2.is_reduced, a2.weyl_from_word, lambda v: beta_sequence(a2, v),
+             lambda v: BilleyQuery(a2, w, v), lambda v: BSWord(a2, v)]
+    for v in [(1.5, 2), (1.0, 2), (Fraction(3, 2),), ("1", 2), "12"]:
+        for call in calls:
+            with pytest.raises(IndexOutOfRange, match="not an integer") as info:
+                call(v)
+            assert "\n" not in str(info.value)
     # an element of another rank is refused, not read as a wrong matrix
     a3 = RootSystem.from_label("A3").weyl_from_word((1, 3))
     with pytest.raises(RankMismatch):

@@ -18,7 +18,7 @@ from bottsam.rootsystem import exact
 
 # ---- the reference parser ---------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<var>[a-zA-Z]+\d+)|(?P<num>\d+)|(?P<op>[-+*/^]))")
+_TOKEN = re.compile(r"\s*(?:(?P<var>[a-zA-Z]+[0-9]+)|(?P<num>[0-9]+)|(?P<op>[-+*/^]))")
 
 
 def _tokenize(text, var_prefix):
@@ -135,11 +135,11 @@ def reference_parse(text, rank, var_prefix="a"):
 
 # Every token class of the grammar and its near misses: indices 0 and 10,
 # other and longer variable names, a bare letter, zero and unreduced
-# fractions, a zero denominator, dangling operators, an unknown character
-# and whitespace inside a factor.
+# fractions, a zero denominator, dangling operators, an unknown character,
+# whitespace inside a factor and digits that are not ASCII.
 ALPHABET = (
     "a1", "a2", "a3", "a0", "a10", "b1", "ab1", "3", "0", "1/2", "4/2", "2/0",
-    "/", "+", "-", "*", "^", "^2", " ", "\t", "?", "a", "1 / 3", "a2 ^ 3",
+    "/", "+", "-", "*", "^", "^2", " ", "\t", "?", "a", "1 / 3", "a2 ^ 3", "\u0661", "a\uff12",
 )
 FACTORS = ("a1", "a2", "a3", "3", "0", "1/2", "4/2", "1 / 3", "a2 ^ 3", "a1^2", "12")
 JOINS = ("*", " * ", "*\t")

@@ -75,7 +75,7 @@ def test_billey_length_two_elements():
 
 
 def test_billey_longest_element_is_the_full_product():
-    w0 = A2.longest_element()
+    w0 = A2.weyl_from_word(A2.longest_word())
     assert billey(BilleyQuery(A2, w0, (1, 2, 1))) == p("a1^2*a2 + a1*a2^2")
     # in general the diagonal value is the product of all betas
     for rs, word in ((A2, (1, 2, 1)), (B2, (1, 2, 1, 2)), (B2, (2, 1))):
@@ -97,8 +97,7 @@ def test_billey_homogeneous_of_length_degree():
         for w in rs.weyl_elements():
             value = billey(BilleyQuery(rs, w, v_word))
             if not value.is_zero:
-                assert value.is_homogeneous()
-                assert value.total_degree() == rs.length(w)
+                assert {sum(e) for e in value.terms} == {rs.length(w)}
 
 
 def test_billey_rejects_non_reduced_v():
@@ -118,7 +117,7 @@ def test_fiber_examples():
     word = BSWord(A2, (1, 2, 1))
     assert fiber(word, A2.weyl_from_word(())) == {g("000")}
     assert fiber(word, A2.weyl_from_word((1,))) == {g("100"), g("001")}
-    assert fiber(word, A2.longest_element()) == {g("111")}
+    assert fiber(word, A2.weyl_from_word(A2.longest_word())) == {g("111")}
     # fibers of all elements partition the reduced galleries
     total = set()
     for w in A2.weyl_elements():
@@ -133,7 +132,7 @@ def test_check_billey_identity_examples():
     word = BSWord(A2, (1, 2, 1))
     assert check_billey_identity(word, A2.weyl_from_word(()), g("111"))
     assert check_billey_identity(word, A2.weyl_from_word((1,)), g("111"))
-    assert check_billey_identity(word, A2.longest_element(), g("111"))
+    assert check_billey_identity(word, A2.weyl_from_word(A2.longest_word()), g("111"))
 
 
 def test_check_billey_identity_exhaustive_a2():
