@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import and_, mul
 from typing import Iterator
 
 from . import rootsystem
@@ -149,11 +150,10 @@ class Gallery:
 class BSWord:
     """A word of simple reflections together with its gallery combinatorics.
 
-    Caches, per gallery, the list of localization weights
-    ``alpha_i(eps) = v_{i-1}(eps)(mu_i)``, where ``v_j(eps)`` is the product
-    of the reflections at the on positions up to ``j`` (applied
-    left-to-right); the triangular restriction values ``sigma_eps(eps')``
-    are products of them.
+    The localization weight ``alpha_i(eps)``, the image of letter i's simple
+    root under the product ``v_{i-1}(eps)`` of the on reflections before i,
+    is found per call (:func:`_walk`), never kept; the triangular
+    restriction values ``sigma_eps(eps')`` are products of weights.
     """
 
     def __init__(
@@ -177,8 +177,7 @@ class BSWord:
         self.letters = letters
         self.n = len(letters)
         self._galleries: list[Gallery] | None = None
-        self._alphas: dict[int, tuple[Weight, ...]] = {}  # keyed by gallery mask
-        self._form_poly: dict[Weight, Polynomial] = {}
+        self._form_poly: dict[tuple, Polynomial] = {}  # keyed by coordinates
         # the rule for x_{k+1} on bit k on, keyed by (k, bits below k); read
         # by ``multiply`` and, corrections only, by ``ordinary_multiply``
         self._generators: dict[tuple[int, int], tuple[tuple, tuple]] = {}
@@ -209,32 +208,12 @@ class BSWord:
     def v(self, e: Gallery) -> WeylElement:
         """The Weyl-group point of the gallery: all on reflections in order."""
         self.check_gallery(e)
-        rows = self.rs.identity_rows
-        for bit, i in zip(e.bits, self.letters):
-            if bit:
-                rows = self.rs.times_reflection(rows, i)
-        return WeylElement(rows)
+        return self.rs.weyl_from_word([i for bit, i in zip(e.bits, self.letters) if bit])
 
-    def alphas(self, e: Gallery) -> tuple[Weight, ...]:
-        """The localization weights (alpha_1(e), .., alpha_N(e))."""
-        self.check_gallery(e)
-        cached = self._alphas.get(e.mask)
-        if cached is None:
-            out = []
-            rows = self.rs.identity_rows
-            for bit, i in zip(e.bits, self.letters):
-                out.append(Weight(tuple(r[i - 1] for r in rows)))
-                if bit:
-                    rows = self.rs.times_reflection(rows, i)
-            cached = tuple(out)
-            self._alphas[e.mask] = cached
-        return cached
-
-    def _poly_of(self, w: Weight) -> Polynomial:
-        p = self._form_poly.get(w)
+    def _poly_of(self, form: tuple) -> Polynomial:
+        p = self._form_poly.get(form)
         if p is None:
-            p = Polynomial.from_weight(w)
-            self._form_poly[w] = p
+            p = self._form_poly[form] = Polynomial.from_weight(Weight(form))
         return p
 
     # ---- the triangular basis ---------------------------------------------
@@ -242,15 +221,7 @@ class BSWord:
     def sigma(self, e: Gallery, ep: Gallery) -> Polynomial:
         """Value of the basis class of gallery ``e`` at fixed point ``ep``:
         ``prod_{i on in e} alpha_i(ep)`` when e <= ep, else 0."""
-        self.check_gallery(e)
-        self.check_gallery(ep)
-        if e.mask & ~ep.mask:
-            return Polynomial.zero(self.rs.rank)
-        weights = self.alphas(ep)
-        out = Polynomial.one(self.rs.rank)
-        for i in e.support:
-            out = out * self._poly_of(weights[i - 1])
-        return out
+        return CohClass.basis(self, e).restriction(ep)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BSWord):
@@ -309,14 +280,11 @@ class CohClass:
 
     def restriction(self, ep: Gallery) -> Polynomial:
         """Value at the fixed point ``ep``; only coordinates below ``ep``
-        contribute."""
+        contribute, and the weights of ``ep`` are found only when one does."""
         self.word.check_gallery(ep)
-        out = Polynomial.zero(self.word.rs.rank)
-        off = ~ep.mask
-        for e, c in self.coords.items():
-            if not e.mask & off:
-                out = out + c * self.word.sigma(e, ep)
-        return out
+        if any(not e.mask & ~ep.mask for e in self.coords):
+            return _value(self, ep.mask, _walk(self.word, ep.mask, ep.mask)[0])
+        return Polynomial.zero(self.word.rs.rank)
 
     def __add__(self, other) -> "CohClass":
         if not isinstance(other, CohClass):
@@ -423,17 +391,55 @@ def read_class_doc(
     return word, items
 
 
-def _cube(base: int, free: list[int]) -> list[int]:
-    """Every mask that equals ``base`` outside the 0-based positions
-    ``free``, which are off in ``base``."""
-    out = [base]
-    for k in reversed(free):
-        out += [m | 1 << 8 * k for m in out]
+def _walk(word: BSWord, low: int = 0, high: int | None = None) -> tuple[dict, list[int]]:
+    """The weights of the galleries ``b`` with ``low <= b <= high`` (masks;
+    ``high`` has every position on by default, and ``low = -1`` means it
+    too), and those galleries.  ``alpha_k(b)`` depends only on the bits of
+    ``b`` before k, so its coordinates are kept once, under those bits with
+    bit k set, for each k on in ``high``: one reflection per on edge."""
+    rs = word.rs
+    high = int.from_bytes(b"\1" * word.n, "little") if high is None else high
+    weights, forms, level = {}, {}, {0: rs.identity_rows}
+    for k, i in enumerate(word.letters):
+        bit = 1 << 8 * k
+        if not high & bit:
+            continue
+        for prefix, rows in level.items():
+            form = tuple(r[i - 1] for r in rows)
+            weights[prefix | bit] = forms.setdefault(form, form)
+        later = high >> 8 * k > 1  # rows past the last on position go unread
+        on = {p | bit: rs.times_reflection(rows, i) if later else rows
+              for p, rows in level.items()}
+        level = on if low & bit else level | on
+    return weights, list(level)
+
+
+def _value(c: CohClass, b: int, weights: dict) -> Polynomial:
+    """``c`` at the fixed point ``b``, from weights covering ``b``: each
+    coordinate below ``b`` times the weights of ``b`` at its on positions."""
+    out = Polynomial.zero(c.word.rs.rank)
+    for e, p in c.coords.items():
+        e = e.mask
+        if not e & ~b:
+            while e:
+                bit = e & -e
+                e ^= bit
+                p = p * c.word._poly_of(weights[b & (bit << 1) - 1])
+            out = out + p
     return out
 
 
+def _rows(word: BSWord, weights: dict) -> Iterator[tuple[Gallery, dict[int, Polynomial]]]:
+    """Each basis class in the canonical gallery order, with its nonzero
+    values keyed by mask, from the weights of the whole word."""
+    masks = [g.mask for g in word.galleries()]
+    for e in word.galleries():
+        c = CohClass.basis(word, e)
+        yield e, {b: _value(c, b, weights) for b in masks if not e.mask & ~b}
+
+
 def _butterfly(
-    word: BSWord, values: dict[int, Polynomial], positions
+    word: BSWord, values: dict[int, Polynomial], positions, weights: dict
 ) -> dict[int, Polynomial]:
     """Push fixed-point values down the word's tower of P^1-bundles.
 
@@ -445,12 +451,13 @@ def _butterfly(
     ``F[e]`` is the localization integral of the values over the subvariety
     of ``e``: the ``e`` coordinate of the class they restrict.  Each
     division is exact for the values of a class (its first level is the GKM
-    edge condition); a remainder raises :class:`NotInSpan`.
+    edge condition); a remainder raises :class:`NotInSpan`.  ``weights``
+    cover every gallery reached.
     """
     f = {b: p for b, p in values.items() if not p.is_zero}
     n = word.n
     for i in sorted(positions, reverse=True):
-        k, bit = i - 1, 1 << 8 * (i - 1)
+        bit = 1 << 8 * (i - 1)
         before, f = f, {}
         for b, p in before.items():
             if b & bit:
@@ -465,7 +472,7 @@ def _butterfly(
                 if b in before:
                     continue  # the difference is taken at b
                 p = -p
-            form = word.alphas(Gallery._of_mask(b, n))[k]
+            form = Weight(weights[b & (bit << 1) - 1])
             try:
                 f[b] = divide_exact(p, form)
             except NotDivisible:
@@ -476,8 +483,8 @@ def _butterfly(
     return f
 
 
-def _class_of(word: BSWord, values: dict[int, Polynomial]) -> CohClass:
-    coords = _butterfly(word, values, range(1, word.n + 1))
+def _class_of(word: BSWord, values: dict[int, Polynomial], weights: dict) -> CohClass:
+    coords = _butterfly(word, values, range(1, word.n + 1), weights)
     return CohClass(word, {Gallery._of_mask(b, word.n): p for b, p in coords.items()})
 
 
@@ -493,7 +500,8 @@ def expand(word: BSWord, values: dict[Gallery, Polynomial]) -> CohClass:
         if not isinstance(p, Polynomial):
             p = Polynomial.constant(word.rs.rank, p)
         table[e.mask] = p
-    return _class_of(word, table)
+    # every gallery the butterfly reaches lies above the meet of the values
+    return _class_of(word, table, _walk(word, reduce(and_, table, -1))[0])
 
 
 def _generator(word: BSWord, k: int, low: int, spill: dict) -> tuple[tuple, tuple]:
@@ -616,23 +624,16 @@ def multiply_by_localization(c1: CohClass, c2: CohClass) -> CohClass:
     """Product of two classes pointwise on fixed points, then expanded.
 
     The product vanishes at a fixed point unless it lies above the join of
-    a support gallery of each factor, so only those points are evaluated;
-    for two basis classes they form one cube.  The independent route
-    behind the product checks; :func:`multiply` is the one to use.
+    a support gallery of each factor, so only the points above the meet of
+    the joins are evaluated, one cube for two basis classes.  The independent
+    route behind the product checks; :func:`multiply` is the one to use.
     """
     if c1.word != c2.word:
         raise WordMismatch("classes over different words")
-    n = c1.word.n
-    points: set[int] = set()
-    for e1 in c1.coords:
-        for e2 in c2.coords:
-            join = e1.mask | e2.mask
-            points.update(_cube(join, [k for k in range(n) if not join >> 8 * k & 1]))
-    values = {}
-    for b in points:
-        e = Gallery._of_mask(b, n)
-        values[b] = c1.restriction(e) * c2.restriction(e)
-    return _class_of(c1.word, values)
+    joins = [e1.mask | e2.mask for e1 in c1.coords for e2 in c2.coords]
+    weights, points = _walk(c1.word, reduce(and_, joins, -1))
+    values = {b: _value(c1, b, weights) * _value(c2, b, weights) for b in points}
+    return _class_of(c1.word, values, weights)
 
 
 def multiply_generator(word: BSWord, i: int, e: Gallery) -> CohClass:
@@ -650,11 +651,12 @@ def restriction_table(word: BSWord) -> dict:
     text, both in the canonical gallery order.  ``rows`` is the one loop
     over the 4^N cells: an iterator that makes each row as it is read, so
     the whole table is never held, and that can be read once."""
-    gals = word.galleries()
+    gals, zero = word.galleries(), Polynomial.zero(word.rs.rank)
     return {
         "word": list(word.letters),
         "columns": [str(g) for g in gals],
-        "rows": ((str(e), [format_polynomial(word.sigma(e, ep)) for ep in gals]) for e in gals),
+        "rows": ((str(e), [format_polynomial(row.get(g.mask, zero)) for g in gals])
+                 for e, row in _rows(word, _walk(word)[0])),
     }
 
 
@@ -684,7 +686,8 @@ def integrate_by_localization(word: BSWord, e: Gallery, c: CohClass) -> Polynomi
     """Localization integral over the subvariety of gallery ``e``.
 
     Pushes the values of ``c`` at the fixed points below ``e`` down the
-    tower of ``e``'s on positions: ``|e| * 2^(|e| - 1)`` exact divisions.
+    tower of ``e``'s on positions, above the meet of the coordinates under
+    ``e``: at most ``|e| * 2^(|e| - 1)`` exact divisions.
     Raises :class:`NotInSpan` when a division leaves a remainder, which for
     a genuine class means a bug.  The independent route behind the integral
     checks; :func:`integrate` is the one to use.
@@ -692,6 +695,8 @@ def integrate_by_localization(word: BSWord, e: Gallery, c: CohClass) -> Polynomi
     word.check_gallery(e)
     if c.word != word:
         raise WordMismatch("class over a different word")
-    below = _cube(0, [i - 1 for i in e.support])
-    values = {b: c.restriction(Gallery._of_mask(b, word.n)) for b in below}
-    return _butterfly(word, values, e.support).get(e.mask, Polynomial.zero(word.rs.rank))
+    # a value below e is nonzero only above a coordinate under e
+    low = reduce(and_, [g.mask for g in c.coords if not g.mask & ~e.mask], e.mask)
+    weights, points = _walk(word, low, e.mask)
+    values = {b: _value(c, b, weights) for b in points}
+    return _butterfly(word, values, e.support, weights).get(e.mask, Polynomial.zero(word.rs.rank))

@@ -55,6 +55,12 @@ COMMON_DEFAULTS = {
 }
 
 
+def _ascii_int(text: str) -> int:  # as ``parse_word`` reads a letter
+    if text.isascii() and text[text[:1] in "+-":].isdigit():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("common options")
@@ -86,14 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g.add_argument(
         "--cap",
-        type=int,
+        type=_ascii_int,
         metavar="N",
         default=argparse.SUPPRESS,
         help=f"refuse words longer than N (default {DEFAULT_GALLERY_CAP})",
     )
     g.add_argument(
         "--seed",
-        type=int,
+        type=_ascii_int,
         metavar="K",
         default=argparse.SUPPRESS,
         help="seed for the randomized selftest checks (default 0)",

@@ -16,7 +16,7 @@ import itertools
 
 from . import rootsystem
 from .errors import NotLongestWord, NotReducedGallery, NotReducedWord, RankMismatch
-from .bott_samelson import BSWord, Gallery, _unpack
+from .bott_samelson import BSWord, CohClass, Gallery, _unpack
 from .polyring import Polynomial
 from .rootsystem import RootSystem, Rows, SimpleWord, Weight, WeylElement, ascends
 
@@ -210,13 +210,10 @@ def check_billey_identities(
         )
     if galleries is None:
         galleries = reduced_galleries(word)
-    fib = fiber(word, w)
+    fib = CohClass(word, dict.fromkeys(fiber(word, w), 1))
     interval = _weak_interval(rs, w)
     out = []
     for e in galleries:
         lhs = _sweep(BilleyQuery(rs, w, reduced_word_of_gallery(word, e)), *interval)
-        rhs = Polynomial.zero(rs.rank)
-        for ep in fib:
-            rhs = rhs + word.sigma(ep, e)
-        out.append(lhs == rhs)
+        out.append(lhs == fib.restriction(e))
     return out

@@ -17,6 +17,9 @@ from .bott_samelson import (
     BSWord,
     CohClass,
     Gallery,
+    _class_of,
+    _rows,
+    _walk,
     expand,
     multiply,
     multiply_by_localization,
@@ -82,13 +85,6 @@ def _delta_word_set(seed: int) -> list[tuple[RootSystem, SimpleWord]]:
     return out
 
 
-def _restriction_table(word: BSWord) -> dict[Gallery, dict[Gallery, Polynomial]]:
-    """Each basis class's nonzero values: ``sigma_e`` at the galleries above
-    ``e``."""
-    gals = word.galleries()
-    return {e: {ep: word.sigma(e, ep) for ep in gals if e.leq(ep)} for e in gals}
-
-
 def check_delta_integrals(seed: int = 0) -> CheckResult:
     """Integrals of basis classes over basis subvarieties are Kronecker
     deltas, for the longest word of each supported type and for random
@@ -103,9 +99,10 @@ def check_delta_integrals(seed: int = 0) -> CheckResult:
     for rs, letters in _delta_word_set(seed):
         words += 1
         word = BSWord(rs, letters)
-        for e, values in _restriction_table(word).items():
+        weights = _walk(word)[0]
+        for e, values in _rows(word, weights):
             pairs += 2**word.n
-            integrals = expand(word, values)
+            integrals = _class_of(word, values, weights)
             if integrals != CohClass.basis(word, e):
                 failures.append(
                     f"{rs.label} {letters}: integrals of {e} are {integrals}"
@@ -121,21 +118,22 @@ def check_delta_integrals(seed: int = 0) -> CheckResult:
 def check_generator_products(seed: int = 0) -> CheckResult:
     """The closed one-generator product rule agrees with pointwise
     multiplication plus expansion, over the same words as the delta suite.
-    Each word's restriction values are computed once; a product is
-    evaluated only above the join of its two factors."""
+    Each word's weights and restriction values are computed once; a
+    product is evaluated only above the join of its two factors."""
     t0 = time.perf_counter()
     failures: list[str] = []
     products = 0
     for rs, letters in _delta_word_set(seed):
         word = BSWord(rs, letters)
-        table = _restriction_table(word)
+        weights = _walk(word)[0]
+        table = dict(_rows(word, weights))
         for i in range(1, word.n + 1):
             gen = table[Gallery.unit(word.n, i)]
             for e, row in table.items():
                 products += 1
                 direct = multiply_generator(word, i, e)
                 values = {ep: v * row[ep] for ep, v in gen.items() if ep in row}
-                generic = expand(word, values)
+                generic = _class_of(word, values, weights)
                 if direct != generic:
                     failures.append(
                         f"{rs.label} {letters}: generator {i} times {e}:"

@@ -7,7 +7,7 @@ in ``WeylElement.rows``.  The package moves an element by one reflection at a
 time (``RootSystem.times_reflection``); nothing here calls it.
 """
 
-from bottsam import WeylElement
+from bottsam import Weight, WeylElement
 
 
 def identity(n):
@@ -41,3 +41,15 @@ def element(rs, word):
     for i in word:
         rows = matmul(rows, reflection(rs.cartan, i))
     return WeylElement(rows)
+
+
+def weights(rs, letters, bits):
+    """The localization weights (alpha_1, .., alpha_N) of a gallery: alpha_k
+    is the image of the simple root of letter k under the product of the
+    reflection matrices at the on positions before k."""
+    rows, out = identity(rs.rank), []
+    for bit, i in zip(bits, letters):
+        out.append(Weight.of(r[i - 1] for r in rows))
+        if bit:
+            rows = matmul(rows, reflection(rs.cartan, i))
+    return tuple(out)

@@ -1,8 +1,10 @@
 import json
+from math import prod
 
 import pytest
 
 from bottsam.cli import main
+from reference import weights
 
 
 def run(capsys, *argv):
@@ -149,6 +151,16 @@ def test_integrate_check_flag(capsys, monkeypatch):
     assert (code, out) == (0, "0\n")
 
 
+def test_checks_agree_on_a_sixteen_letter_d4_word(capsys):
+    # the localization routes evaluate 2^15 fixed points here
+    base = ("--type", "D4", "--word", "1,2,1,3,2,1,4,2,1,3,2,4,1,2,1,3")
+    one = "1" + "0" * 15
+    code, out, _ = run(capsys, *base, "product", "--check", one, one)
+    assert (code, out) == (0, f"{one}: a1\ncheck: closed one-generator rule agrees\n")
+    code, out, _ = run(capsys, *base, "integrate", "--check", "1" * 16, "--class", one)
+    assert (code, out) == (0, "0\ncheck: localization integral agrees\n")
+
+
 def test_element_outside_the_weyl_group_is_a_user_error(capsys, monkeypatch):
     # the CLI builds w from a word, so only a foreign matrix slipped in
     # behind it reaches RootSystem.length (through the fiber of --verify)
@@ -282,6 +294,25 @@ def test_cap_is_enforced_and_adjustable(capsys):
     assert "CapExceeded" in err
     code, _, _ = run(capsys, "--type", "A2", "--word", "1,2,1,2,1", "table")
     assert code == 0
+
+
+@pytest.mark.parametrize("option", ["--cap", "--seed"])
+@pytest.mark.parametrize("value", ["x", "\u0662", "1_0", "\uff13", " 3", "+", ""])
+def test_cap_and_seed_take_ascii_digits_only(capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["--type", "A2", "--word", "1,2,1", option, value, "table"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {option}: invalid int value: {value!r}\n")
+
+
+def test_cap_and_seed_keep_their_sign(capsys):
+    from bottsam.cli import build_parser
+
+    args = build_parser().parse_args(["--seed", "-3", "--cap", "+4", "selftest"])
+    assert (args.seed, args.cap) == (-3, 4)
+    code, _, err = run(capsys, "--type", "A2", "--word", "1,2,1", "--cap", "+2", "table")
+    assert code == 2 and "the gallery cap 2" in err
 
 
 def test_table_refuses_words_over_twelve_letters(capsys, monkeypatch):
@@ -420,7 +451,7 @@ TABLE_WORDS = [
 
 @pytest.mark.parametrize("label, letters", TABLE_WORDS)
 def test_table_text_and_json_read_the_same_cells(capsys, label, letters):
-    from bottsam import BSWord, RootSystem, format_polynomial
+    from bottsam import BSWord, Polynomial, RootSystem, format_polynomial
 
     argv = ("--type", label, "--word", ",".join(map(str, letters)), "table")
     code, out, _ = run(capsys, *argv)
@@ -435,9 +466,18 @@ def test_table_text_and_json_read_the_same_cells(capsys, label, letters):
         text_rows[e] = cells.split(", ")
     assert list(text_rows) == list(doc["rows"]) == doc["columns"]
     assert text_rows == doc["rows"]
-    # the reference: each cell is the formatted restriction value
-    word = BSWord(RootSystem.from_label(label), letters)
-    gals = word.galleries()
+    # the reference: each cell is the product of the reference weights of the
+    # column's gallery at the on positions of the row's, or 0 off the order
+    rs = RootSystem.from_label(label)
+    gals = BSWord(rs, letters).galleries()
     assert doc["columns"] == [str(g) for g in gals]
     for e in gals:
-        assert doc["rows"][str(e)] == [format_polynomial(word.sigma(e, ep)) for ep in gals]
+        cells = []
+        for ep in gals:
+            alphas = weights(rs, letters, ep.bits)
+            value = Polynomial.zero(rs.rank)
+            if e.leq(ep):
+                value = prod((Polynomial.from_weight(alphas[i - 1]) for i in e.support),
+                             start=Polynomial.one(rs.rank))
+            cells.append(format_polynomial(value))
+        assert doc["rows"][str(e)] == cells

@@ -5,8 +5,9 @@ compares the last two with the closed rules).
 
 The butterfly is checked against the classes whose values it is fed, against
 the flat Atiyah-Bott sum evaluated at rational points, and on values that are
-not those of a class.  Runs on the nine built-in types and on the reducible
-A1×A1 and A1×B2 Cartan matrices.
+not those of a class, and the weights behind them against the reference
+matrices.  Runs on the nine built-in types and on the reducible A1×A1 and
+A1×B2 Cartan matrices.
 """
 
 import random
@@ -24,8 +25,14 @@ from bottsam import (
     Polynomial,
     RootSystem,
     expand,
+    integrate,
     integrate_by_localization,
+    multiply,
+    multiply_by_localization,
 )
+from bottsam.bott_samelson import restriction_table
+from bottsam.schubert import check_billey_identities
+from reference import weights
 
 SYSTEMS = {label: RootSystem.from_label(label) for label in BUILTIN_CARTAN}
 SYSTEMS["A1xA1"] = RootSystem(CartanSpec.from_rows([[2, 0], [0, 2]]))
@@ -80,7 +87,7 @@ def test_missing_galleries_read_as_zero(label):
     rng = random.Random(f"zeros {label}")
     for _ in range(4):
         word = random_word(rng, SYSTEMS[label])
-        first = Polynomial.from_weight(word.alphas(Gallery.zero(word.n))[0])
+        first = Polynomial.from_weight(weights(word.rs, word.letters, Gallery.zero(word.n).bits)[0])
         c = CohClass(word, {Gallery.zero(word.n): first, Gallery.unit(word.n, 1): -1})
         values = nonzero_values(c)
         assert all(e.bits[0] == 0 for e in values)
@@ -117,8 +124,9 @@ def flat_integral(word, e, c, point):
         if not ep.leq(e):
             continue
         den = Fraction(1)
+        alphas = weights(word.rs, word.letters, ep.bits)
         for i in e.support:
-            den *= sum(a * x for a, x in zip(word.alphas(ep)[i - 1].coords, point))
+            den *= sum(a * x for a, x in zip(alphas[i - 1].coords, point))
         total += (-1) ** (e.ones - ep.ones) * at(c.restriction(ep), point) / den
     return total
 
@@ -131,3 +139,58 @@ def test_integral_equals_the_flat_atiyah_bott_sum(label):
             value = integrate_by_localization(word, e, c)
             assert at(value, point) == flat_integral(word, e, c, point), (word, str(e))
 
+
+
+@pytest.mark.parametrize("label", sorted(SYSTEMS))
+def test_one_bit_classes_restrict_to_the_reference_weights(label):
+    rs = SYSTEMS[label]
+    rng = random.Random(f"weights {label}")
+    for n in range(1, 7):
+        word = BSWord(rs, [rng.randint(1, rs.rank) for _ in range(n)])
+        for ep in word.galleries():
+            alphas = weights(word.rs, word.letters, ep.bits)
+            for i in ep.support:
+                assert word.sigma(Gallery.unit(word.n, i), ep) == Polynomial.from_weight(alphas[i - 1])
+
+
+@pytest.mark.parametrize("label", sorted(SYSTEMS))
+def test_the_routes_agree_at_the_bounds_of_their_cubes(label):
+    rng = random.Random(f"bounds {label}")
+    for _ in range(4):
+        word = random_word(rng, SYSTEMS[label])
+        zero, c = CohClass.zero(word), random_class(rng, word)
+        assert expand(word, {}) == zero
+        for a, b in ((c, zero), (zero, c), (zero, zero)):
+            assert multiply_by_localization(a, b) == multiply(a, b) == zero
+        full = Gallery((1,) * word.n)
+        for e in word.galleries():
+            if e != full:  # then the complement of e is not under e
+                off = CohClass(word, {Gallery(tuple(1 - b for b in e.bits)): 1})
+                assert integrate_by_localization(word, e, off) == integrate(word, e, off) == 0
+        if word.n >= 2:
+            # two coordinates with an empty meet
+            first, rest = Gallery.unit(word.n, 1), Gallery((0,) + (1,) * (word.n - 1))
+            d = CohClass(word, {first: random_polynomial(rng, word.rs.rank), rest: 1})
+            assert integrate_by_localization(word, full, d) == integrate(word, full, d)
+            assert multiply_by_localization(d, c) == multiply(d, c)
+            assert multiply_by_localization(d, d) == multiply(d, d)
+
+
+def test_the_word_keeps_no_weights_per_gallery():
+    rs = SYSTEMS["A3"]
+    word = BSWord(rs, rs.longest_word())
+    gals = word.galleries()
+    for _ in restriction_table(word)["rows"]:
+        pass
+    rng = random.Random("state")
+    for _ in range(4):
+        c1, c2 = random_class(rng, word), random_class(rng, word)
+        multiply_by_localization(c1, c2)
+        integrate_by_localization(word, rng.choice(gals), c1)
+        expand(word, {e: c1.restriction(e) for e in gals})
+    check_billey_identities(word, rs.weyl_from_word((1, 2)))
+    masks = {e.mask for e in gals} | set(gals)
+    for name, value in vars(word).items():
+        if isinstance(value, dict):
+            assert not masks & value.keys(), name
+    assert 0 < len(word._form_poly) <= 2 * len(rs.positive_roots)
