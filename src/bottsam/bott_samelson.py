@@ -416,17 +416,26 @@ def _walk(word: BSWord, low: int = 0, high: int | None = None) -> tuple[dict, li
 
 def _value(c: CohClass, b: int, weights: dict) -> Polynomial:
     """``c`` at the fixed point ``b``, from weights covering ``b``: each
-    coordinate below ``b`` times the weights of ``b`` at its on positions."""
-    out = Polynomial.zero(c.word.rs.rank)
+    coordinate below ``b`` times the weights of ``b`` at its on positions.
+    A product starts from its first weight and takes the coordinate only
+    when that is not the unit; the first product is the start of the sum."""
+    word, out = c.word, None
+    one = {(0,) * word.rs.rank: 1}
     for e, p in c.coords.items():
         e = e.mask
         if not e & ~b:
+            term = None
             while e:
                 bit = e & -e
                 e ^= bit
-                p = p * c.word._poly_of(weights[b & (bit << 1) - 1])
-            out = out + p
-    return out
+                weight = word._poly_of(weights[b & (bit << 1) - 1])
+                term = weight if term is None else term * weight
+            if term is None:
+                term = p
+            elif p.terms != one:
+                term = term * p
+            out = term if out is None else out + term
+    return Polynomial.zero(word.rs.rank) if out is None else out
 
 
 def _rows(word: BSWord, weights: dict) -> Iterator[tuple[Gallery, dict[int, Polynomial]]]:

@@ -42,11 +42,11 @@ BUILTIN_CARTAN: dict[str, tuple[tuple[int, ...], ...]] = {
 # every finite type of desk-scale rank stays far below it.
 ROOT_CLOSURE_BOUND = 10_000
 
-# Size at which a rewrite table stops inserting.  The betas a root system keeps
-# per reduced word and the generator rules a word keeps for multiply and
-# ordinary_multiply count entries (up to about 3 KB each, 12 MB a table); the
-# weak intervals a root system keeps for billey count elements (about 260 B
-# each, 1 MB a table).
+# Size at which a rewrite table stops inserting.  The packed betas a root
+# system keeps per reduced word and the generator rules a word keeps for
+# multiply and ordinary_multiply count entries (up to about 3 KB each, 12 MB a
+# table); the weak intervals a root system keeps for billey, as up-edges per
+# letter, count elements (about 160 B each, 0.7 MB a table).
 MEMO_MAX_ENTRIES = 4096
 
 
@@ -277,10 +277,10 @@ class RootSystem:
             Weight.of(b) for b in self._positive_int
         )
         self._longest_word: SimpleWord | None = None
-        # ``billey``'s beta columns per reduced word and weak intervals per
-        # element (``schubert._beta_columns``, ``schubert._weak_interval``)
-        self._betas: dict[SimpleWord, tuple[tuple[int, ...], ...]] = {}
-        self._intervals: dict[Rows, tuple[list[dict[int, int]], int | None]] = {}
+        # ``billey``'s packed betas per reduced word and weak intervals per
+        # element (``schubert._packed_betas``, ``schubert._weak_interval``)
+        self._betas: dict[SimpleWord, tuple] = {}
+        self._intervals: dict[Rows, tuple] = {}
 
     @classmethod
     def from_label(cls, label: str) -> "RootSystem":

@@ -12,8 +12,6 @@ longest-element word recovers the same polynomials, which is what
 
 from __future__ import annotations
 
-import itertools
-
 from . import rootsystem
 from .errors import NotLongestWord, NotReducedGallery, NotReducedWord, RankMismatch
 from .bott_samelson import BSWord, CohClass, Gallery, _unpack
@@ -33,34 +31,57 @@ def reduced_word_of_gallery(word: BSWord, e: Gallery) -> SimpleWord:
     return sub
 
 
+def _reduced_walk(word: BSWord) -> list[tuple[int, Rows]]:
+    """The mask and the rows of ``v(e)`` of each gallery ``e`` whose on
+    letters form a reduced word, depth first.  A prefix is extended at a
+    position only where its letter ascends, with one reflection per edge,
+    so no prefix that is not reduced is ever formed."""
+    rs, letters, n = word.rs, word.letters, word.n
+    out = []
+    stack = [(0, 0, rs.identity_rows)]
+    while stack:
+        k, mask, rows = stack.pop()
+        if k == n:
+            out.append((mask, rows))
+            continue
+        stack.append((k + 1, mask, rows))
+        if ascends(rows, letters[k]):
+            stack.append((k + 1, mask | 1 << 8 * k, rs.times_reflection(rows, letters[k])))
+    return out
+
+
+def _in_gallery_order(word: BSWord, masks) -> list[Gallery]:
+    return sorted((Gallery._of_mask(m, word.n) for m in masks), key=Gallery.sort_key)
+
+
 def reduced_galleries(word: BSWord) -> list[Gallery]:
     """The galleries whose on letters form a reduced word, in gallery order."""
-    letters = word.letters
-    return [
-        e
-        for e in word.galleries()
-        if word.rs.is_reduced(tuple(letters[i - 1] for i in e.support))
-    ]
+    return _in_gallery_order(word, (m for m, _ in _reduced_walk(word)))
 
 
-def _beta_columns(rs: RootSystem, v_word: SimpleWord) -> tuple[tuple[int, ...], ...]:
-    """``beta_j`` as integer coordinates: column ``i_j`` of the prefix
-    product, which must be positive at every step (the word is reduced).
-    Kept in ``rs`` until it holds ``MEMO_MAX_ENTRIES`` words; only reduced
-    words are kept, so any other word raises every time."""
+def _packed_betas(rs: RootSystem, v_word: SimpleWord) -> tuple[int, tuple]:
+    """``beta_j``, column ``i_j`` of the prefix product, which must be
+    positive at every step (the word is reduced), as the byte width that
+    holds ``len(v_word)`` and, per beta, the ``(unit, coefficient)`` pairs
+    of its nonzero coordinates, each exponent packed into that width as
+    ``multiply`` packs them.  Kept in ``rs`` until it holds
+    ``MEMO_MAX_ENTRIES`` words; only reduced words are kept, so any other
+    word raises every time."""
     v_word = rootsystem.letters_of(v_word)  # 1.0 must not find (1,)
     out = rs._betas.get(v_word)
     if out is None:
         for i in v_word:
             rs._check_index(i)
+        size = (len(v_word).bit_length() + 7) // 8 or 1
+        units = [1 << 8 * size * k for k in range(rs.rank)]
         rows = rs.identity_rows
-        cols = []
+        forms = []
         for i in v_word:
             if not ascends(rows, i):
                 raise NotReducedWord(f"{v_word} is not reduced")
-            cols.append(tuple(r[i - 1] for r in rows))
+            forms.append(tuple((p, r[i - 1]) for p, r in zip(units, rows) if r[i - 1]))
             rows = rs.times_reflection(rows, i)
-        out = tuple(cols)
+        out = size, tuple(forms)
         if len(rs._betas) < rootsystem.MEMO_MAX_ENTRIES:
             rs._betas[v_word] = out
     return out
@@ -69,7 +90,14 @@ def _beta_columns(rs: RootSystem, v_word: SimpleWord) -> tuple[tuple[int, ...], 
 def beta_sequence(rs: RootSystem, v_word: SimpleWord) -> list[Weight]:
     """``beta_j = r_{i_1} .. r_{i_{j-1}}(alpha_{i_j})`` for a reduced word;
     these are distinct positive roots (the inversions of v)."""
-    return [Weight.of(b) for b in _beta_columns(rs, v_word)]
+    size, forms = _packed_betas(rs, v_word)
+    out = []
+    for form in forms:
+        coords = [0] * rs.rank
+        for p, b in form:
+            coords[(p.bit_length() - 1) // (8 * size)] = b
+        out.append(Weight.of(coords))
+    return out
 
 
 class BilleyQuery:
@@ -84,7 +112,7 @@ class BilleyQuery:
         self.rs = rs
         self.w = w
         self.v_word = tuple(v_word)
-        self._betas = _beta_columns(rs, self.v_word)
+        self._betas = _packed_betas(rs, self.v_word)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not BilleyQuery:
@@ -98,23 +126,27 @@ class BilleyQuery:
         return f"BilleyQuery(rs={self.rs!r}, w={self.w!r}, v_word={self.v_word!r})"
 
 
-def _weak_interval(
-    rs: RootSystem, w: WeylElement
-) -> tuple[list[dict[int, int]], int | None]:
+# Per letter ``i``, at index ``i - 1``, the up-edges ``(x, u)`` of a weak
+# interval; the number of the identity; the number of elements.
+Interval = tuple[tuple[tuple[tuple[int, int], ...], ...], int | None, int]
+
+
+def _weak_interval(rs: RootSystem, w: WeylElement) -> Interval:
     """Number the elements below ``w`` in the right weak order (prefixes of
     reduced words of ``w``) from 0 for ``w``, removing right descents.
 
-    Returns ``up``, with ``up[x][i]`` the number of ``x r_i`` whenever that
-    is above ``x`` and in the interval, and the number of the identity:
-    ``None`` when ``w`` is no product of this system's reflections.  Kept
-    in ``rs`` while its intervals hold at most ``MEMO_MAX_ENTRIES`` elements;
-    one that does not fit serves its call only.
+    Returns, for each letter ``i``, the edges ``(x, u)`` with ``u`` the
+    number of ``x r_i`` whenever that is above ``x`` and in the interval;
+    the number of the identity, ``None`` when ``w`` is no product of this
+    system's reflections; and the number of elements.  Kept in ``rs``
+    while its intervals hold at most ``MEMO_MAX_ENTRIES`` elements; one
+    that does not fit serves its call only.
     """
     out = rs._intervals.get(w.rows)
     if out is not None:
         return out
     ids = {w.rows: 0}
-    up: list[dict[int, int]] = [{}]
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(rs.rank)]
     frontier = [w.rows]
     while frontier:
         new: list[Rows] = []
@@ -125,13 +157,12 @@ def _weak_interval(
                     x = rs.times_reflection(rows, i)
                     k = ids.get(x)
                     if k is None:
-                        k = ids[x] = len(up)
-                        up.append({})
+                        k = ids[x] = len(ids)
                         new.append(x)
-                    up[k][i] = top
+                    edges[i - 1].append((k, top))
         frontier = new
-    out = up, ids.get(rs.identity_rows)
-    if sum(len(u) for u, _ in rs._intervals.values()) + len(up) <= rootsystem.MEMO_MAX_ENTRIES:
+    out = tuple(map(tuple, edges)), ids.get(rs.identity_rows), len(ids)
+    if sum(n for _, _, n in rs._intervals.values()) + len(ids) <= rootsystem.MEMO_MAX_ENTRIES:
         rs._intervals[w.rows] = out
     return out
 
@@ -143,47 +174,54 @@ def billey(q: BilleyQuery) -> Polynomial:
     Every prefix of such a subword lies in the weak interval below ``w``, so
     one pass over the positions carries, for each ``u`` in the interval, the
     sum over the subwords read so far that multiply to ``u`` reducedly;
-    letter ``s`` extends ``u`` when ``l(us) > l(u)`` and ``us`` is in the
-    interval.  The sums are integer polynomials with each exponent packed
-    into the bytes that hold ``len(v_word)``, as ``multiply`` packs them.
+    letter ``s`` extends ``u`` along its up-edge when ``l(us) > l(u)`` and
+    ``us`` is in the interval.  The sums are integer polynomials with each
+    exponent packed into the bytes that hold ``len(v_word)``, as
+    ``multiply`` packs them.
     """
-    return _sweep(q, *_weak_interval(q.rs, q.w))
+    return _sweep(q, _weak_interval(q.rs, q.w))
 
 
-def _sweep(q: BilleyQuery, up: list[dict[int, int]], identity: int | None) -> Polynomial:
-    """:func:`billey` over the weak interval ``up`` below ``q.w``."""
+def _sweep(q: BilleyQuery, interval: Interval) -> Polynomial:
+    """:func:`billey` over the weak ``interval`` below ``q.w``."""
+    edges, identity, count = interval
     rank = q.rs.rank
     if identity is None:
         return Polynomial.zero(rank)
-    size = (len(q.v_word).bit_length() + 7) // 8 or 1
-    units = [1 << 8 * size * k for k in range(rank)]
-    states: dict[int, dict[int, int]] = {identity: {0: 1}}
-    for i, beta in zip(q.v_word, q._betas):
-        form = [(p, b) for p, b in zip(units, beta) if b]
-        for x, poly in list(states.items()):
-            u = up[x].get(i)
-            if u is None:
+    size, forms = q._betas
+    states: list[dict[int, int] | None] = [None] * count
+    states[identity] = {0: 1}
+    for i, form in zip(q.v_word, forms):
+        for x, u in edges[i - 1]:
+            poly = states[x]
+            if poly is None:
                 continue
             # u has a descent at i, so it is never a source at this letter:
-            # adding into it in place leaves this pass's sources unchanged.
-            acc = states.setdefault(u, {})
+            # adding into it in place leaves this letter's sources unchanged.
+            acc = states[u]
+            if acc is None:
+                acc = states[u] = {}
             for mono, c in poly.items():
                 for p, b in form:
-                    acc[mono + p] = acc.get(mono + p, 0) + c * b
+                    m = mono + p
+                    acc[m] = acc.get(m, 0) + c * b
     # every coefficient is a sum of products of positive-root coordinates,
     # so none is zero
-    return Polynomial._of(rank, _unpack([states.get(0, {})], rank, size)[0])
+    return Polynomial._of(rank, _unpack([states[0] or {}], rank, size)[0])
 
 
 def fiber(word: BSWord, w: WeylElement) -> set[Gallery]:
     """Galleries whose on-count equals ``length(w)`` and whose reflection
     product is ``w``."""
-    out = set()
-    for on in itertools.combinations(range(word.n), word.rs.length(w)):
-        e = Gallery._of_mask(sum(1 << 8 * k for k in on), word.n)
-        if word.v(e) == w:
-            out.add(e)
-    return out
+    return _fiber(word, _reduced_walk(word), w)
+
+
+def _fiber(word: BSWord, walk: list[tuple[int, Rows]], w: WeylElement) -> set[Gallery]:
+    """:func:`fiber` from the reduced walk of ``word``: a gallery of
+    ``length(w)`` on bits with product ``w`` selects a reduced word of ``w``,
+    and a reduced gallery with product ``w`` has that many on bits."""
+    word.rs.length(w)  # an element of another rank or group raises
+    return {Gallery._of_mask(m, word.n) for m, rows in walk if rows == w.rows}
 
 
 def check_billey_identity(word: BSWord, w: WeylElement, e: Gallery) -> bool:
@@ -200,20 +238,23 @@ def check_billey_identities(
     word: BSWord, w: WeylElement, galleries: list[Gallery] | None = None
 ) -> list[bool]:
     """:func:`check_billey_identity` at each gallery, by default at every
-    reduced gallery, listed only once the word has passed; the fiber of
-    ``w`` and its weak interval are found once for all of them."""
+    reduced gallery, listed only once the word has passed.  One walk over
+    the reduced prefixes of the word gives the reduced galleries and the
+    fiber of ``w``; they and the weak interval below ``w`` are found once
+    for all of the galleries."""
     rs = word.rs
     longest = len(word.letters) == len(rs.positive_roots)
     if not (longest and rs.is_reduced(word.letters)):
         raise NotLongestWord(
             f"{word.letters} is not a reduced decomposition of the longest element"
         )
+    walk = _reduced_walk(word)
     if galleries is None:
-        galleries = reduced_galleries(word)
-    fib = CohClass(word, dict.fromkeys(fiber(word, w), 1))
+        galleries = _in_gallery_order(word, (m for m, _ in walk))
+    fib = CohClass(word, dict.fromkeys(_fiber(word, walk, w), 1))
     interval = _weak_interval(rs, w)
     out = []
     for e in galleries:
-        lhs = _sweep(BilleyQuery(rs, w, reduced_word_of_gallery(word, e)), *interval)
+        lhs = _sweep(BilleyQuery(rs, w, reduced_word_of_gallery(word, e)), interval)
         out.append(lhs == fib.restriction(e))
     return out

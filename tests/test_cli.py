@@ -211,6 +211,16 @@ def test_billey_verify(capsys):
     assert doc["verify"] == {"passed": 7, "failed": 0, "skipped": 1}
 
 
+def test_billey_verify_on_the_d4_longest_word(capsys):
+    lw = "1,2,1,3,2,1,4,2,1,3,2,4"
+    code, out, _ = run(capsys, "--type", "D4", "--word", lw, "billey", "--w", "1,2,3,4",
+                       "--v", lw, "--verify")
+    assert code == 0
+    value, verify = out.splitlines()
+    assert value.startswith("a1^4 + 5*a1^3*a2 + ") and value.endswith(" + a3*a4^3")
+    assert verify == "verify: 1096 galleries agree, 0 disagree, 3000 skipped"
+
+
 def test_billey_non_reduced_v_is_a_user_error(capsys):
     code, _, err = run(capsys, "--type", "A2", "billey", "--w", "1", "--v", "1,1")
     assert code == 2

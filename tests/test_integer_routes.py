@@ -39,7 +39,7 @@ from bottsam import (
     multiply_by_localization,
     ordinary_multiply,
 )
-from bottsam.schubert import check_billey_identities
+from bottsam.schubert import check_billey_identities, reduced_galleries
 from reference import act, element
 
 CUSTOM = {
@@ -111,6 +111,38 @@ def test_billey_matches_the_subword_sum_on_longest_word_prefixes(rs):
         product = product * Polynomial.from_weight(beta)
     assert full == product and not full.is_zero
     assert zeros > 0  # w0 below the full word, at least
+
+
+def test_billey_keeps_its_tables_per_root_system():
+    # B3 and C3 share the rank and the longest word, so the same words of v
+    # and w reach both; their betas and intervals differ
+    b3, c3 = RootSystem.from_label("B3"), RootSystem.from_label("C3")
+    lw = b3.longest_word()
+    assert lw == c3.longest_word() == (1, 2, 1, 3, 2, 1, 3, 2, 3)
+    rng = random.Random("B3/C3")
+    queries = [(tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 6))), lw[: rng.randint(5, 9)])
+               for _ in range(12)]
+    expected = {(rs.label, w, v): subword_sum(rs, v, element(rs, w))
+                for rs in (b3, c3) for w, v in queries}
+    assert any(expected["B3", w, v] != expected["C3", w, v] for w, v in queries)
+    for _ in range(2):  # the second round reads both systems' tables
+        for w, v in queries:
+            for rs in (b3, c3):
+                got = billey(BilleyQuery(rs, rs.weyl_from_word(w), v))
+                assert got == expected[rs.label, w, v], (rs.label, w, v)
+
+
+@pytest.mark.parametrize("rs", SYSTEMS, ids=IDS)
+def test_reduced_galleries_and_fibers_match_the_filter_over_all_galleries(rs):
+    word = BSWord(rs, rs.longest_word())
+    letters = word.letters
+    gals = word.galleries()
+    reduced = [e for e in gals if rs.is_reduced([letters[k - 1] for k in e.support])]
+    assert reduced_galleries(word) == reduced
+    for e in reduced[:: max(1, len(reduced) // 6)]:
+        w = element(rs, [letters[k - 1] for k in e.support])
+        by_definition = {g for g in gals if g.ones == e.ones and word.v(g) == w}
+        assert fiber(word, w) == by_definition and e in by_definition
 
 
 @pytest.mark.parametrize("rs", SYSTEMS, ids=IDS)

@@ -160,10 +160,15 @@ def plain_subword_sum(rs, v_word, w):
 
 def tuple_sweep(rs, v_word, w):
     """:func:`billey`'s pass over the weak interval below ``w``, carrying
-    polynomials with exponent-tuple monomials."""
-    up, identity = _weak_interval(rs, w)
+    polynomials with exponent-tuple monomials: each reached element looks
+    up its own up-edge at each letter."""
+    edges, identity, count = _weak_interval(rs, w)
     if identity is None:
         return Polynomial.zero(rs.rank)
+    up = [{} for _ in range(count)]
+    for i, pairs in enumerate(edges, 1):
+        for x, u in pairs:
+            up[x][i] = u
     states = {identity: {(0,) * rs.rank: 1}}
     for i, beta in zip(v_word, beta_sequence(rs, v_word)):
         for x, poly in list(states.items()):

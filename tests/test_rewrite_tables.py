@@ -170,7 +170,7 @@ def test_subword_sums_are_integers_from_cold_and_warm_tables(rs):
 
 def held(rs):
     """Elements in the weak intervals ``rs`` keeps."""
-    return sum(len(up) for up, _ in rs._intervals.values())
+    return sum(count for _, _, count in rs._intervals.values())
 
 
 def interval_queries(rs):
@@ -203,7 +203,9 @@ def test_intervals_are_kept_per_element_and_counted_in_elements():
     values = [billey(BilleyQuery(d4, w, v)) for w, v in queries]
     assert d4._intervals.keys() == {w.rows for w, _ in queries}
     w0 = queries[-1][0]
-    assert len(d4._intervals[w0.rows][0]) == 192  # the whole group
+    edges, _, count = d4._intervals[w0.rows]
+    assert count == 192  # the whole group
+    assert sum(map(len, edges)) == 192 * 4 // 2  # one up-edge per element and ascent
     tables = dict(d4._intervals)
     assert [billey(BilleyQuery(d4, w, v)) for w, v in queries] == values
     assert all(d4._intervals[k] is entry for k, entry in tables.items())
