@@ -10,13 +10,15 @@ fixed point ``eps'`` is an explicit product of roots.
 Products use the closed one-generator rule: ``sigma_eps`` is the product of
 the one-bit classes ``x_i`` over the on positions of ``eps``, and ``x_i``
 acts on a basis class by an explicit combinatorial formula, kept per word
-in a table and applied to packed integers.  Integration is
-duality: the integral over the subvariety of ``eps`` reads off the
-``eps`` coordinate.  The localization routes are kept as independent
-oracles for the checks: the variety is a tower of P^1-bundles, pushing
-forward along one bundle is a divided difference, and one butterfly of
-exact divisions over the fixed-point values gives every coordinate and
-every localization integral at once.
+in a table and applied to packed integers.  So ``sigma_a sigma_b`` is
+``sigma_{a or b}`` times the ``x_i`` over the positions of ``a and b``, and
+a product takes one pair of terms at a time, applying the rule only where
+their galleries overlap.  Integration is duality: the integral over the
+subvariety of ``eps`` reads off the ``eps`` coordinate.  The localization
+routes are kept as independent oracles for the checks: the variety is a
+tower of P^1-bundles, pushing forward along one bundle is a divided
+difference, and one butterfly of exact divisions over the fixed-point
+values gives every coordinate and every localization integral at once.
 """
 
 from __future__ import annotations
@@ -556,77 +558,64 @@ def _pack(p: Polynomial, units: list[int]) -> dict:
     return {sum(map(mul, e, units)): c for e, c in p.terms.items()}
 
 
-def _unpack(polys, rank: int, size: int) -> list[dict]:
-    """The terms of each packed polynomial of ``polys`` on exponent tuples,
-    integral coefficients as ``int``."""
-    n, out = rank * size, []
+def _unpack(p: dict, rank: int, size: int) -> dict:
+    """The terms of a packed polynomial on exponent tuples, integral
+    coefficients as ``int``."""
+    n = rank * size
+    if size == 1:
+        return {tuple(m.to_bytes(n, "little")): c if type(c) is int or c.denominator != 1
+                else c.numerator for m, c in p.items()}
     cuts = range(0, n, size)
-    for p in polys:
-        if size == 1:
-            out.append({tuple(m.to_bytes(n, "little")): c if type(c) is int or c.denominator != 1
-                        else c.numerator for m, c in p.items()})
-        else:
-            out.append({tuple(int.from_bytes(b[k : k + size], "little") for k in cuts): c
-                        if type(c) is int or c.denominator != 1 else c.numerator
-                        for m, c in p.items() for b in [m.to_bytes(n, "little")]})
-    return out
+    return {tuple(int.from_bytes(b[k : k + size], "little") for k in cuts): c
+            if type(c) is int or c.denominator != 1 else c.numerator
+            for m, c in p.items() for b in [m.to_bytes(n, "little")]}
 
 
 def multiply(c1: CohClass, c2: CohClass) -> CohClass:
     """Product of two classes by the closed generator rule, with no division.
 
-    Each term ``q * sigma_b`` of the factor with the smaller total support is
-    ``q`` times the generators ``x_i`` over ``supp(b)``, applied one by one in
-    position order to the whole other factor.  A generator does arithmetic
-    only where its bit is on: for two basis classes, where they overlap, as
-    ``sigma_a sigma_b = sigma_{a or b} prod_{i in a and b} x_i``."""
-    if c1.word != c2.word:
-        raise WordMismatch("classes over different words")
+    One pair of terms ``p sigma_a``, ``q sigma_b`` at a time, from ``sigma_a
+    sigma_b = sigma_{a or b} prod_{i in a and b} x_i``: start at ``p
+    sigma_{a or b}``, apply ``x_i`` only where ``a`` and ``b`` overlap, in
+    position order, and multiply by ``q``.  This is exact: the rule at bit i
+    reads only the bits below i, and its corrections add only off bits below i."""
     word, rank = c1.word, c1.word.rs.rank
-    if sum(e.ones for e in c1.coords) < sum(e.ones for e in c2.coords):
-        c1, c2 = c2, c1
+    if c2.word is not word and c2.word != word:
+        raise WordMismatch("classes over different words")
     # a generator raises the degree by at most one
-    top = sum([max([sum(e) for p in c.coords.values() for e in p.terms], default=0)
-               for c in (c1, c2)])
-    size = ((word.n + top).bit_length() + 7) // 8
+    top = word.n
+    for c in (c1, c2):
+        degree = 0
+        for p in c.coords.values():
+            degree = max(degree, *map(sum, p.terms))
+        top += degree
+    size = (top.bit_length() + 7) // 8
     units = [1 << 8 * size * v for v in range(rank)]
-    start = {e.mask: _pack(p, units) for e, p in c1.coords.items()}
+    firsts = [(e.mask, _pack(p, units)) for e, p in c1.coords.items()]
     spill, out = {}, {}
-    for e, q in c2.coords.items():
-        cur, rest = start, e.mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            nxt: dict[int, dict] = {}
-            # The dicts of cur are never written: the rule's terms go into
-            # fresh dicts, and a mask with the bit off moves to the mask with
-            # it on, sharing its dict, which can only meet a fresh one there.
-            for mask, p in cur.items():
-                if mask & bit:
-                    k = bit.bit_length() >> 3
+    for e2, q in c2.coords.items():
+        b, q = e2.mask, _pack(q, units)
+        for a, p1 in firsts:
+            cur, overlap = {a | b: p1}, a & b
+            while overlap:
+                bit = overlap & -overlap
+                overlap ^= bit
+                k = bit.bit_length() >> 3
+                nxt: dict[int, dict] = {}
+                for mask, p in cur.items():
                     corrections, diagonal = _generator(word, k, mask & (bit - 1), spill)
-                    for b, c in corrections:
-                        _add_into(nxt.setdefault(mask | b, {}), p, c)
+                    for add, c in corrections:
+                        _add_into(nxt.setdefault(mask | add, {}), p, c)
                     d = nxt.setdefault(mask, {})
-                    for var, a in diagonal:
-                        _add_into(d, p, a, units[var])
+                    for var, c in diagonal:
+                        _add_into(d, p, c, units[var])
+                cur = nxt
             for mask, p in cur.items():
-                if not mask & bit:
-                    d = nxt.get(mask | bit)
-                    if d is None:
-                        nxt[mask | bit] = p
-                    else:
-                        _add_into(d, p, 1)
-            cur = nxt
-        q = _pack(q, units)
-        for mask, p in cur.items():
-            d = out.setdefault(mask, {})
-            for mq, cq in q.items():
-                _add_into(d, p, cq, mq)
-    out = {mask: p for mask, p in out.items() if p}
-    n = word.n
-    return CohClass._of(word, {Gallery._of_mask(mask, n): Polynomial._of(rank, terms)
-                               for mask, terms in zip(out, _unpack(out.values(), rank, size))})
+                d = out.setdefault(mask, {})
+                for mq, cq in q.items():
+                    _add_into(d, p, cq, mq)
+    return CohClass._of(word, {Gallery._of_mask(m, word.n): Polynomial._of(rank, _unpack(p, rank, size))
+                               for m, p in out.items() if p})
 
 
 def multiply_by_localization(c1: CohClass, c2: CohClass) -> CohClass:
@@ -647,10 +636,11 @@ def multiply_by_localization(c1: CohClass, c2: CohClass) -> CohClass:
 
 def multiply_generator(word: BSWord, i: int, e: Gallery) -> CohClass:
     """Product of the one-bit basis class at position ``i`` with the basis
-    class of ``e``, by the closed rule: with ``i`` off in ``e``, the basis
-    class with it on; with ``i`` on, ``sigma_i(e) * basis(e)`` plus one
-    correction per earlier off position ``j``, an integer Cartan pairing
-    against the partial product of reflections strictly between j and i."""
+    class of ``e``, by the closed rule: with ``i`` off in ``e``, the two
+    galleries do not overlap, and the product is the basis class of their
+    join; with ``i`` on, ``sigma_i(e) * basis(e)`` plus one correction per
+    earlier off position ``j``, an integer Cartan pairing against the
+    partial product of reflections strictly between j and i."""
     return multiply(CohClass.basis(word, Gallery.unit(word.n, i)), CohClass.basis(word, e))
 
 

@@ -31,22 +31,24 @@ def reduced_word_of_gallery(word: BSWord, e: Gallery) -> SimpleWord:
     return sub
 
 
-def _reduced_walk(word: BSWord) -> list[tuple[int, Rows]]:
-    """The mask and the rows of ``v(e)`` of each gallery ``e`` whose on
-    letters form a reduced word, depth first.  A prefix is extended at a
-    position only where its letter ascends, with one reflection per edge,
-    so no prefix that is not reduced is ever formed."""
+def _reduced_walk(word: BSWord) -> list[tuple[int, Rows, tuple]]:
+    """The mask, the rows of ``v(e)`` and the ``(letter, beta)`` pairs, packed
+    as for ``word.n`` letters, of each gallery ``e`` whose on letters form a
+    reduced word, depth first.  A prefix is extended only where its letter
+    ascends, one reflection per edge, so no prefix that is not reduced is formed."""
     rs, letters, n = word.rs, word.letters, word.n
-    out = []
-    stack = [(0, 0, rs.identity_rows)]
+    units = [1 << 8 * _beta_size(n) * k for k in range(rs.rank)]
+    out, stack = [], [(0, 0, rs.identity_rows, ())]
     while stack:
-        k, mask, rows = stack.pop()
+        k, mask, rows, path = stack.pop()
         if k == n:
-            out.append((mask, rows))
+            out.append((mask, rows, path))
             continue
-        stack.append((k + 1, mask, rows))
-        if ascends(rows, letters[k]):
-            stack.append((k + 1, mask | 1 << 8 * k, rs.times_reflection(rows, letters[k])))
+        stack.append((k + 1, mask, rows, path))
+        i = letters[k]
+        if ascends(rows, i):
+            beta = tuple((p, r[i - 1]) for p, r in zip(units, rows) if r[i - 1])
+            stack.append((k + 1, mask | 1 << 8 * k, rs.times_reflection(rows, i), path + ((i, beta),)))
     return out
 
 
@@ -56,7 +58,12 @@ def _in_gallery_order(word: BSWord, masks) -> list[Gallery]:
 
 def reduced_galleries(word: BSWord) -> list[Gallery]:
     """The galleries whose on letters form a reduced word, in gallery order."""
-    return _in_gallery_order(word, (m for m, _ in _reduced_walk(word)))
+    return _in_gallery_order(word, (m for m, _, _ in _reduced_walk(word)))
+
+
+def _beta_size(length: int) -> int:
+    """The bytes that hold every exponent of a product of ``length`` betas."""
+    return (length.bit_length() + 7) // 8 or 1
 
 
 def _packed_betas(rs: RootSystem, v_word: SimpleWord) -> tuple[int, tuple]:
@@ -72,7 +79,7 @@ def _packed_betas(rs: RootSystem, v_word: SimpleWord) -> tuple[int, tuple]:
     if out is None:
         for i in v_word:
             rs._check_index(i)
-        size = (len(v_word).bit_length() + 7) // 8 or 1
+        size = _beta_size(len(v_word))
         units = [1 << 8 * size * k for k in range(rs.rank)]
         rows = rs.identity_rows
         forms = []
@@ -179,19 +186,19 @@ def billey(q: BilleyQuery) -> Polynomial:
     exponent packed into the bytes that hold ``len(v_word)``, as
     ``multiply`` packs them.
     """
-    return _sweep(q, _weak_interval(q.rs, q.w))
+    size, forms = q._betas
+    return _sweep(q.rs.rank, size, zip(q.v_word, forms), _weak_interval(q.rs, q.w))
 
 
-def _sweep(q: BilleyQuery, interval: Interval) -> Polynomial:
-    """:func:`billey` over the weak ``interval`` below ``q.w``."""
+def _sweep(rank: int, size: int, path, interval: Interval) -> Polynomial:
+    """:func:`billey` over the weak ``interval`` below ``w``, along the
+    ``(letter, beta)`` pairs of a reduced word, ``size`` bytes per exponent."""
     edges, identity, count = interval
-    rank = q.rs.rank
     if identity is None:
         return Polynomial.zero(rank)
-    size, forms = q._betas
     states: list[dict[int, int] | None] = [None] * count
     states[identity] = {0: 1}
-    for i, form in zip(q.v_word, forms):
+    for i, form in path:
         for x, u in edges[i - 1]:
             poly = states[x]
             if poly is None:
@@ -207,7 +214,7 @@ def _sweep(q: BilleyQuery, interval: Interval) -> Polynomial:
                     acc[m] = acc.get(m, 0) + c * b
     # every coefficient is a sum of products of positive-root coordinates,
     # so none is zero
-    return Polynomial._of(rank, _unpack([states[0] or {}], rank, size)[0])
+    return Polynomial._of(rank, _unpack(states[0] or {}, rank, size))
 
 
 def fiber(word: BSWord, w: WeylElement) -> set[Gallery]:
@@ -216,12 +223,12 @@ def fiber(word: BSWord, w: WeylElement) -> set[Gallery]:
     return _fiber(word, _reduced_walk(word), w)
 
 
-def _fiber(word: BSWord, walk: list[tuple[int, Rows]], w: WeylElement) -> set[Gallery]:
+def _fiber(word: BSWord, walk: list[tuple[int, Rows, tuple]], w: WeylElement) -> set[Gallery]:
     """:func:`fiber` from the reduced walk of ``word``: a gallery of
     ``length(w)`` on bits with product ``w`` selects a reduced word of ``w``,
     and a reduced gallery with product ``w`` has that many on bits."""
     word.rs.length(w)  # an element of another rank or group raises
-    return {Gallery._of_mask(m, word.n) for m, rows in walk if rows == w.rows}
+    return {Gallery._of_mask(m, word.n) for m, rows, _ in walk if rows == w.rows}
 
 
 def check_billey_identity(word: BSWord, w: WeylElement, e: Gallery) -> bool:
@@ -239,9 +246,9 @@ def check_billey_identities(
 ) -> list[bool]:
     """:func:`check_billey_identity` at each gallery, by default at every
     reduced gallery, listed only once the word has passed.  One walk over
-    the reduced prefixes of the word gives the reduced galleries and the
-    fiber of ``w``; they and the weak interval below ``w`` are found once
-    for all of the galleries."""
+    the reduced prefixes of the word gives the reduced galleries with their
+    letters and betas, and the fiber of ``w``; they and the weak interval
+    below ``w`` are found once, and no beta enters the root system's table."""
     rs = word.rs
     longest = len(word.letters) == len(rs.positive_roots)
     if not (longest and rs.is_reduced(word.letters)):
@@ -249,12 +256,12 @@ def check_billey_identities(
             f"{word.letters} is not a reduced decomposition of the longest element"
         )
     walk = _reduced_walk(word)
+    paths = {m: path for m, _, path in walk}
     if galleries is None:
-        galleries = _in_gallery_order(word, (m for m, _ in walk))
+        galleries = _in_gallery_order(word, paths)
     fib = CohClass(word, dict.fromkeys(_fiber(word, walk, w), 1))
-    interval = _weak_interval(rs, w)
-    out = []
     for e in galleries:
-        lhs = _sweep(BilleyQuery(rs, w, reduced_word_of_gallery(word, e)), interval)
-        out.append(lhs == fib.restriction(e))
-    return out
+        if e.n != word.n or e.mask not in paths:
+            reduced_word_of_gallery(word, e)  # raises: the wrong length, or not reduced
+    interval, size = _weak_interval(rs, w), _beta_size(word.n)
+    return [_sweep(rs.rank, size, paths[e.mask], interval) == fib.restriction(e) for e in galleries]

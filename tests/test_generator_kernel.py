@@ -118,6 +118,47 @@ def random_class(rng, word, **kw):
     return CohClass(word, coords)
 
 
+def colliding_pair(rng, word):
+    """Two classes of two terms each, ``p sigma_a + p' sigma_a'`` and ``q
+    sigma_b + q' sigma_b'``, with ``a or b = a' or b'``: two ways of
+    splitting one join, each with its own overlap."""
+    rank = word.rs.rank
+    join = [rng.randint(0, 1) for _ in range(word.n)]
+
+    def split():
+        a = tuple(j & rng.randint(0, 1) for j in join)
+        return a, tuple(j & (rng.randint(0, 1) | 1 - x) for j, x in zip(join, a))
+
+    (a, b), (a2, b2) = split(), split()
+    assert [x | y for x, y in zip(a, b)] == [x | y for x, y in zip(a2, b2)] == join
+    first = CohClass(word, {Gallery(a): random_polynomial(rng, rank)})
+    second = CohClass(word, {Gallery(b): random_polynomial(rng, rank)})
+    first = first + CohClass(word, {Gallery(a2): random_polynomial(rng, rank)})
+    return first, second + CohClass(word, {Gallery(b2): random_polynomial(rng, rank)})
+
+
+def kernel_inputs(rng, rs):
+    """Pairs of classes on random words: sparse classes, integral or not;
+    two-term classes whose pairs of terms have colliding joins; a factor of
+    8 to 12 terms with rational coefficients against a sparse one; and the
+    zero and unit classes on either side of each of those two."""
+    for case in range(16):
+        word = random_word(rng, rs)
+        yield random_class(rng, word, rational=case % 4 == 1), random_class(rng, word, rational=case % 4 == 3)
+    for _ in range(4):
+        yield colliding_pair(rng, random_word(rng, rs))
+    word = BSWord(rs, [rng.randint(1, rs.rank) for _ in range(rng.randint(4, 6))])
+    gals, rank = word.galleries(), rs.rank
+    count = min(len(gals), rng.randint(8, 12))
+    dense = CohClass(word, {e: random_polynomial(rng, rank, rational=True) for e in rng.sample(gals, count)})
+    sparse = random_class(rng, word)
+    yield dense, sparse
+    for c in (dense, sparse):
+        for other in (CohClass.zero(word), CohClass.unit(word)):
+            yield c, other
+            yield other, c
+
+
 def basis(word, text):
     return CohClass.basis(word, Gallery.from_string(text))
 
@@ -131,15 +172,30 @@ def all_int(c):
 @pytest.mark.parametrize("rs", SYSTEMS, ids=IDS)
 def test_kernel_matches_reference_and_localization(rs):
     rng = random.Random(f"kernel:{rs.label}")
-    for case in range(16):
-        word = random_word(rng, rs)
-        a = random_class(rng, word, rational=case % 4 == 1)
-        b = random_class(rng, word, rational=case % 4 == 3)
+    for a, b in kernel_inputs(rng, rs):
         got = multiply(a, b)
-        assert got == reference_multiply(a, b) == reference_multiply(b, a), (word, str(a), str(b))
-        if case % 2 == 0:  # integral input; the localization route is slow on dense classes
-            assert got == multiply_by_localization(a, b), (word, str(a), str(b))
+        assert got == reference_multiply(a, b) == reference_multiply(b, a), (a.word, str(a), str(b))
+        assert got == multiply_by_localization(a, b), (a.word, str(a), str(b))
+        if all_int(a) and all_int(b):
             assert all_int(got), str(got)
+        if b.is_zero or a.is_zero:
+            assert got.is_zero
+        elif b == CohClass.unit(b.word) or a == CohClass.unit(a.word):
+            assert got == (a if b == CohClass.unit(b.word) else b)
+
+
+def test_disjoint_basis_classes_multiply_to_their_join_without_the_rule_table():
+    rng = random.Random("disjoint")
+    for rs in SYSTEMS:
+        word = random_word(rng, rs, longest=10)
+        for _ in range(8):
+            a = [rng.randint(0, 1) for _ in range(word.n)]
+            b = [(1 - x) & rng.randint(0, 1) for x in a]
+            join = Gallery([x | y for x, y in zip(a, b)])
+            assert multiply(CohClass.basis(word, Gallery(a)), CohClass.basis(word, Gallery(b))) == (
+                CohClass.basis(word, join)
+            )
+        assert word._generators == {}
 
 
 @pytest.mark.parametrize("rs", SYSTEMS, ids=IDS)

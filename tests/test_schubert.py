@@ -9,15 +9,18 @@ from bottsam import (
     NotLongestWord,
     NotReducedGallery,
     NotReducedWord,
+    Polynomial,
     RootSystem,
     Weight,
     beta_sequence,
     billey,
     check_billey_identity,
+    divide_exact,
     fiber,
     parse_polynomial,
     reduced_word_of_gallery,
 )
+from bottsam.schubert import check_billey_identities
 
 A2 = RootSystem.from_label("A2")
 B2 = RootSystem.from_label("B2")
@@ -171,3 +174,66 @@ def test_all_reduced_words_of_b2_longest_agree():
     for w in B2.weyl_elements():
         vals = [billey(BilleyQuery(B2, w, vw)) for vw in reduced_words]
         assert all(v == vals[0] for v in vals)
+
+
+def test_verify_keeps_nothing_in_the_beta_table():
+    d4 = RootSystem.from_label("D4")
+    word = BSWord(d4, d4.longest_word())
+    before = dict(d4._betas)
+    agree = check_billey_identities(word, d4.weyl_from_word((1, 2, 3, 4)))
+    assert len(agree) == 1096 and all(agree)
+    assert d4._betas == before
+
+
+# ---- GKM conditions: an oracle that shares nothing with the subword sum ----
+
+def reduced_words(rs):
+    """A reduced word of each element of W, keyed by its rows: breadth
+    first from the identity, so each element is first met by a shortest
+    word."""
+    words = {rs.identity_rows: ()}
+    frontier = [()]
+    while frontier:
+        new = []
+        for word in frontier:
+            for i in range(1, rs.rank + 1):
+                rows = rs.weyl_from_word(word + (i,)).rows
+                if rows not in words:
+                    words[rows] = word + (i,)
+                    new.append(word + (i,))
+        frontier = new
+    return words
+
+
+def column(rows, i):
+    return tuple(r[i - 1] for r in rows)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_billey_values_satisfy_the_gkm_conditions(label):
+    """For all w and v in W and each positive root beta, xi^w(v) -
+    xi^w(s_beta v) is a multiple of beta, and xi^w(w) is the product of
+    the betas of a reduced word of w, each found here from plain matrix
+    products."""
+    rs = RootSystem.from_label(label)
+    words = reduced_words(rs)
+    # s_beta = u r_i u^-1 for beta = u(alpha_i), column i of u
+    reflections = {}
+    for rows, word in words.items():
+        for i in range(1, rs.rank + 1):
+            beta = column(rows, i)
+            if min(beta) >= 0:
+                reflections.setdefault(beta, word + (i,) + word[::-1])
+    assert len(reflections) == len(rs.positive_roots)
+    for w_word in words.values():
+        w = rs.weyl_from_word(w_word)
+        xi = {v_word: billey(BilleyQuery(rs, w, v_word)) for v_word in words.values()}
+        for v_word, value in xi.items():
+            for beta, s in reflections.items():
+                moved = words[rs.weyl_from_word(s + v_word).rows]
+                divide_exact(value - xi[moved], Weight(beta))  # NotDivisible otherwise
+        product = Polynomial.one(rs.rank)
+        for j, i in enumerate(w_word):
+            beta = column(rs.weyl_from_word(w_word[:j]).rows, i)
+            product = product * Polynomial.from_weight(Weight(beta))
+        assert xi[w_word] == product, (w_word, str(xi[w_word]))
