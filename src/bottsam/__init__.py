@@ -23,8 +23,8 @@ _EXPORTS = {
         "RankMismatch", "WordMismatch", "ZeroForm",
     ),
     "rootsystem": (
-        "BUILTIN_CARTAN", "CartanSpec", "RootSystem", "SimpleWord", "Weight",
-        "WeylElement", "format_word", "parse_word",
+        "BUILTIN_CARTAN", "CartanSpec", "RootSystem", "SimpleWord", "WeylElement",
+        "format_word", "parse_word",
     ),
     "polyring": ("Polynomial", "divide_exact", "format_polynomial", "parse_polynomial"),
     "bott_samelson": (
@@ -36,7 +36,7 @@ _EXPORTS = {
         "OrdinaryClass", "Relation", "evaluate_at_origin", "ordinary_multiply", "relations",
     ),
     "schubert": (
-        "BilleyQuery", "beta_sequence", "billey", "check_billey_identity", "fiber",
+        "BilleyQuery", "billey", "check_billey_identity", "fiber",
         "reduced_word_of_gallery",
     ),
 }

@@ -39,7 +39,7 @@ from .errors import (
     WordMismatch,
 )
 from .polyring import Polynomial, divide_exact, format_polynomial, parse_polynomial
-from .rootsystem import RootSystem, Weight, WeylElement
+from .rootsystem import RootSystem, WeylElement
 
 DEFAULT_GALLERY_CAP = 20
 
@@ -215,7 +215,7 @@ class BSWord:
     def _poly_of(self, form: tuple) -> Polynomial:
         p = self._form_poly.get(form)
         if p is None:
-            p = self._form_poly[form] = Polynomial.from_weight(Weight(form))
+            p = self._form_poly[form] = Polynomial.linear(form)
         return p
 
     # ---- the triangular basis ---------------------------------------------
@@ -483,13 +483,13 @@ def _butterfly(
                 if b in before:
                     continue  # the difference is taken at b
                 p = -p
-            form = Weight(weights[b & (bit << 1) - 1])
+            form = weights[b & (bit << 1) - 1]
             try:
                 f[b] = divide_exact(p, form)
             except NotDivisible:
                 raise NotInSpan(
                     f"the divided difference at position {i} of gallery"
-                    f" {Gallery._of_mask(b, n)} is not a multiple of {form}"
+                    f" {Gallery._of_mask(b, n)} is not a multiple of {Polynomial.linear(form)}"
                 ) from None
     return f
 

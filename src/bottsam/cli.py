@@ -31,7 +31,7 @@ from .bott_samelson import (
     table_lines,
 )
 from .errors import BottsamError, CapExceeded, NotDivisible, NotInSpan, WordMismatch
-from .polyring import format_polynomial
+from .polyring import Polynomial, format_polynomial
 from .rootsystem import CartanSpec, RootSystem, format_word, parse_word
 
 EXIT_OK = 0
@@ -241,7 +241,7 @@ def cmd_roots(args: argparse.Namespace):
     doc = {
         "label": rs.label,
         "matrix": [list(row) for row in rs.cartan],
-        "positive_roots": [str(b) for b in rs.positive_roots],
+        "positive_roots": [format_polynomial(Polynomial.linear(b)) for b in rs.positive_roots],
         "longest_length": len(rs.positive_roots),
         "longest_word": list(rs.longest_word()),
     }

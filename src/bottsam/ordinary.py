@@ -14,8 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import WordMismatch
-from .polyring import parse_polynomial
-from .rootsystem import exact
+from .polyring import exact, parse_polynomial
 from .bott_samelson import (
     DEFAULT_GALLERY_CAP,
     BSWord,

@@ -17,9 +17,22 @@ from fractions import Fraction
 from operator import add
 
 from .errors import NotDivisible, RankMismatch, ZeroForm
-from .rootsystem import Weight, exact
 
 Monomial = tuple[int, ...]
+
+
+def exact(value) -> int | Fraction:
+    """An exact coefficient: ``int`` when ``value`` is integral, else a
+    ``Fraction``.  Roots and everything built from them stay on ``int``.
+    A ``float`` is refused, since it holds a binary fraction, not the number
+    written; so is a ``str``, since text is read by the polynomial grammar."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (float, str)):
+        kind = type(value).__name__
+        raise ValueError(f"coefficient {value!r} is a {kind}; give an int or a Fraction")
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _term_sort_key(exp: Monomial) -> tuple:
@@ -63,14 +76,11 @@ class Polynomial:
         return cls(rank, {(0,) * rank: v} if v else None)
 
     @classmethod
-    def from_weight(cls, w: Weight) -> "Polynomial":
-        """The linear form with the weight's coordinates."""
-        rank = w.rank
-        terms: dict[Monomial, int | Fraction] = {}
-        for k, c in enumerate(w.coords):
-            if c != 0:
-                terms[tuple(int(j == k) for j in range(rank))] = c
-        return cls(rank, terms)
+    def linear(cls, form: tuple) -> "Polynomial":
+        """The linear form ``form[0]*a1 + form[1]*a2 + ...``."""
+        rank = len(form)
+        units = [tuple(int(j == k) for j in range(rank)) for k in range(rank)]
+        return cls(rank, dict(zip(units, form)))
 
     # ---- queries ---------------------------------------------------------
 
@@ -173,28 +183,33 @@ def _quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
     return exact(Fraction(a, b))
 
 
-def divide_exact(p: Polynomial, form: Weight) -> Polynomial:
-    """Exact quotient of ``p`` by a nonzero linear form.
+def divide_exact(p: Polynomial, form: tuple) -> Polynomial:
+    """Exact quotient of ``p`` by the nonzero linear form with coordinates
+    ``form``, each an ``int`` or a ``Fraction``.
 
     Synthetic division on the form's leading variable; raises
     :class:`NotDivisible` when a remainder survives.
     """
-    if form.is_zero:
+    for c in form:
+        if not isinstance(c, (int, Fraction)):
+            kind = type(c).__name__
+            raise ValueError(f"form coordinate {c!r} is a {kind}; give an int or a Fraction")
+    if not any(form):
         raise ZeroForm("division by the zero form")
-    if form.rank != p.rank:
-        raise RankMismatch(f"form of rank {form.rank} on polynomial of rank {p.rank}")
+    if len(form) != p.rank:
+        raise RankMismatch(f"form of rank {len(form)} on polynomial of rank {p.rank}")
     if p.is_zero:
         return p
-    k = next(i for i, c in enumerate(form.coords) if c != 0)
-    c_lead = form.coords[k]
-    others = [(j, c) for j, c in enumerate(form.coords) if c and j != k]
+    k = next(i for i, c in enumerate(form) if c)
+    c_lead = form[k]
+    others = [(j, c) for j, c in enumerate(form) if c and j != k]
 
     quot: dict[Monomial, int | Fraction] = {}
     rem = dict(p.terms)
     while rem:
         deg = max(e[k] for e in rem)
         if deg == 0:
-            raise NotDivisible(f"{p} is not divisible by {form}")
+            raise NotDivisible(f"{p} is not divisible by {Polynomial.linear(form)}")
         # peel the top slice in the pivot variable: a quotient term cancels
         # its top term exactly, the rest of the form lands in the slice below
         for e in [e for e in rem if e[k] == deg]:

@@ -1,10 +1,9 @@
-"""Finite-type root systems: Cartan data, exact weights, Weyl-group elements.
+"""Finite-type root systems: Cartan data, roots, Weyl-group elements.
 
-All coordinates are taken in the simple-root basis.  A :class:`Weight` stores
-exact coefficients, ``int`` when integral and ``Fraction`` otherwise, so every
-identity downstream is checked exactly; a :class:`WeylElement` stores the
-integer matrix of its action on the root lattice, which makes equality of
-group elements plain matrix equality.
+All coordinates are taken in the simple-root basis.  A root is the tuple of
+its integer coordinates, so every identity downstream is checked exactly; a
+:class:`WeylElement` stores the integer matrix of its action on the root
+lattice, which makes equality of group elements plain matrix equality.
 
 Simple-root indices are 1-based throughout the public interface, matching the
 usual Bourbaki numbering of Dynkin diagrams.
@@ -13,7 +12,6 @@ usual Bourbaki numbering of Dynkin diagrams.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, InvalidCartan, NotFiniteType, NotInWeylGroup, RankMismatch
@@ -75,20 +73,6 @@ def format_word(word: Sequence[int]) -> str:
     return " ".join(str(i) for i in word)
 
 
-def exact(value) -> int | Fraction:
-    """An exact coefficient: ``int`` when ``value`` is integral, else a
-    ``Fraction``.  Roots and everything built from them stay on ``int``.
-    A ``float`` is refused, since it holds a binary fraction, not the number
-    written; so is a ``str``, since text is read by the polynomial grammar."""
-    if type(value) is int:
-        return value
-    if isinstance(value, (float, str)):
-        kind = type(value).__name__
-        raise ValueError(f"coefficient {value!r} is a {kind}; give an int or a Fraction")
-    q = Fraction(value)
-    return q.numerator if q.denominator == 1 else q
-
-
 def ascends(rows: Rows, i: int) -> bool:
     """Whether ``l(u r_i) > l(u)``: column i of ``u``, the root
     ``u(alpha_i)``, is positive (a root's coordinates share one sign)."""
@@ -97,52 +81,6 @@ def ascends(rows: Rows, i: int) -> bool:
         if r[k]:
             return r[k] > 0
     return False
-
-
-class Weight:
-    """An element of the weight space, in simple-root coordinates."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: tuple[int | Fraction, ...]):
-        self.coords = coords
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Weight:
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash((self.coords,))
-
-    @classmethod
-    def of(cls, values: Iterable[Fraction | int]) -> "Weight":
-        return cls(tuple(exact(v) for v in values))
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __str__(self) -> str:
-        parts: list[str] = []
-        for k, c in enumerate(self.coords):
-            if c == 0:
-                continue
-            var = f"a{k + 1}"
-            mag = abs(c)
-            body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts) if parts else "0"
-
-    def __repr__(self) -> str:
-        return f"Weight({self})"
 
 
 class WeylElement:
@@ -255,7 +193,8 @@ class CartanSpec:
 
 
 class RootSystem:
-    """Validated Cartan data together with the derived positive-root set.
+    """Validated Cartan data together with the derived positive roots, as
+    integer coordinate tuples in height order.
 
     Construction runs the positive-root closure, so every instance is of
     finite type; :class:`~bottsam.errors.NotFiniteType` is raised otherwise.
@@ -272,10 +211,7 @@ class RootSystem:
         self._cartan_nonzero = tuple(
             tuple((k, a) for k, a in enumerate(row) if a) for row in self.cartan
         )
-        self._positive_int = self._close_positive_roots()
-        self.positive_roots: tuple[Weight, ...] = tuple(
-            Weight.of(b) for b in self._positive_int
-        )
+        self.positive_roots = self._close_positive_roots()
         self._longest_word: SimpleWord | None = None
         # ``billey``'s packed betas per reduced word and weak intervals per
         # element (``schubert._packed_betas``, ``schubert._weak_interval``)
@@ -362,7 +298,7 @@ class RootSystem:
         if w.rank != self.rank:
             raise RankMismatch(f"element of rank {w.rank} against rank {self.rank}")
         rows = w.rows
-        for steps in range(len(self._positive_int) + 1):
+        for steps in range(len(self.positive_roots) + 1):
             if rows == self.identity_rows:
                 return steps
             i = next((i for i in range(1, self.rank + 1) if not ascends(rows, i)), None)

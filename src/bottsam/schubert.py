@@ -16,7 +16,7 @@ from . import rootsystem
 from .errors import NotLongestWord, NotReducedGallery, NotReducedWord, RankMismatch
 from .bott_samelson import BSWord, CohClass, Gallery, _unpack
 from .polyring import Polynomial
-from .rootsystem import RootSystem, Rows, SimpleWord, Weight, WeylElement, ascends
+from .rootsystem import RootSystem, Rows, SimpleWord, WeylElement, ascends
 
 
 def reduced_word_of_gallery(word: BSWord, e: Gallery) -> SimpleWord:
@@ -31,24 +31,21 @@ def reduced_word_of_gallery(word: BSWord, e: Gallery) -> SimpleWord:
     return sub
 
 
-def _reduced_walk(word: BSWord) -> list[tuple[int, Rows, tuple]]:
-    """The mask, the rows of ``v(e)`` and the ``(letter, beta)`` pairs, packed
-    as for ``word.n`` letters, of each gallery ``e`` whose on letters form a
-    reduced word, depth first.  A prefix is extended only where its letter
-    ascends, one reflection per edge, so no prefix that is not reduced is formed."""
+def _reduced_walk(word: BSWord) -> list[tuple[int, Rows]]:
+    """The mask and the rows of ``v(e)`` of each gallery ``e`` whose on
+    letters form a reduced word, depth first.  A prefix is extended only
+    where its letter ascends, one reflection per edge, so no prefix that is
+    not reduced is formed."""
     rs, letters, n = word.rs, word.letters, word.n
-    units = [1 << 8 * _beta_size(n) * k for k in range(rs.rank)]
-    out, stack = [], [(0, 0, rs.identity_rows, ())]
+    out, stack = [], [(0, 0, rs.identity_rows)]
     while stack:
-        k, mask, rows, path = stack.pop()
+        k, mask, rows = stack.pop()
         if k == n:
-            out.append((mask, rows, path))
+            out.append((mask, rows))
             continue
-        stack.append((k + 1, mask, rows, path))
-        i = letters[k]
-        if ascends(rows, i):
-            beta = tuple((p, r[i - 1]) for p, r in zip(units, rows) if r[i - 1])
-            stack.append((k + 1, mask | 1 << 8 * k, rs.times_reflection(rows, i), path + ((i, beta),)))
+        stack.append((k + 1, mask, rows))
+        if ascends(rows, letters[k]):
+            stack.append((k + 1, mask | 1 << 8 * k, rs.times_reflection(rows, letters[k])))
     return out
 
 
@@ -58,7 +55,7 @@ def _in_gallery_order(word: BSWord, masks) -> list[Gallery]:
 
 def reduced_galleries(word: BSWord) -> list[Gallery]:
     """The galleries whose on letters form a reduced word, in gallery order."""
-    return _in_gallery_order(word, (m for m, _, _ in _reduced_walk(word)))
+    return _in_gallery_order(word, (m for m, _ in _reduced_walk(word)))
 
 
 def _beta_size(length: int) -> int:
@@ -91,19 +88,6 @@ def _packed_betas(rs: RootSystem, v_word: SimpleWord) -> tuple[int, tuple]:
         out = size, tuple(forms)
         if len(rs._betas) < rootsystem.MEMO_MAX_ENTRIES:
             rs._betas[v_word] = out
-    return out
-
-
-def beta_sequence(rs: RootSystem, v_word: SimpleWord) -> list[Weight]:
-    """``beta_j = r_{i_1} .. r_{i_{j-1}}(alpha_{i_j})`` for a reduced word;
-    these are distinct positive roots (the inversions of v)."""
-    size, forms = _packed_betas(rs, v_word)
-    out = []
-    for form in forms:
-        coords = [0] * rs.rank
-        for p, b in form:
-            coords[(p.bit_length() - 1) // (8 * size)] = b
-        out.append(Weight.of(coords))
     return out
 
 
@@ -223,12 +207,12 @@ def fiber(word: BSWord, w: WeylElement) -> set[Gallery]:
     return _fiber(word, _reduced_walk(word), w)
 
 
-def _fiber(word: BSWord, walk: list[tuple[int, Rows, tuple]], w: WeylElement) -> set[Gallery]:
+def _fiber(word: BSWord, walk: list[tuple[int, Rows]], w: WeylElement) -> set[Gallery]:
     """:func:`fiber` from the reduced walk of ``word``: a gallery of
     ``length(w)`` on bits with product ``w`` selects a reduced word of ``w``,
     and a reduced gallery with product ``w`` has that many on bits."""
     word.rs.length(w)  # an element of another rank or group raises
-    return {Gallery._of_mask(m, word.n) for m, rows, _ in walk if rows == w.rows}
+    return {Gallery._of_mask(m, word.n) for m, rows in walk if rows == w.rows}
 
 
 def check_billey_identity(word: BSWord, w: WeylElement, e: Gallery) -> bool:
@@ -247,8 +231,8 @@ def check_billey_identities(
     """:func:`check_billey_identity` at each gallery, by default at every
     reduced gallery, listed only once the word has passed.  One walk over
     the reduced prefixes of the word gives the reduced galleries with their
-    letters and betas, and the fiber of ``w``; they and the weak interval
-    below ``w`` are found once, and no beta enters the root system's table."""
+    points, and the fiber of ``w``; they and the weak interval below ``w``
+    are found once, and no beta enters the root system's table."""
     rs = word.rs
     longest = len(word.letters) == len(rs.positive_roots)
     if not (longest and rs.is_reduced(word.letters)):
@@ -256,12 +240,21 @@ def check_billey_identities(
             f"{word.letters} is not a reduced decomposition of the longest element"
         )
     walk = _reduced_walk(word)
-    paths = {m: path for m, _, path in walk}
+    rows_of = dict(walk)
     if galleries is None:
-        galleries = _in_gallery_order(word, paths)
+        galleries = _in_gallery_order(word, rows_of)
     fib = CohClass(word, dict.fromkeys(_fiber(word, walk, w), 1))
     for e in galleries:
-        if e.n != word.n or e.mask not in paths:
+        if e.n != word.n or e.mask not in rows_of:
             reduced_word_of_gallery(word, e)  # raises: the wrong length, or not reduced
     interval, size = _weak_interval(rs, w), _beta_size(word.n)
+    units = [1 << 8 * size * k for k in range(rs.rank)]
+    # a reduced gallery without its last on bit is a reduced gallery of a
+    # smaller mask, whose point holds the beta at that bit
+    paths = {0: ()}
+    for m in sorted(rows_of)[1:]:
+        k = (m.bit_length() - 1) // 8
+        low, i = m ^ 1 << 8 * k, word.letters[k]
+        beta = tuple((p, r[i - 1]) for p, r in zip(units, rows_of[low]) if r[i - 1])
+        paths[m] = paths[low] + ((i, beta),)
     return [_sweep(rs.rank, size, paths[e.mask], interval) == fib.restriction(e) for e in galleries]

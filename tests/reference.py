@@ -7,7 +7,7 @@ in ``WeylElement.rows``.  The package moves an element by one reflection at a
 time (``RootSystem.times_reflection``); nothing here calls it.
 """
 
-from bottsam import Weight, WeylElement
+from bottsam import WeylElement
 
 
 def identity(n):
@@ -44,12 +44,19 @@ def element(rs, word):
 
 
 def weights(rs, letters, bits):
-    """The localization weights (alpha_1, .., alpha_N) of a gallery: alpha_k
-    is the image of the simple root of letter k under the product of the
-    reflection matrices at the on positions before k."""
+    """The localization weights (alpha_1, .., alpha_N) of a gallery, as
+    coordinate tuples: alpha_k is the image of the simple root of letter k
+    under the product of the reflection matrices at the on positions before
+    k."""
     rows, out = identity(rs.rank), []
     for bit, i in zip(bits, letters):
-        out.append(Weight.of(r[i - 1] for r in rows))
+        out.append(tuple(r[i - 1] for r in rows))
         if bit:
             rows = matmul(rows, reflection(rs.cartan, i))
     return tuple(out)
+
+
+def betas(rs, word):
+    """beta_j = r_{i_1} .. r_{i_{j-1}}(alpha_{i_j}) for each position j of a
+    word: the weights of the gallery with every position on."""
+    return list(weights(rs, word, (1,) * len(word)))

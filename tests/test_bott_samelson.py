@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from bottsam import (
     NotInSpan,
     Polynomial,
     RootSystem,
-    Weight,
     WordMismatch,
     expand,
     integrate,
@@ -108,10 +108,10 @@ def test_localization_weights():
     def alphas(e):
         return weights(word.rs, word.letters, e.bits)
 
-    assert alphas(g("000")) == (Weight.of((1, 0)), Weight.of((0, 1)), Weight.of((1, 0)))
+    assert alphas(g("000")) == ((1, 0), (0, 1), (1, 0))
     # after switching on position 1, later weights pass through r1
-    assert alphas(g("100")) == (Weight.of((1, 0)), Weight.of((1, 1)), Weight.of((-1, 0)))
-    assert alphas(g("110"))[2] == Weight.of((0, 1))
+    assert alphas(g("100")) == ((1, 0), (1, 1), (-1, 0))
+    assert alphas(g("110"))[2] == (0, 1)
 
 
 A2_TABLE = {
@@ -177,6 +177,13 @@ def test_expand_rejects_values_outside_the_span():
     # jumps by a constant across the edge: not a polynomial combination
     with pytest.raises(NotInSpan):
         expand(word, {g("0"): Polynomial.zero(1), g("1"): Polynomial.one(1)})
+    # the message names the position, the gallery and the root, as text
+    for label, letters, e, message in [
+        ("A2", (1, 2), "11", "position 2 of gallery 11 is not a multiple of a1 + a2"),
+        ("G2", (2, 1, 2), "111", "position 3 of gallery 111 is not a multiple of 3*a1 + 2*a2"),
+    ]:
+        with pytest.raises(NotInSpan, match=f"^the divided difference at {re.escape(message)}$"):
+            expand(BSWord(RootSystem.from_label(label), letters), {g(e): 1})
     with pytest.raises(LengthMismatch):
         expand(word, {g("01"): 1})
 

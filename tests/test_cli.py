@@ -3,8 +3,9 @@ from math import prod
 
 import pytest
 
+from bottsam import BUILTIN_CARTAN, CartanSpec, RootSystem
 from bottsam.cli import main
-from reference import weights
+from reference import betas, weights
 
 
 def run(capsys, *argv):
@@ -34,6 +35,59 @@ def test_roots_json(capsys):
     assert doc["longest_word"] == [1, 2, 1, 2, 1, 2]
     assert len(doc["positive_roots"]) == 6
     assert doc["matrix"] == [[2, -3], [-1, 2]]
+
+
+def root_text(coords):
+    """A root as the roots command has always printed it: a1, a2, ... in
+    coordinate order, unit coefficients elided."""
+    parts = []
+    for k, c in enumerate(coords):
+        if c:
+            body = f"a{k + 1}" if abs(c) == 1 else f"{abs(c)}*a{k + 1}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
+
+
+CUSTOM_CARTAN = {
+    "A1xA1": [[2, 0], [0, 2]],
+    "A1xB2": [[2, 0, 0], [0, 2, -1], [0, -2, 2]],
+}
+
+
+@pytest.mark.parametrize("label", sorted(BUILTIN_CARTAN) + sorted(CUSTOM_CARTAN))
+def test_roots_output_is_pinned(label, tmp_path, capsys):
+    """The roots in text and JSON, against the betas of the printed longest
+    word from reference matrices, in height order, rendered by root_text."""
+    if label in CUSTOM_CARTAN:
+        matrix = CUSTOM_CARTAN[label]
+        path = tmp_path / "cartan.json"
+        path.write_text(json.dumps({"label": label, "matrix": matrix}))
+        source = ("--cartan", str(path))
+    else:
+        matrix = [list(row) for row in BUILTIN_CARTAN[label]]
+        source = ("--type", label)
+    doc = run_json(capsys, *source, "roots", "--json")
+    word = doc["longest_word"]
+    rs = RootSystem(CartanSpec.from_rows(matrix))  # reference.betas reads its Cartan matrix
+    roots = sorted(betas(rs, word), key=lambda b: (sum(b), tuple(-c for c in b)))
+    assert len(set(roots)) == len(roots) == doc["longest_length"] == len(word)
+    assert all(min(b) >= 0 for b in roots)
+    texts = [root_text(b) for b in roots]
+    assert doc == {"schema": 1, "label": label, "matrix": matrix, "positive_roots": texts,
+                   "longest_length": len(word), "longest_word": word}
+    code, out, err = run(capsys, *source, "roots")
+    assert code == 0 and not err
+    assert out.splitlines() == [
+        f"type: {label}",
+        "cartan matrix:",
+        *("  " + " ".join(f"{v:3d}" for v in row) for row in matrix),
+        "positive roots: " + ", ".join(texts),
+        f"longest length: {len(word)}",
+        "longest word: " + " ".join(map(str, word)),
+    ]
 
 
 def test_flags_may_come_before_or_after_the_command(capsys):
@@ -487,7 +541,7 @@ def test_table_text_and_json_read_the_same_cells(capsys, label, letters):
             alphas = weights(rs, letters, ep.bits)
             value = Polynomial.zero(rs.rank)
             if e.leq(ep):
-                value = prod((Polynomial.from_weight(alphas[i - 1]) for i in e.support),
+                value = prod((Polynomial.linear(alphas[i - 1]) for i in e.support),
                              start=Polynomial.one(rs.rank))
             cells.append(format_polynomial(value))
         assert doc["rows"][str(e)] == cells

@@ -40,7 +40,7 @@ def random_combination(rng, word):
     gals = word.galleries()
     coords = {}
     for _ in range(rng.randint(1, 3)):
-        root = Polynomial.from_weight(rng.choice(rs.positive_roots))
+        root = Polynomial.linear(rng.choice(rs.positive_roots))
         coords[rng.choice(gals)] = root * rng.randint(-2, 2) + rng.randint(-3, 3)
     return CohClass(word, coords)
 

@@ -24,7 +24,6 @@ from bottsam import (
     LengthMismatch,
     Polynomial,
     RootSystem,
-    Weight,
     WordMismatch,
     multiply,
     multiply_by_localization,
@@ -67,7 +66,7 @@ def reference_terms(word, i, bits):
             alpha[letters[j] - 1] -= c
         elif c:
             terms.append((_flip_on(bits, j), -c))
-    terms.append((bits, Polynomial.from_weight(Weight(tuple(alpha)))))
+    terms.append((bits, Polynomial.linear(tuple(alpha))))
     return terms
 
 
@@ -238,7 +237,7 @@ def test_zero_class_and_colliding_galleries():
     assert multiply(basis(word, "11011"), zero).is_zero
     # galleries that differ in one bit: a generator at that bit moves the
     # one with the bit off onto the other, so their terms must add up
-    root = Polynomial.from_weight(Weight((1, 2, 0)))
+    root = Polynomial.linear((1, 2, 0))
     a = basis(word, "10010") + basis(word, "11010").scaled(root)
     for b in ("01000", "01010", "11111"):
         assert multiply(a, basis(word, b)) == reference_multiply(a, basis(word, b)), b

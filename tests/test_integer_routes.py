@@ -28,9 +28,7 @@ from bottsam import (
     RankMismatch,
     Polynomial,
     RootSystem,
-    Weight,
     WeylElement,
-    beta_sequence,
     billey,
     check_billey_identity,
     evaluate_at_origin,
@@ -40,7 +38,7 @@ from bottsam import (
     ordinary_multiply,
 )
 from bottsam.schubert import check_billey_identities, reduced_galleries
-from reference import act, element
+from reference import act, betas, element
 
 CUSTOM = {
     "A1xA1": ((2, 0), (0, 2)),
@@ -55,16 +53,7 @@ IDS = [rs.label for rs in SYSTEMS]
 def inversions(rs, w):
     """The positive roots that ``w`` sends to negative roots, by applying
     its matrix to each of them."""
-    return sum(any(c < 0 for c in act(w.rows, beta.coords)) for beta in rs.positive_roots)
-
-
-def betas(rs, v_word):
-    """``r_{i_1} .. r_{i_{j-1}}(alpha_{i_j})`` for each position j: the
-    image of a simple root under a prefix, by matrices."""
-    return [
-        Weight(act(element(rs, v_word[:j]).rows, rs.identity_rows[i - 1]))
-        for j, i in enumerate(v_word)
-    ]
+    return sum(any(c < 0 for c in act(w.rows, beta)) for beta in rs.positive_roots)
 
 
 def subword_sum(rs, v_word, w):
@@ -77,7 +66,7 @@ def subword_sum(rs, v_word, w):
         if element(rs, [v_word[j] for j in on]) == w:
             term = Polynomial.one(rs.rank)
             for j in on:
-                term = term * Polynomial.from_weight(roots[j])
+                term = term * Polynomial.linear(roots[j])
             total = total + term
     return total
 
@@ -107,8 +96,8 @@ def test_billey_matches_the_subword_sum_on_longest_word_prefixes(rs):
     # w0 at w0 is the product of all betas, and nonzero
     full = billey(BilleyQuery(rs, w0, lw))
     product = Polynomial.one(rs.rank)
-    for beta in beta_sequence(rs, lw):
-        product = product * Polynomial.from_weight(beta)
+    for beta in betas(rs, lw):
+        product = product * Polynomial.linear(beta)
     assert full == product and not full.is_zero
     assert zeros > 0  # w0 below the full word, at least
 
@@ -143,14 +132,6 @@ def test_reduced_galleries_and_fibers_match_the_filter_over_all_galleries(rs):
         w = element(rs, [letters[k - 1] for k in e.support])
         by_definition = {g for g in gals if g.ones == e.ones and word.v(g) == w}
         assert fiber(word, w) == by_definition and e in by_definition
-
-
-@pytest.mark.parametrize("rs", SYSTEMS, ids=IDS)
-def test_beta_sequence_matches_matrix_products(rs):
-    lw = rs.longest_word()
-    expected = betas(rs, lw)
-    assert beta_sequence(rs, lw) == expected
-    assert set(expected) == set(rs.positive_roots)
 
 
 @pytest.mark.parametrize("rs", SYSTEMS, ids=IDS)
@@ -202,6 +183,8 @@ def test_descent_walks_match_inversion_counts_and_matrix_products(rs):
     lw = rs.longest_word()
     assert rs.is_reduced(lw)
     assert rs.length(element(rs, lw)) == len(rs.positive_roots)
+    # the betas of a reduced word of w0 are its inversions: every positive root once
+    assert sorted(betas(rs, lw)) == sorted(rs.positive_roots)
     # the point of a gallery is the product of its on reflections
     word = BSWord(rs, [rng.randint(1, rs.rank) for _ in range(8)])
     for e in word.galleries()[::7]:
@@ -231,20 +214,16 @@ def test_non_reduced_and_out_of_range_words_still_raise():
     for v in [(1, 1), (2, 1, 2, 1), (1, 2, 1, 1)]:
         with pytest.raises(NotReducedWord):
             BilleyQuery(a2, w, v)
-        with pytest.raises(NotReducedWord):
-            beta_sequence(a2, v)
     # a bad letter is reported even after a non-reduced prefix
     for v in [(3,), (0, 1), (1, 1, 5)]:
         with pytest.raises(IndexOutOfRange):
             BilleyQuery(a2, w, v)
         with pytest.raises(IndexOutOfRange):
-            beta_sequence(a2, v)
-        with pytest.raises(IndexOutOfRange):
             a2.is_reduced(v)
         with pytest.raises(IndexOutOfRange):
             a2.weyl_from_word(v)
     # a letter that is not an integer is refused, never truncated or parsed
-    calls = [a2.is_reduced, a2.weyl_from_word, lambda v: beta_sequence(a2, v),
+    calls = [a2.is_reduced, a2.weyl_from_word,
              lambda v: BilleyQuery(a2, w, v), lambda v: BSWord(a2, v)]
     for v in [(1.5, 2), (1.0, 2), (Fraction(3, 2),), ("1", 2), "12"]:
         for call in calls:

@@ -24,6 +24,7 @@ from bottsam import (
     NotInSpan,
     Polynomial,
     RootSystem,
+    divide_exact,
     expand,
     integrate,
     integrate_by_localization,
@@ -87,7 +88,7 @@ def test_missing_galleries_read_as_zero(label):
     rng = random.Random(f"zeros {label}")
     for _ in range(4):
         word = random_word(rng, SYSTEMS[label])
-        first = Polynomial.from_weight(weights(word.rs, word.letters, Gallery.zero(word.n).bits)[0])
+        first = Polynomial.linear(weights(word.rs, word.letters, Gallery.zero(word.n).bits)[0])
         c = CohClass(word, {Gallery.zero(word.n): first, Gallery.unit(word.n, 1): -1})
         values = nonzero_values(c)
         assert all(e.bits[0] == 0 for e in values)
@@ -126,7 +127,7 @@ def flat_integral(word, e, c, point):
         den = Fraction(1)
         alphas = weights(word.rs, word.letters, ep.bits)
         for i in e.support:
-            den *= sum(a * x for a, x in zip(alphas[i - 1].coords, point))
+            den *= sum(a * x for a, x in zip(alphas[i - 1], point))
         total += (-1) ** (e.ones - ep.ones) * at(c.restriction(ep), point) / den
     return total
 
@@ -150,7 +151,32 @@ def test_one_bit_classes_restrict_to_the_reference_weights(label):
         for ep in word.galleries():
             alphas = weights(word.rs, word.letters, ep.bits)
             for i in ep.support:
-                assert word.sigma(Gallery.unit(word.n, i), ep) == Polynomial.from_weight(alphas[i - 1])
+                assert word.sigma(Gallery.unit(word.n, i), ep) == Polynomial.linear(alphas[i - 1])
+
+
+@pytest.mark.parametrize("label", sorted(SYSTEMS))
+def test_basis_values_satisfy_the_gallery_gkm_condition(label):
+    """For galleries b and b' that differ only in bit k, sigma_e(b) -
+    sigma_e(b') is a multiple of alpha_k(b), for every basis class e: the
+    values from CohClass.restriction, the labels alpha_k(b) from the
+    reference matrices."""
+    rs = SYSTEMS[label]
+    rng = random.Random(f"gallery gkm {label}")
+    nonzero = 0
+    for letters in (rs.longest_word()[:5], [rng.randint(1, rs.rank) for _ in range(5)]):
+        word = BSWord(rs, letters)
+        n, gals = word.n, word.galleries()
+        labels = {b.bits: weights(rs, word.letters, b.bits) for b in gals}
+        for e in gals:
+            c = CohClass.basis(word, e)
+            values = {b.bits: c.restriction(b) for b in gals}
+            for bits, value in values.items():
+                for k in range(n):
+                    if bits[k]:
+                        diff = value - values[bits[:k] + (0,) + bits[k + 1:]]
+                        divide_exact(diff, labels[bits][k])  # NotDivisible otherwise
+                        nonzero += not diff.is_zero
+    assert nonzero > 0
 
 
 @pytest.mark.parametrize("label", sorted(SYSTEMS))

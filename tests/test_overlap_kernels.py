@@ -25,11 +25,11 @@ from bottsam import (
     RootSystem,
     WeylElement,
     billey,
-    beta_sequence,
     ordinary_multiply,
     relations,
 )
 from bottsam.schubert import _weak_interval
+from reference import betas
 
 CUSTOM = {
     "A1xA1": ((2, 0), (0, 2)),
@@ -147,13 +147,13 @@ def test_fractions_that_cancel_to_integers_are_stored_as_int():
 def plain_subword_sum(rs, v_word, w):
     """Every increasing subword of ``v_word`` of length ``l(w)`` that
     multiplies to ``w``, times the product of the betas at its positions."""
-    betas = [Polynomial.from_weight(b) for b in beta_sequence(rs, v_word)]
+    roots = [Polynomial.linear(b) for b in betas(rs, v_word)]
     total = Polynomial.zero(rs.rank)
     for on in itertools.combinations(range(len(v_word)), rs.length(w)):
         if rs.weyl_from_word([v_word[j] for j in on]) == w:
             term = Polynomial.one(rs.rank)
             for j in on:
-                term = term * betas[j]
+                term = term * roots[j]
             total = total + term
     return total
 
@@ -170,14 +170,14 @@ def tuple_sweep(rs, v_word, w):
         for x, u in pairs:
             up[x][i] = u
     states = {identity: {(0,) * rs.rank: 1}}
-    for i, beta in zip(v_word, beta_sequence(rs, v_word)):
+    for i, beta in zip(v_word, betas(rs, v_word)):
         for x, poly in list(states.items()):
             u = up[x].get(i)
             if u is None:
                 continue
             acc = states.setdefault(u, {})
             for mono, c in poly.items():
-                for k, b in enumerate(beta.coords):
+                for k, b in enumerate(beta):
                     if b:
                         m = mono[:k] + (mono[k] + 1,) + mono[k + 1 :]
                         acc[m] = acc.get(m, 0) + c * b

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from bottsam import Polynomial, parse_polynomial
 from bottsam.cli import main
-from bottsam.rootsystem import exact
+from bottsam.polyring import exact
 
 # ---- the reference parser ---------------------------------------------------
 

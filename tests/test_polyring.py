@@ -7,7 +7,6 @@ from bottsam import (
     NotDivisible,
     Polynomial,
     RankMismatch,
-    Weight,
     ZeroForm,
     divide_exact,
     format_polynomial,
@@ -25,7 +24,12 @@ def test_constructors_and_zero_pruning():
     assert Polynomial.zero(2).is_zero
     assert Polynomial.constant(2, 0).is_zero
     assert Polynomial.one(3) == 1
-    assert Polynomial.from_weight(Weight.of((0, 1))) == poly("a2")
+    assert Polynomial.linear((0, 1)) == poly("a2")
+    assert Polynomial.linear((Fraction(-2, 2), 0, 3)) == poly("-a1 + 3*a3", 3)
+    assert str(Polynomial.linear((1, 1))) == "a1 + a2"
+    assert str(Polynomial.linear((-1, 2))) == "-a1 + 2*a2"
+    assert str(Polynomial.linear((0, Fraction(-1, 2), 3))) == "-1/2*a2 + 3*a3"
+    assert str(Polynomial.linear((0, 0))) == "0"
 
 
 def test_constructor_stores_integral_fractions_as_int():
@@ -87,29 +91,44 @@ def test_parse_errors():
 
 
 def test_divide_exact():
-    a1 = Weight.of((1, 0))
-    both = Weight.of((1, 1))
+    a1 = (1, 0)
+    both = (1, 1)
     p = poly("a1^2*a2 + a1*a2^2")
     q = divide_exact(p, both)
     assert q == poly("a1*a2")
     assert divide_exact(q, a1) == poly("a2")
     assert divide_exact(Polynomial.zero(2), a1).is_zero
-    with pytest.raises(NotDivisible):
+    with pytest.raises(NotDivisible, match=r"^a1 \+ 1 is not divisible by a1$"):
         divide_exact(poly("a1 + 1"), a1)
+    with pytest.raises(NotDivisible, match=r"^a1\^2 \+ a2 is not divisible by 3\*a1 - 2\*a2$"):
+        divide_exact(poly("a1^2 + a2"), (3, -2))
     with pytest.raises(NotDivisible):
         divide_exact(poly("a1^2 + a2^2"), both)
-    with pytest.raises(ZeroForm):
-        divide_exact(p, Weight.of((0, 0)))
+    # a form that is no nonzero tuple of exact coordinates of the right
+    # length ends in a one-line error of its documented kind
+    bad_forms = [
+        ((0, 0), ZeroForm, "zero form"),
+        ((0.5, 1), ValueError, "0.5 is a float"),
+        (("1", 0), ValueError, "'1' is a str"),
+        ((1, 0, 0), RankMismatch, "rank 3"),
+        ((1,), RankMismatch, "rank 1"),
+    ]
+    for form, kind, message in bad_forms:
+        for target in (p, Polynomial.zero(2)):
+            with pytest.raises(kind, match=message) as info:
+                divide_exact(target, form)
+            assert "\n" not in str(info.value)
+    assert divide_exact(poly("a1^2 - 4*a2^2"), (Fraction(1, 2), -1)) == poly("2*a1 + 4*a2")
 
 
 def test_divide_exact_random_products():
     rng = random.Random(5)
-    forms = [Weight.of((1, 0)), Weight.of((0, 1)), Weight.of((1, 1)), Weight.of((1, 2))]
+    forms = [(1, 0), (0, 1), (1, 1), (1, 2)]
     for _ in range(40):
         chosen = [rng.choice(forms) for _ in range(rng.randint(1, 4))]
         p = Polynomial.one(2)
         for f in chosen:
-            p = p * Polynomial.from_weight(f)
+            p = p * Polynomial.linear(f)
         for f in chosen:
             p = divide_exact(p, f)
         assert p == 1

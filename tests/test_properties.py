@@ -21,7 +21,6 @@ from bottsam import (  # noqa: E402
     OrdinaryClass,
     Polynomial,
     RootSystem,
-    Weight,
     evaluate_at_origin,
     format_polynomial,
     integrate,
@@ -63,7 +62,7 @@ def equivariant_class(w):
     """Coordinates of degree at most one: a constant plus a linear form."""
     rank = w.rs.rank
     poly = st.tuples(COEFFICIENTS, st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))
-    to_poly = lambda t: Polynomial.constant(rank, t[0]) + Polynomial.from_weight(Weight.of(t[1]))  # noqa: E731
+    to_poly = lambda t: Polynomial.constant(rank, t[0]) + Polynomial.linear(tuple(t[1]))  # noqa: E731
     return st.dictionaries(gallery(w.n), poly.map(to_poly), min_size=1, max_size=2).map(
         lambda coords: CohClass(w, coords)
     )

@@ -11,8 +11,6 @@ from bottsam import (
     NotReducedWord,
     Polynomial,
     RootSystem,
-    Weight,
-    beta_sequence,
     billey,
     check_billey_identity,
     divide_exact,
@@ -21,6 +19,7 @@ from bottsam import (
     reduced_word_of_gallery,
 )
 from bottsam.schubert import check_billey_identities
+from reference import act, betas, element, identity, matmul, reflection
 
 A2 = RootSystem.from_label("A2")
 B2 = RootSystem.from_label("B2")
@@ -32,32 +31,6 @@ def g(text):
 
 def p(text, rank=2):
     return parse_polynomial(text, rank)
-
-
-def test_beta_sequence_a2():
-    betas = beta_sequence(A2, (1, 2, 1))
-    assert betas == [Weight.of((1, 0)), Weight.of((1, 1)), Weight.of((0, 1))]
-
-
-def test_beta_sequence_b2_is_the_inversion_set():
-    betas = beta_sequence(B2, (1, 2, 1, 2))
-    assert betas == [
-        Weight.of((1, 0)),
-        Weight.of((1, 1)),
-        Weight.of((1, 2)),
-        Weight.of((0, 1)),
-    ]
-    assert set(betas) == set(B2.positive_roots)
-
-
-def test_beta_sequence_single_letter():
-    assert beta_sequence(A2, (2,)) == [Weight.of((0, 1))]
-    assert beta_sequence(RootSystem.from_label("A1"), (1,)) == [Weight.of((1,))]
-
-
-def test_beta_sequence_requires_reduced():
-    with pytest.raises(NotReducedWord):
-        beta_sequence(A2, (1, 1))
 
 
 def test_billey_identity_element():
@@ -84,8 +57,8 @@ def test_billey_longest_element_is_the_full_product():
     for rs, word in ((A2, (1, 2, 1)), (B2, (1, 2, 1, 2)), (B2, (2, 1))):
         value = billey(BilleyQuery(rs, rs.weyl_from_word(word), word))
         expected = p("1", rs.rank)
-        for beta in beta_sequence(rs, word):
-            expected = expected * parse_polynomial(str(beta), rs.rank)
+        for beta in betas(rs, word):
+            expected = expected * Polynomial.linear(beta)
         assert value == expected
 
 
@@ -189,18 +162,18 @@ def test_verify_keeps_nothing_in_the_beta_table():
 
 def reduced_words(rs):
     """A reduced word of each element of W, keyed by its rows: breadth
-    first from the identity, so each element is first met by a shortest
-    word."""
-    words = {rs.identity_rows: ()}
-    frontier = [()]
+    first from the identity by reference matrix products, so each element
+    is first met by a shortest word."""
+    words = {identity(rs.rank): ()}
+    frontier = list(words.items())
     while frontier:
         new = []
-        for word in frontier:
+        for rows, word in frontier:
             for i in range(1, rs.rank + 1):
-                rows = rs.weyl_from_word(word + (i,)).rows
-                if rows not in words:
-                    words[rows] = word + (i,)
-                    new.append(word + (i,))
+                moved = matmul(rows, reflection(rs.cartan, i))
+                if moved not in words:
+                    words[moved] = word + (i,)
+                    new.append((moved, word + (i,)))
         frontier = new
     return words
 
@@ -231,9 +204,44 @@ def test_billey_values_satisfy_the_gkm_conditions(label):
         for v_word, value in xi.items():
             for beta, s in reflections.items():
                 moved = words[rs.weyl_from_word(s + v_word).rows]
-                divide_exact(value - xi[moved], Weight(beta))  # NotDivisible otherwise
+                divide_exact(value - xi[moved], beta)  # NotDivisible otherwise
         product = Polynomial.one(rs.rank)
         for j, i in enumerate(w_word):
             beta = column(rs.weyl_from_word(w_word[:j]).rows, i)
-            product = product * Polynomial.from_weight(Weight(beta))
+            product = product * Polynomial.linear(beta)
         assert xi[w_word] == product, (w_word, str(xi[w_word]))
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_billey_values_vanish_exactly_off_the_bruhat_order(label):
+    """xi^w(v) is nonzero exactly when w <= v in the Bruhat order, which is
+    built here from reference matrices alone: u < u t for each reflection t
+    with l(u t) > l(u), lengths counted as inversions, closed under
+    transitivity."""
+    rs = RootSystem.from_label(label)
+    words = reduced_words(rs)
+    roots = {column(rows, i) for rows in words for i in range(1, rs.rank + 1)}
+    roots = {beta for beta in roots if min(beta) >= 0}
+    length = {rows: sum(min(act(rows, beta)) < 0 for beta in roots) for rows in words}
+    # s_beta = u r_i u^-1 for beta = u(alpha_i), column i of u
+    reflections = {}
+    for rows, word in words.items():
+        for i in range(1, rs.rank + 1):
+            if column(rows, i) in roots:
+                reflections.setdefault(column(rows, i), element(rs, word + (i,) + word[::-1]).rows)
+    assert len(reflections) == len(roots) == max(length.values())
+    below = {}
+    for v in sorted(words, key=length.get):
+        below[v] = {v}
+        for t in reflections.values():
+            u = matmul(v, t)
+            if length[u] < length[v]:
+                below[v] |= below[u]
+    assert all(identity(rs.rank) in b for b in below.values())
+    zeros = 0
+    for w, w_word in words.items():
+        for v, v_word in words.items():
+            value = billey(BilleyQuery(rs, element(rs, w_word), v_word))
+            assert value.is_zero == (w not in below[v]), (w_word, v_word)
+            zeros += value.is_zero
+    assert 0 < zeros < len(words) ** 2
