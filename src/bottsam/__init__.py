@@ -35,10 +35,7 @@ _EXPORTS = {
     "ordinary": (
         "OrdinaryClass", "Relation", "evaluate_at_origin", "ordinary_multiply", "relations",
     ),
-    "schubert": (
-        "BilleyQuery", "billey", "check_billey_identity", "fiber",
-        "reduced_word_of_gallery",
-    ),
+    "schubert": ("BilleyQuery", "billey", "check_billey_identity", "fiber"),
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

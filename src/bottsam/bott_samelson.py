@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import reduce
-from operator import and_, mul
+from operator import and_, mul, or_
 from typing import Iterator
 
 from . import rootsystem
@@ -178,7 +178,6 @@ class BSWord:
         self.rs = rs
         self.letters = letters
         self.n = len(letters)
-        self._galleries: list[Gallery] | None = None
         self._form_poly: dict[tuple, Polynomial] = {}  # keyed by coordinates
         # the rule for x_{k+1} on bit k on, keyed by (k, bits below k); read
         # by ``multiply`` and, corrections only, by ``ordinary_multiply``
@@ -188,16 +187,14 @@ class BSWord:
 
     def galleries(self) -> list[Gallery]:
         """All 2^N galleries, graded by number of on bits, earlier on bits
-        first within a grade."""
-        if self._galleries is None:
-            # combinations of a grade come with the earlier positions first
-            n, units = self.n, [1 << 8 * k for k in range(self.n)]
-            self._galleries = [
-                Gallery._of_mask(sum([units[k] for k in on]), n)
-                for grade in range(n + 1)
-                for on in itertools.combinations(range(n), grade)
-            ]
-        return self._galleries
+        first within a grade; a new list on each call, kept nowhere."""
+        # combinations of a grade come with the earlier positions first
+        n, units = self.n, [1 << 8 * k for k in range(self.n)]
+        return [
+            Gallery._of_mask(sum([units[k] for k in on]), n)
+            for grade in range(n + 1)
+            for on in itertools.combinations(range(n), grade)
+        ]
 
     def check_gallery(self, e: Gallery) -> None:
         if e.n != self.n:
@@ -281,12 +278,11 @@ class CohClass:
         return not self.coords
 
     def restriction(self, ep: Gallery) -> Polynomial:
-        """Value at the fixed point ``ep``; only coordinates below ``ep``
-        contribute, and the weights of ``ep`` are found only when one does."""
+        """Value at the fixed point ``ep``: one walk down its path, carrying
+        only the coordinates below ``ep``."""
         self.word.check_gallery(ep)
-        if any(not e.mask & ~ep.mask for e in self.coords):
-            return _value(self, ep.mask, _walk(self.word, ep.mask, ep.mask)[0])
-        return Polynomial.zero(self.word.rs.rank)
+        values = _walk(self.word, (self,), ep.mask, ep.mask)[1]
+        return values[ep.mask] if values else Polynomial.zero(self.word.rs.rank)
 
     def __add__(self, other) -> "CohClass":
         if not isinstance(other, CohClass):
@@ -393,60 +389,60 @@ def read_class_doc(
     return word, items
 
 
-def _walk(word: BSWord, low: int = 0, high: int | None = None) -> tuple[dict, list[int]]:
-    """The weights of the galleries ``b`` with ``low <= b <= high`` (masks;
-    ``high`` has every position on by default, and ``low = -1`` means it
-    too), and those galleries.  ``alpha_k(b)`` depends only on the bits of
-    ``b`` before k, so its coordinates are kept once, under those bits with
-    bit k set, for each k on in ``high``: one reflection per on edge."""
+def _walk(word: BSWord, classes=(), low: int = 0, high: int | None = None) -> tuple[dict, dict]:
+    """One depth-first walk over the galleries ``b`` with ``low <= b <= high``
+    (masks; ``high`` all on by default, ``low = -1`` means it too): their
+    weights, and with ``classes`` the product of their values at each ``b``.
+    ``alpha_k(b)`` depends only on the bits of ``b`` before k, so it is kept
+    once, under those bits with bit k set, for each k on in ``high``: one
+    reflection per on edge, one matrix per position at a time.  Per class
+    the walk carries each coordinate still below ``b`` with the product of
+    the weights at its on positions, and skips a branch with none left."""
     rs = word.rs
     high = int.from_bytes(b"\1" * word.n, "little") if high is None else high
-    weights, forms, level = {}, {}, {0: rs.identity_rows}
-    for k, i in enumerate(word.letters):
-        bit = 1 << 8 * k
-        if not high & bit:
-            continue
-        for prefix, rows in level.items():
-            form = tuple(r[i - 1] for r in rows)
-            weights[prefix | bit] = forms.setdefault(form, form)
-        later = high >> 8 * k > 1  # rows past the last on position go unread
-        on = {p | bit: rs.times_reflection(rows, i) if later else rows
-              for p, rows in level.items()}
-        level = on if low & bit else level | on
-    return weights, list(level)
-
-
-def _value(c: CohClass, b: int, weights: dict) -> Polynomial:
-    """``c`` at the fixed point ``b``, from weights covering ``b``: each
-    coordinate below ``b`` times the weights of ``b`` at its on positions.
-    A product starts from its first weight and takes the coordinate only
-    when that is not the unit; the first product is the start of the sum."""
-    word, out = c.word, None
-    one = {(0,) * word.rs.rank: 1}
-    for e, p in c.coords.items():
-        e = e.mask
-        if not e & ~b:
-            term = None
-            while e:
-                bit = e & -e
-                e ^= bit
-                weight = word._poly_of(weights[b & (bit << 1) - 1])
-                term = weight if term is None else term * weight
-            if term is None:
-                term = p
-            elif p.terms != one:
-                term = term * p
-            out = term if out is None else out + term
-    return Polynomial.zero(word.rs.rank) if out is None else out
-
-
-def _rows(word: BSWord, weights: dict) -> Iterator[tuple[Gallery, dict[int, Polynomial]]]:
-    """Each basis class in the canonical gallery order, with its nonzero
-    values keyed by mask, from the weights of the whole word."""
-    masks = [g.mask for g in word.galleries()]
-    for e in word.galleries():
-        c = CohClass.basis(word, e)
-        yield e, {b: _value(c, b, weights) for b in masks if not e.mask & ~b}
+    one, weights, forms, values = {(0,) * rs.rank: 1}, {}, {}, {}
+    live = [[(e.mask, p, None) for e, p in c.coords.items() if not e.mask & ~high]
+            for c in classes]
+    if not all(live):
+        return weights, values
+    # per on position of high: its bit, its letter, and whether a later
+    # position reads the matrix past it
+    steps = [(1 << 8 * k, i, high >> 8 * k > 1)
+             for k, i in enumerate(word.letters) if high >> 8 * k & 1]
+    # a node: its next step, prefix, matrix, live coordinates and their bits;
+    # it goes down its on edges and leaves its off edges on the stack
+    stack = [(0, 0, rs.identity_rows, live, reduce(or_, [t[0] for ts in live for t in ts], 0))]
+    last = value = None
+    while stack:
+        j, b, rows, live, used = stack.pop()
+        for bit, i, later in steps[j:]:
+            j += 1
+            form = tuple([r[i - 1] for r in rows])
+            weights[b | bit] = form = forms.setdefault(form, form)
+            if used & bit:
+                if not low & bit:
+                    off = [[t for t in terms if not t[0] & bit] for terms in live]
+                    if all(off):
+                        stack.append((j, b, rows, off, reduce(or_, [t[0] for ts in off for t in ts])))
+                weight = word._poly_of(form)
+                live = [[(e, p, weight if part is None else part * weight) if e & bit else (e, p, part)
+                         for e, p, part in terms] for terms in live]
+            elif not low & bit:
+                stack.append((j, b, rows, live, used))
+            b |= bit
+            if later:
+                rows = rs.times_reflection(rows, i)
+        if live:  # the points below the last step that changed it share a value
+            if live is not last:
+                last, value = live, None
+                for terms in live:
+                    out = None
+                    for _, p, part in terms:  # a product takes p only when p is not 1
+                        term = p if part is None else part if p.terms == one else part * p
+                        out = term if out is None else out + term
+                    value = out if value is None else value * out
+            values[b] = value
+    return weights, values
 
 
 def _butterfly(
@@ -512,7 +508,7 @@ def expand(word: BSWord, values: dict[Gallery, Polynomial]) -> CohClass:
             p = Polynomial.constant(word.rs.rank, p)
         table[e.mask] = p
     # every gallery the butterfly reaches lies above the meet of the values
-    return _class_of(word, table, _walk(word, reduce(and_, table, -1))[0])
+    return _class_of(word, table, _walk(word, low=reduce(and_, table, -1))[0])
 
 
 def _generator(word: BSWord, k: int, low: int, spill: dict) -> tuple[tuple, tuple]:
@@ -554,6 +550,12 @@ def _add_into(d: dict, p: dict, c, shift: int = 0) -> None:
 
 # Bit k of a gallery is bit 8k of its mask; a monomial packs its exponents
 # ``size`` bytes each (``units``), so ``int.to_bytes`` reads them back.
+def _packing(rank: int, top: int) -> tuple[int, list[int]]:
+    """The bytes per exponent that hold ``top``, and each variable's unit."""
+    size = (top.bit_length() + 7) // 8 or 1
+    return size, [1 << 8 * size * v for v in range(rank)]
+
+
 def _pack(p: Polynomial, units: list[int]) -> dict:
     return {sum(map(mul, e, units)): c for e, c in p.terms.items()}
 
@@ -589,8 +591,7 @@ def multiply(c1: CohClass, c2: CohClass) -> CohClass:
         for p in c.coords.values():
             degree = max(degree, *map(sum, p.terms))
         top += degree
-    size = (top.bit_length() + 7) // 8
-    units = [1 << 8 * size * v for v in range(rank)]
+    size, units = _packing(rank, top)
     firsts = [(e.mask, _pack(p, units)) for e, p in c1.coords.items()]
     spill, out = {}, {}
     for e2, q in c2.coords.items():
@@ -621,16 +622,13 @@ def multiply(c1: CohClass, c2: CohClass) -> CohClass:
 def multiply_by_localization(c1: CohClass, c2: CohClass) -> CohClass:
     """Product of two classes pointwise on fixed points, then expanded.
 
-    The product vanishes at a fixed point unless it lies above the join of
-    a support gallery of each factor, so only the points above the meet of
-    the joins are evaluated, one cube for two basis classes.  The independent
+    One walk carries both classes, so only the points above a coordinate of
+    each are evaluated, one cube for two basis classes.  The independent
     route behind the product checks; :func:`multiply` is the one to use.
     """
     if c1.word != c2.word:
         raise WordMismatch("classes over different words")
-    joins = [e1.mask | e2.mask for e1 in c1.coords for e2 in c2.coords]
-    weights, points = _walk(c1.word, reduce(and_, joins, -1))
-    values = {b: _value(c1, b, weights) * _value(c2, b, weights) for b in points}
+    weights, values = _walk(c1.word, (c1, c2))
     return _class_of(c1.word, values, weights)
 
 
@@ -650,12 +648,18 @@ def restriction_table(word: BSWord) -> dict:
     text, both in the canonical gallery order.  ``rows`` is the one loop
     over the 4^N cells: an iterator that makes each row as it is read, so
     the whole table is never held, and that can be read once."""
-    gals, zero = word.galleries(), Polynomial.zero(word.rs.rank)
+    gals, zero = word.galleries(), format_polynomial(Polynomial.zero(word.rs.rank))
+
+    def row(e: Gallery) -> list[str]:  # one walk over the cube above e
+        values = _walk(word, (CohClass.basis(word, e),))[1]
+        # points below e's last on position share a value: format it once
+        texts = {k: format_polynomial(v) for k, v in {id(v): v for v in values.values()}.items()}
+        return [texts[id(values[g.mask])] if g.mask in values else zero for g in gals]
+
     return {
         "word": list(word.letters),
         "columns": [str(g) for g in gals],
-        "rows": ((str(e), [format_polynomial(row.get(g.mask, zero)) for g in gals])
-                 for e, row in _rows(word, _walk(word)[0])),
+        "rows": ((str(e), row(e)) for e in gals),
     }
 
 
@@ -685,8 +689,8 @@ def integrate_by_localization(word: BSWord, e: Gallery, c: CohClass) -> Polynomi
     """Localization integral over the subvariety of gallery ``e``.
 
     Pushes the values of ``c`` at the fixed points below ``e`` down the
-    tower of ``e``'s on positions, above the meet of the coordinates under
-    ``e``: at most ``|e| * 2^(|e| - 1)`` exact divisions.
+    tower of ``e``'s on positions, walking only the points above a
+    coordinate under ``e``: at most ``|e| * 2^(|e| - 1)`` exact divisions.
     Raises :class:`NotInSpan` when a division leaves a remainder, which for
     a genuine class means a bug.  The independent route behind the integral
     checks; :func:`integrate` is the one to use.
@@ -694,8 +698,5 @@ def integrate_by_localization(word: BSWord, e: Gallery, c: CohClass) -> Polynomi
     word.check_gallery(e)
     if c.word != word:
         raise WordMismatch("class over a different word")
-    # a value below e is nonzero only above a coordinate under e
-    low = reduce(and_, [g.mask for g in c.coords if not g.mask & ~e.mask], e.mask)
-    weights, points = _walk(word, low, e.mask)
-    values = {b: _value(c, b, weights) for b in points}
+    weights, values = _walk(word, (c,), high=e.mask)
     return _butterfly(word, values, e.support, weights).get(e.mask, Polynomial.zero(word.rs.rank))

@@ -208,6 +208,14 @@ def _word(args: argparse.Namespace) -> BSWord:
     return BSWord(args.rs, args.letters, cap=args.cap)
 
 
+def _read_json(text: str):
+    """A JSON document; one nested too deeply to decode is an input error."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
+
+
 def _galleries(word: BSWord, *texts: str) -> list[Gallery]:
     """Galleries given as bit strings, all read before any is checked
     against the word."""
@@ -226,7 +234,7 @@ def _load_class(args: argparse.Namespace, word: BSWord) -> CohClass:
     if not text.startswith("{"):
         with open(text, encoding="utf-8") as fh:
             text = fh.read()
-    cls = CohClass.from_json_dict(args.rs, json.loads(text), cap=args.cap)
+    cls = CohClass.from_json_dict(args.rs, _read_json(text), cap=args.cap)
     if cls.word != word:
         raise WordMismatch(
             f"class is over word {list(cls.word.letters)}, not {list(word.letters)}"
@@ -393,7 +401,7 @@ def main(argv=None) -> int:
             args.rs = RootSystem.from_label(args.type_label)
         elif args.cartan:
             with open(args.cartan, encoding="utf-8") as fh:
-                args.rs = RootSystem(CartanSpec.from_json_dict(json.load(fh)))
+                args.rs = RootSystem(CartanSpec.from_json_dict(_read_json(fh.read())))
         elif args.command != "selftest":
             raise ValueError("choose a Cartan source with --type or --cartan")
         args.letters = parse_word(args.word) if args.word is not None else None

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from . import rootsystem
 from .errors import NotLongestWord, NotReducedGallery, NotReducedWord, RankMismatch
-from .bott_samelson import BSWord, CohClass, Gallery, _unpack
+from .bott_samelson import BSWord, CohClass, Gallery, _packing, _unpack
 from .polyring import Polynomial
 from .rootsystem import RootSystem, Rows, SimpleWord, WeylElement, ascends
 
 
-def reduced_word_of_gallery(word: BSWord, e: Gallery) -> SimpleWord:
+def _reduced_word_of_gallery(word: BSWord, e: Gallery) -> SimpleWord:
     """The letters of ``word`` at the on positions of ``e``, required to be a
     reduced word (for ``v(e)``)."""
     word.check_gallery(e)
@@ -58,11 +58,6 @@ def reduced_galleries(word: BSWord) -> list[Gallery]:
     return _in_gallery_order(word, (m for m, _ in _reduced_walk(word)))
 
 
-def _beta_size(length: int) -> int:
-    """The bytes that hold every exponent of a product of ``length`` betas."""
-    return (length.bit_length() + 7) // 8 or 1
-
-
 def _packed_betas(rs: RootSystem, v_word: SimpleWord) -> tuple[int, tuple]:
     """``beta_j``, column ``i_j`` of the prefix product, which must be
     positive at every step (the word is reduced), as the byte width that
@@ -76,8 +71,7 @@ def _packed_betas(rs: RootSystem, v_word: SimpleWord) -> tuple[int, tuple]:
     if out is None:
         for i in v_word:
             rs._check_index(i)
-        size = _beta_size(len(v_word))
-        units = [1 << 8 * size * k for k in range(rs.rank)]
+        size, units = _packing(rs.rank, len(v_word))
         rows = rs.identity_rows
         forms = []
         for i in v_word:
@@ -246,9 +240,8 @@ def check_billey_identities(
     fib = CohClass(word, dict.fromkeys(_fiber(word, walk, w), 1))
     for e in galleries:
         if e.n != word.n or e.mask not in rows_of:
-            reduced_word_of_gallery(word, e)  # raises: the wrong length, or not reduced
-    interval, size = _weak_interval(rs, w), _beta_size(word.n)
-    units = [1 << 8 * size * k for k in range(rs.rank)]
+            _reduced_word_of_gallery(word, e)  # raises: the wrong length, or not reduced
+    interval, (size, units) = _weak_interval(rs, w), _packing(rs.rank, word.n)
     # a reduced gallery without its last on bit is a reduced gallery of a
     # smaller mask, whose point holds the beta at that bit
     paths = {0: ()}

@@ -18,7 +18,6 @@ from .bott_samelson import (
     CohClass,
     Gallery,
     _class_of,
-    _rows,
     _walk,
     expand,
     multiply,
@@ -99,11 +98,12 @@ def check_delta_integrals(seed: int = 0) -> CheckResult:
     for rs, letters in _delta_word_set(seed):
         words += 1
         word = BSWord(rs, letters)
-        weights = _walk(word)[0]
-        for e, values in _rows(word, weights):
+        for e in word.galleries():
+            basis = CohClass.basis(word, e)
+            weights, values = _walk(word, (basis,))
             pairs += 2**word.n
             integrals = _class_of(word, values, weights)
-            if integrals != CohClass.basis(word, e):
+            if integrals != basis:
                 failures.append(
                     f"{rs.label} {letters}: integrals of {e} are {integrals}"
                 )
@@ -118,18 +118,18 @@ def check_delta_integrals(seed: int = 0) -> CheckResult:
 def check_generator_products(seed: int = 0) -> CheckResult:
     """The closed one-generator product rule agrees with pointwise
     multiplication plus expansion, over the same words as the delta suite.
-    Each word's weights and restriction values are computed once; a
-    product is evaluated only above the join of its two factors."""
+    One walk per basis class gives its values and weights; a product is
+    evaluated only above the join of its two factors."""
     t0 = time.perf_counter()
     failures: list[str] = []
     products = 0
     for rs, letters in _delta_word_set(seed):
         word = BSWord(rs, letters)
-        weights = _walk(word)[0]
-        table = dict(_rows(word, weights))
-        for i in range(1, word.n + 1):
-            gen = table[Gallery.unit(word.n, i)]
-            for e, row in table.items():
+        gens = [_walk(word, (CohClass.basis(word, Gallery.unit(word.n, i)),))[1]
+                for i in range(1, word.n + 1)]
+        for e in word.galleries():
+            weights, row = _walk(word, (CohClass.basis(word, e),))
+            for i, gen in enumerate(gens, 1):
                 products += 1
                 direct = multiply_generator(word, i, e)
                 values = {ep: v * row[ep] for ep, v in gen.items() if ep in row}

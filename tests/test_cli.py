@@ -423,6 +423,27 @@ def test_malformed_class_is_a_one_line_user_error(capsys, command, spec):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("as_json", [(), ("--json",)])
+@pytest.mark.parametrize("source", ["class", "cartan"])
+def test_deeply_nested_json_is_a_one_line_user_error(tmp_path, capsys, source, as_json):
+    """A document nested past what the decoder can recurse into, inline in
+    --class or in a --cartan file, is refused like any malformed input."""
+    if source == "class":
+        spec = '{"word": [1, 2, 1], "coords": {"011": "1"}, "x": ' + DEEP_JSON + "}"
+        argv = ["--type", "A2", "--word", "1,2,1", "restrict", "011", "--class", spec]
+    else:
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        argv = ["--cartan", str(path), "roots"]
+    code, out, err = run(capsys, *argv, *as_json)
+    assert code == 2
+    assert out == ""
+    assert err == "error: ValueError: JSON document nested too deeply\n"
+
+
 def test_billey_verify_refuses_a_word_that_is_not_longest_before_listing_galleries(
     capsys, monkeypatch
 ):

@@ -219,4 +219,64 @@ def test_the_word_keeps_no_weights_per_gallery():
     for name, value in vars(word).items():
         if isinstance(value, dict):
             assert not masks & value.keys(), name
+        # nor the galleries themselves: galleries() makes a new list each call
+        if isinstance(value, (list, tuple, set, dict)):
+            assert len(value) < len(gals), name
+            assert not any(isinstance(x, Gallery) for x in value), name
+    assert word.galleries() is not word.galleries()
     assert 0 < len(word._form_poly) <= 2 * len(rs.positive_roots)
+
+
+def on_edges(points, n):
+    """The on edges of the walk down to ``points``: a prefix of one of them
+    before position k, for each k on in it."""
+    return {(b & (1 << 8 * k) - 1, k) for b in points for k in range(n) if b >> 8 * k & 1}
+
+
+def test_walks_reflect_only_on_the_edges_of_their_class(monkeypatch):
+    """restriction walks one path, and integrate_by_localization, a table
+    row and multiply_by_localization only the points above the coordinates
+    of their classes: times_reflection runs at most once per on edge of
+    the prefixes of those points (a walk over the whole cube makes 2^N - 1
+    of them).  The classes of several coordinates have a small meet, and
+    only a few points above their coordinates."""
+    rs = SYSTEMS["B3"]
+    word = BSWord(rs, (1, 2, 3, 1, 2, 3, 1, 2))
+    full, gals = Gallery((1,) * word.n), word.galleries()
+    calls = []
+    reflect = RootSystem.times_reflection
+    monkeypatch.setattr(RootSystem, "times_reflection",
+                        lambda self, rows, i: calls.append(i) or reflect(self, rows, i))
+
+    def count(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    def edges(coords, top):
+        points = {b.mask for b in gals if b.leq(top) and any(e.leq(b) for e in coords)}
+        return len(on_edges(points, word.n))
+
+    def one_off(e, k):
+        """``k`` galleries under ``e`` with one of its on bits off."""
+        return [Gallery._of_mask(e.mask ^ 1 << 8 * (i - 1), e.n)
+                for i in rng.sample(e.support, k)]
+
+    rng = random.Random("edges")
+    for ep in rng.sample(gals, 40):
+        e = rng.choice(gals)
+        c = CohClass(word, {e: 1, full: 2})
+        assert count(lambda: c.restriction(ep)) <= ep.ones * e.leq(ep)
+    for e in rng.sample([g for g in gals if g.ones >= 6], 10):
+        coords = one_off(e, 3)
+        c = CohClass(word, dict.fromkeys(coords, 1))
+        assert count(lambda: integrate_by_localization(word, e, c)) <= edges(coords, e)
+    rows = restriction_table(word)["rows"]
+    for e in gals:
+        assert count(lambda: next(rows)) <= edges([e], full)
+    assert count(lambda: next(rows, None)) == 0
+    for e1 in rng.sample(gals, 10):
+        coords = one_off(full, 3)
+        c1, c2 = CohClass.basis(word, e1), CohClass(word, dict.fromkeys(coords, 1))
+        joins = [Gallery._of_mask(e1.mask | e.mask, word.n) for e in coords]
+        assert count(lambda: multiply_by_localization(c1, c2)) <= edges(joins, full)
