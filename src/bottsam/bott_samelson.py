@@ -179,9 +179,10 @@ class BSWord:
         self.letters = letters
         self.n = len(letters)
         self._form_poly: dict[tuple, Polynomial] = {}  # keyed by coordinates
-        # the rule for x_{k+1} on bit k on, keyed by (k, bits below k); read
-        # by ``multiply`` and, corrections only, by ``ordinary_multiply``
-        self._generators: dict[tuple[int, int], tuple[tuple, tuple]] = {}
+        # the rule for x_{k+1} on bit k on, keyed by the mask of the bits up
+        # to and including k; read by ``multiply`` and, corrections only, by
+        # ``ordinary_multiply``
+        self._generators: dict[int, tuple[tuple, tuple]] = {}
 
     # ---- basic structure -------------------------------------------------
 
@@ -511,23 +512,25 @@ def expand(word: BSWord, values: dict[Gallery, Polynomial]) -> CohClass:
     return _class_of(word, table, _walk(word, low=reduce(and_, table, -1))[0])
 
 
-def _generator(word: BSWord, k: int, low: int, spill: dict) -> tuple[tuple, tuple]:
-    """:func:`multiply_generator`'s rule at bit k on, ``low`` the bits below:
-    corrections ``(mask of j, coefficient)``, diagonal ``(variable,
-    coefficient)``; kept in ``word`` up to ``MEMO_MAX_ENTRIES``, then in
-    ``spill``.  ``ordinary_multiply`` reads the corrections alone, the
-    diagonal being zero at the origin.  The pairing with letter l is the
-    dot product with Cartan row l, and r_l moves coordinate l only."""
-    key = (k, low)
-    entry = word._generators.get(key) or spill.get(key)
+def _generator(word: BSWord, key: int, spill: dict) -> tuple[tuple, tuple]:
+    """:func:`multiply_generator`'s rule at bit k on, ``key`` the mask of
+    the bits up to and including k: corrections ``(mask of j, coefficient)``,
+    diagonal ``(variable, coefficient)``.  Its readers look ``key`` up in
+    ``word._generators`` and call this on a miss; it is kept there up to
+    ``MEMO_MAX_ENTRIES``, then in ``spill``.  ``ordinary_multiply`` reads
+    the corrections alone, the diagonal being zero at the origin.  The
+    pairing with letter l is the dot product with Cartan row l, and r_l
+    moves coordinate l only."""
+    entry = spill.get(key)
     if entry is None:
+        k = key.bit_length() >> 3
         letters, rows = word.letters, word.rs._cartan_nonzero
         alpha = list(word.rs.identity_rows[letters[k] - 1])
         corrections = []
         for j in range(k - 1, -1, -1):
             lj = letters[j] - 1
             c = sum(alpha[m] * a for m, a in rows[lj])
-            if low >> 8 * j & 1:
+            if key >> 8 * j & 1:
                 alpha[lj] -= c
             elif c:
                 corrections.append((1 << 8 * j, -c))
@@ -537,40 +540,25 @@ def _generator(word: BSWord, k: int, low: int, spill: dict) -> tuple[tuple, tupl
     return entry
 
 
-def _add_into(d: dict, p: dict, c, shift: int = 0) -> None:
-    """``d += c * p``, each monomial of ``p`` moved by ``shift``."""
-    for m, v in p.items():
-        m += shift
-        v = d.get(m, 0) + v * c
-        if v:
-            d[m] = v
-        else:
-            del d[m]
-
-
 # Bit k of a gallery is bit 8k of its mask; a monomial packs its exponents
 # ``size`` bytes each (``units``), so ``int.to_bytes`` reads them back.
-def _packing(rank: int, top: int) -> tuple[int, list[int]]:
-    """The bytes per exponent that hold ``top``, and each variable's unit."""
+def _packing(rs: RootSystem, top: int) -> tuple[int, tuple[int, ...]]:
+    """The bytes per exponent that hold ``top``, and each variable's unit,
+    kept in ``rs`` per size."""
     size = (top.bit_length() + 7) // 8 or 1
-    return size, [1 << 8 * size * v for v in range(rank)]
-
-
-def _pack(p: Polynomial, units: list[int]) -> dict:
-    return {sum(map(mul, e, units)): c for e, c in p.terms.items()}
+    units = rs._units.get(size)
+    if units is None:
+        units = rs._units[size] = tuple(1 << 8 * size * v for v in range(rs.rank))
+    return size, units
 
 
 def _unpack(p: dict, rank: int, size: int) -> dict:
-    """The terms of a packed polynomial on exponent tuples, integral
+    """The nonzero terms of a packed polynomial on exponent tuples, integral
     coefficients as ``int``."""
-    n = rank * size
-    if size == 1:
-        return {tuple(m.to_bytes(n, "little")): c if type(c) is int or c.denominator != 1
-                else c.numerator for m, c in p.items()}
-    cuts = range(0, n, size)
+    n, cuts = rank * size, range(0, rank * size, size)
     return {tuple(int.from_bytes(b[k : k + size], "little") for k in cuts): c
             if type(c) is int or c.denominator != 1 else c.numerator
-            for m, c in p.items() for b in [m.to_bytes(n, "little")]}
+            for m, c in p.items() if c for b in [m.to_bytes(n, "little")]}
 
 
 def multiply(c1: CohClass, c2: CohClass) -> CohClass:
@@ -579,8 +567,9 @@ def multiply(c1: CohClass, c2: CohClass) -> CohClass:
     One pair of terms ``p sigma_a``, ``q sigma_b`` at a time, from ``sigma_a
     sigma_b = sigma_{a or b} prod_{i in a and b} x_i``: start at ``p
     sigma_{a or b}``, apply ``x_i`` only where ``a`` and ``b`` overlap, in
-    position order, and multiply by ``q``.  This is exact: the rule at bit i
-    reads only the bits below i, and its corrections add only off bits below i."""
+    position order, and multiply by ``q`` unless it is 1.  This is exact: the
+    rule at bit i reads only the bits below i, and its corrections add only
+    off bits below i."""
     word, rank = c1.word, c1.word.rs.rank
     if c2.word is not word and c2.word != word:
         raise WordMismatch("classes over different words")
@@ -589,34 +578,70 @@ def multiply(c1: CohClass, c2: CohClass) -> CohClass:
     for c in (c1, c2):
         degree = 0
         for p in c.coords.values():
-            degree = max(degree, *map(sum, p.terms))
+            for m in p.terms:
+                if sum(m) > degree:
+                    degree = sum(m)
         top += degree
-    size, units = _packing(rank, top)
-    firsts = [(e.mask, _pack(p, units)) for e, p in c1.coords.items()]
-    spill, out = {}, {}
-    for e2, q in c2.coords.items():
-        b, q = e2.mask, _pack(q, units)
+    size, units = _packing(word.rs, top)
+    firsts, seconds = factors = [], []
+    for c, packed in zip((c1, c2), factors):
+        for e, p in c.coords.items():
+            if top > word.n:
+                packed.append((e.mask, {sum(map(mul, m, units)): v for m, v in p.terms.items()}))
+            else:  # every coordinate of both factors is one constant
+                (v,) = p.terms.values()
+                packed.append((e.mask, {0: v}))
+    gens, spill, out = word._generators, {}, {}
+    rest = len(seconds)
+    for b, q in seconds:
+        rest -= 1
+        unit = q == {0: 1}
         for a, p1 in firsts:
             cur, overlap = {a | b: p1}, a & b
             while overlap:
                 bit = overlap & -overlap
                 overlap ^= bit
-                k = bit.bit_length() >> 3
-                nxt: dict[int, dict] = {}
+                low, nxt = (bit << 1) - 1, {}
                 for mask, p in cur.items():
-                    corrections, diagonal = _generator(word, k, mask & (bit - 1), spill)
+                    corrections, diagonal = gens.get(mask & low) or _generator(word, mask & low, spill)
                     for add, c in corrections:
-                        _add_into(nxt.setdefault(mask | add, {}), p, c)
+                        d = nxt.setdefault(mask | add, {})
+                        for m, v in p.items():
+                            d[m] = d.get(m, 0) + v * c
                     d = nxt.setdefault(mask, {})
                     for var, c in diagonal:
-                        _add_into(d, p, c, units[var])
+                        shift = units[var]
+                        for m, v in p.items():
+                            m += shift
+                            d[m] = d.get(m, 0) + v * c
                 cur = nxt
             for mask, p in cur.items():
-                d = out.setdefault(mask, {})
-                for mq, cq in q.items():
-                    _add_into(d, p, cq, mq)
-    return CohClass._of(word, {Gallery._of_mask(m, word.n): Polynomial._of(rank, _unpack(p, rank, size))
-                               for m, p in out.items() if p})
+                d = out.get(mask)
+                if d is None and unit:  # p1 itself is copied if a later pair reads it
+                    out[mask] = dict(p) if rest and p is p1 else p
+                    continue
+                if d is None:
+                    d = out[mask] = {}
+                for mq, c in q.items():
+                    for m, v in p.items():
+                        m += mq
+                        d[m] = d.get(m, 0) + v * c
+    # terms that cancelled are still there, at zero
+    n, coords = word.n, {}
+    for mask, p in out.items():
+        if size > 1:
+            terms = _unpack(p, rank, size)
+        else:
+            terms = {}
+            for m, v in p.items():
+                if v:  # integral coefficients as int
+                    terms[tuple(m.to_bytes(rank, "little"))] = (
+                        v if type(v) is int or v.denominator != 1 else v.numerator)
+        if terms:
+            e, poly = Gallery.__new__(Gallery), Polynomial.__new__(Polynomial)
+            e.mask, e.n, poly.rank, poly.terms = mask, n, rank, terms
+            coords[e] = poly
+    return CohClass._of(word, coords)
 
 
 def multiply_by_localization(c1: CohClass, c2: CohClass) -> CohClass:

@@ -186,14 +186,15 @@ def ordinary_multiply(c1: OrdinaryClass, c2: OrdinaryClass) -> OrdinaryClass:
     b``, applied in position order.  With bit i on, ``x_i x_e`` is the
     constant term of :func:`~bottsam.bott_samelson.multiply`'s rule for
     ``x_i sigma_e``, whose diagonal term vanishes at the origin: the
-    corrections in the word's generator table.  They add bits only below
+    corrections in the word's generator table, looked up under the mask
+    of the bits of ``e`` up to and including i.  They add bits only below
     i, so every later overlap bit is still on when its turn comes.
     Galleries are integer masks with position k + 1 at bit 8k.
     """
     if c1.word != c2.word:
         raise WordMismatch("classes over different words")
     word = c1.word
-    spill: dict[tuple[int, int], tuple[tuple, tuple]] = {}
+    gens, spill = word._generators, {}
     acc: dict[int, int | Fraction] = {}
     masks = [(e.mask, q) for e, q in c1.coords.items()]
     for e2, q2 in c2.coords.items():
@@ -204,10 +205,9 @@ def ordinary_multiply(c1: OrdinaryClass, c2: OrdinaryClass) -> OrdinaryClass:
             while overlap:
                 bit = overlap & -overlap
                 overlap ^= bit
-                k = bit.bit_length() >> 3
-                nxt: dict[int, int] = {}
+                low, nxt = (bit << 1) - 1, {}
                 for mask, c in cur.items():
-                    for add, d in _generator(word, k, mask & (bit - 1), spill)[0]:
+                    for add, d in (gens.get(mask & low) or _generator(word, mask & low, spill))[0]:
                         nxt[mask | add] = nxt.get(mask | add, 0) + c * d
                 cur = nxt
             q = q1 * q2

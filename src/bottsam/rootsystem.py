@@ -217,6 +217,9 @@ class RootSystem:
         # element (``schubert._packed_betas``, ``schubert._weak_interval``)
         self._betas: dict[SimpleWord, tuple] = {}
         self._intervals: dict[Rows, tuple] = {}
+        # each variable's unit in a packed monomial, per bytes per exponent
+        # (``bott_samelson._packing``)
+        self._units: dict[int, tuple[int, ...]] = {}
 
     @classmethod
     def from_label(cls, label: str) -> "RootSystem":

@@ -71,7 +71,7 @@ def _packed_betas(rs: RootSystem, v_word: SimpleWord) -> tuple[int, tuple]:
     if out is None:
         for i in v_word:
             rs._check_index(i)
-        size, units = _packing(rs.rank, len(v_word))
+        size, units = _packing(rs, len(v_word))
         rows = rs.identity_rows
         forms = []
         for i in v_word:
@@ -191,8 +191,10 @@ def _sweep(rank: int, size: int, path, interval: Interval) -> Polynomial:
                     m = mono + p
                     acc[m] = acc.get(m, 0) + c * b
     # every coefficient is a sum of products of positive-root coordinates,
-    # so none is zero
-    return Polynomial._of(rank, _unpack(states[0] or {}, rank, size))
+    # so none is zero, and each is an int
+    sums = states[0] or {}
+    return Polynomial._of(rank, {tuple(m.to_bytes(rank, "little")): c for m, c in sums.items()}
+                          if size == 1 else _unpack(sums, rank, size))
 
 
 def fiber(word: BSWord, w: WeylElement) -> set[Gallery]:
@@ -241,7 +243,7 @@ def check_billey_identities(
     for e in galleries:
         if e.n != word.n or e.mask not in rows_of:
             _reduced_word_of_gallery(word, e)  # raises: the wrong length, or not reduced
-    interval, (size, units) = _weak_interval(rs, w), _packing(rs.rank, word.n)
+    interval, (size, units) = _weak_interval(rs, w), _packing(rs, word.n)
     # a reduced gallery without its last on bit is a reduced gallery of a
     # smaller mask, whose point holds the beta at that bit
     paths = {0: ()}

@@ -183,6 +183,59 @@ def test_kernel_matches_reference_and_localization(rs):
             assert got == (a if b == CohClass.unit(b.word) else b)
 
 
+def unit_mixed_class(rng, word, count, unit_at, galleries=None):
+    """``count`` coordinates on distinct galleries, in that order: the one
+    at ``unit_at`` has coefficient 1, the others alternate a ``Fraction``
+    and a linear form."""
+    rank = word.rs.rank
+    coords = {}
+    for k, e in enumerate(rng.sample(galleries or word.galleries(), count)):
+        if k == unit_at:
+            coords[e] = Polynomial.one(rank)
+        elif k % 2:
+            q = Fraction(rng.choice([-3, -1, 1, 5]), rng.choice([2, 3]))
+            coords[e] = Polynomial.constant(rank, q)
+        else:
+            form = (rng.randint(1, 2), *(rng.randint(-2, 2) for _ in range(rank - 1)))
+            coords[e] = Polynomial.linear(form)
+    return CohClass(word, coords)
+
+
+def snapshot(c):
+    return str(c), {e: dict(p.terms) for e, p in c.coords.items()}
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_a_unit_coefficient_takes_the_product_without_aliasing_its_inputs(where):
+    """A unit coefficient in the second factor hands the rewritten first
+    term over as the result, which later pairs add into; the first
+    factor's term must be copied when a later pair still reads it."""
+    rng = random.Random(f"unit:{where}")
+    for rs in (RootSystem.from_label(label) for label in ("A2", "B2", "G2", "A3")):
+        for _ in range(6):
+            word = random_word(rng, rs, longest=5)
+            gals = word.galleries()
+            pairs = []
+            for _ in range(2):
+                sizes = [min(len(gals), rng.randint(3 if where == "middle" else 2, 4)) for _ in "ab"]
+                units = [{"first": 0, "middle": n // 2, "last": n - 1}[where] for n in sizes]
+                pairs.append(tuple(unit_mixed_class(rng, word, n, k) for n, k in zip(sizes, units)))
+            # galleries on either side of a cut: no pair of terms overlaps
+            cut = rng.randint(1, word.n - 1) if word.n > 1 else 0
+            sides = ([e for e in gals if not e.mask >> 8 * cut],
+                     [e for e in gals if not e.mask & (1 << 8 * cut) - 1])
+            sizes = [min(n, len(side)) for n, side in zip(sizes, sides)]
+            pairs.append(tuple(unit_mixed_class(rng, word, n, min(k, n - 1), side)
+                               for n, k, side in zip(sizes, units, sides)))
+            for a, b in pairs:
+                for x, y in ((a, b), (b, a)):
+                    before = snapshot(x), snapshot(y)
+                    got = multiply(x, y)
+                    assert (snapshot(x), snapshot(y)) == before
+                    want = reference_multiply(x, y)
+                    assert got == want == multiply_by_localization(x, y), (word, str(x), str(y))
+
+
 def test_disjoint_basis_classes_multiply_to_their_join_without_the_rule_table():
     rng = random.Random("disjoint")
     for rs in SYSTEMS:

@@ -121,20 +121,31 @@ def test_bounded_tables_stop_growing_and_keep_their_results(monkeypatch):
     assert not word._generators and not rs._betas
 
 
-def test_ordinary_and_equivariant_products_share_one_table():
+def test_ordinary_and_equivariant_products_share_one_table(monkeypatch):
     d4 = RootSystem.from_label("D4")
     word = BSWord(d4, d4.longest_word()[:10])
     assert not hasattr(word, "_rewrites")
     # one overlap bit: both products need the rule at that bit for the
-    # bits of the other factor below it, and nothing else
+    # bits of the other factor below it, and nothing else; its key is the
+    # mask of the bits up to and including the overlap bit
     pairs = [(e, Gallery.unit(word.n, i)) for e in word.galleries()[::13] for i in e.support]
     ordinary = [product(word, a, b) for a, b in pairs]
     table = dict(word._generators)
-    assert table
+    assert set(table) == {a.mask & (b.mask << 1) - 1 for a, b in pairs}
     equivariant = [multiply(CohClass.basis(word, a), CohClass.basis(word, b)) for a, b in pairs]
     assert word._generators.keys() == table.keys()
     assert all(word._generators[key] is entry for key, entry in table.items())
     assert [evaluate_at_origin(c) for c in equivariant] == ordinary
+    # a bounded table gives the same products and never holds more than the bound
+    for bound in (0, 1, 5):
+        monkeypatch.setattr(rootsystem, "MEMO_MAX_ENTRIES", bound)
+        bounded = BSWord(d4, word.letters)
+        for (a, b), want, want_ordinary in zip(pairs, equivariant, ordinary):
+            assert product(bounded, a, b) == want_ordinary
+            assert len(bounded._generators) <= bound
+            assert multiply(CohClass.basis(bounded, a), CohClass.basis(bounded, b)) == want
+            assert len(bounded._generators) <= bound
+        assert len(bounded._generators) == bound
 
 
 def test_a_non_reduced_word_raises_every_time():
