@@ -216,13 +216,6 @@ class BSWord:
             p = self._form_poly[form] = Polynomial.linear(form)
         return p
 
-    # ---- the triangular basis ---------------------------------------------
-
-    def sigma(self, e: Gallery, ep: Gallery) -> Polynomial:
-        """Value of the basis class of gallery ``e`` at fixed point ``ep``:
-        ``prod_{i on in e} alpha_i(ep)`` when e <= ep, else 0."""
-        return CohClass.basis(self, e).restriction(ep)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BSWord):
             return NotImplemented

@@ -228,7 +228,7 @@ def divide_exact(p: Polynomial, form: tuple) -> Polynomial:
 
 # ---- text form ----------------------------------------------------------
 
-def format_polynomial(p: Polynomial, var_prefix: str = "a") -> str:
+def format_polynomial(p: Polynomial) -> str:
     """Canonical text: terms in descending graded-lex order, variables
     ``a1..ar``, unit coefficients elided, e.g. ``-2*a1^2*a2 + a1*a2 + 3``."""
     if p.is_zero:
@@ -239,9 +239,9 @@ def format_polynomial(p: Polynomial, var_prefix: str = "a") -> str:
         factors = []
         for k, e in enumerate(exp):
             if e == 1:
-                factors.append(f"{var_prefix}{k + 1}")
+                factors.append(f"a{k + 1}")
             elif e > 1:
-                factors.append(f"{var_prefix}{k + 1}^{e}")
+                factors.append(f"a{k + 1}^{e}")
         mag = abs(coef)
         if factors:
             body = "*".join(factors) if mag == 1 else f"{mag}*" + "*".join(factors)
@@ -264,7 +264,7 @@ _STEP = re.compile(
 )
 
 
-def parse_polynomial(text: str, rank: int, var_prefix: str = "a") -> Polynomial:
+def parse_polynomial(text: str, rank: int) -> Polynomial:
     """Parse the canonical polynomial text form (inverse of
     :func:`format_polynomial`); also accepts rational coefficients ``p/q``.
 
@@ -313,7 +313,7 @@ def parse_polynomial(text: str, rank: int, var_prefix: str = "a") -> Polynomial:
                     raise ValueError(f"zero denominator in polynomial text {text!r}")
                 den *= d
         else:
-            if name != var_prefix:
+            if name != "a":
                 raise ValueError(f"unknown variable {name + idx!r}")
             k = int(idx)
             if not 1 <= k <= rank:

@@ -6,8 +6,8 @@ For a reduced word of ``v``, the value of the Schubert class of ``w`` at
 the prefix-reflected simple roots ``beta_j``.  Summing the gallery basis
 values over the fiber ``{eps : ones(eps) = length(w), v(eps) = w}`` of a
 longest-element word recovers the same polynomials, which is what
-:func:`check_billey_identity` asserts.  Both read the weak interval below
-``w`` from one table that the root system keeps per element.
+:func:`check_billey_identity` asserts of :func:`billey` itself, at the
+point of each gallery's reduced word.
 """
 
 from __future__ import annotations
@@ -49,13 +49,9 @@ def _reduced_walk(word: BSWord) -> list[tuple[int, Rows]]:
     return out
 
 
-def _in_gallery_order(word: BSWord, masks) -> list[Gallery]:
-    return sorted((Gallery._of_mask(m, word.n) for m in masks), key=Gallery.sort_key)
-
-
 def reduced_galleries(word: BSWord) -> list[Gallery]:
     """The galleries whose on letters form a reduced word, in gallery order."""
-    return _in_gallery_order(word, (m for m, _ in _reduced_walk(word)))
+    return sorted((Gallery._of_mask(m, word.n) for m, _ in _reduced_walk(word)), key=Gallery.sort_key)
 
 
 def _packed_betas(rs: RootSystem, v_word: SimpleWord) -> tuple[int, tuple]:
@@ -164,19 +160,14 @@ def billey(q: BilleyQuery) -> Polynomial:
     exponent packed into the bytes that hold ``len(v_word)``, as
     ``multiply`` packs them.
     """
-    size, forms = q._betas
-    return _sweep(q.rs.rank, size, zip(q.v_word, forms), _weak_interval(q.rs, q.w))
-
-
-def _sweep(rank: int, size: int, path, interval: Interval) -> Polynomial:
-    """:func:`billey` over the weak ``interval`` below ``w``, along the
-    ``(letter, beta)`` pairs of a reduced word, ``size`` bytes per exponent."""
-    edges, identity, count = interval
+    edges, identity, count = _weak_interval(q.rs, q.w)
+    rank = q.rs.rank
     if identity is None:
         return Polynomial.zero(rank)
+    size, forms = q._betas
     states: list[dict[int, int] | None] = [None] * count
     states[identity] = {0: 1}
-    for i, form in path:
+    for i, form in zip(q.v_word, forms):
         for x, u in edges[i - 1]:
             poly = states[x]
             if poly is None:
@@ -199,16 +190,11 @@ def _sweep(rank: int, size: int, path, interval: Interval) -> Polynomial:
 
 def fiber(word: BSWord, w: WeylElement) -> set[Gallery]:
     """Galleries whose on-count equals ``length(w)`` and whose reflection
-    product is ``w``."""
-    return _fiber(word, _reduced_walk(word), w)
-
-
-def _fiber(word: BSWord, walk: list[tuple[int, Rows]], w: WeylElement) -> set[Gallery]:
-    """:func:`fiber` from the reduced walk of ``word``: a gallery of
-    ``length(w)`` on bits with product ``w`` selects a reduced word of ``w``,
-    and a reduced gallery with product ``w`` has that many on bits."""
+    product is ``w``: a gallery of ``length(w)`` on bits with product ``w``
+    selects a reduced word of ``w``, and a reduced gallery with product
+    ``w`` has that many on bits."""
     word.rs.length(w)  # an element of another rank or group raises
-    return {Gallery._of_mask(m, word.n) for m, rows in walk if rows == w.rows}
+    return {Gallery._of_mask(m, word.n) for m, rows in _reduced_walk(word) if rows == w.rows}
 
 
 def check_billey_identity(word: BSWord, w: WeylElement, e: Gallery) -> bool:
@@ -225,31 +211,17 @@ def check_billey_identities(
     word: BSWord, w: WeylElement, galleries: list[Gallery] | None = None
 ) -> list[bool]:
     """:func:`check_billey_identity` at each gallery, by default at every
-    reduced gallery, listed only once the word has passed.  One walk over
-    the reduced prefixes of the word gives the reduced galleries with their
-    points, and the fiber of ``w``; they and the weak interval below ``w``
-    are found once, and no beta enters the root system's table."""
+    reduced gallery, listed only once the word has passed.  The fiber of
+    ``w`` is found once, and every gallery is checked to be reduced before
+    :func:`billey` runs at any of them."""
     rs = word.rs
     longest = len(word.letters) == len(rs.positive_roots)
     if not (longest and rs.is_reduced(word.letters)):
         raise NotLongestWord(
             f"{word.letters} is not a reduced decomposition of the longest element"
         )
-    walk = _reduced_walk(word)
-    rows_of = dict(walk)
     if galleries is None:
-        galleries = _in_gallery_order(word, rows_of)
-    fib = CohClass(word, dict.fromkeys(_fiber(word, walk, w), 1))
-    for e in galleries:
-        if e.n != word.n or e.mask not in rows_of:
-            _reduced_word_of_gallery(word, e)  # raises: the wrong length, or not reduced
-    interval, (size, units) = _weak_interval(rs, w), _packing(rs, word.n)
-    # a reduced gallery without its last on bit is a reduced gallery of a
-    # smaller mask, whose point holds the beta at that bit
-    paths = {0: ()}
-    for m in sorted(rows_of)[1:]:
-        k = (m.bit_length() - 1) // 8
-        low, i = m ^ 1 << 8 * k, word.letters[k]
-        beta = tuple((p, r[i - 1]) for p, r in zip(units, rows_of[low]) if r[i - 1])
-        paths[m] = paths[low] + ((i, beta),)
-    return [_sweep(rs.rank, size, paths[e.mask], interval) == fib.restriction(e) for e in galleries]
+        galleries = reduced_galleries(word)
+    fib = CohClass(word, dict.fromkeys(fiber(word, w), 1))
+    v_words = [_reduced_word_of_gallery(word, e) for e in galleries]
+    return [billey(BilleyQuery(rs, w, v)) == fib.restriction(e) for e, v in zip(galleries, v_words)]

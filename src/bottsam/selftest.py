@@ -22,7 +22,6 @@ from .bott_samelson import (
     expand,
     multiply,
     multiply_by_localization,
-    multiply_generator,
     restriction_table,
     table_lines,
 )
@@ -125,14 +124,15 @@ def check_generator_products(seed: int = 0) -> CheckResult:
     products = 0
     for rs, letters in _delta_word_set(seed):
         word = BSWord(rs, letters)
-        gens = [_walk(word, (CohClass.basis(word, Gallery.unit(word.n, i)),))[1]
-                for i in range(1, word.n + 1)]
+        gens = [CohClass.basis(word, Gallery.unit(word.n, i)) for i in range(1, word.n + 1)]
+        gen_values = [_walk(word, (gen,))[1] for gen in gens]
         for e in word.galleries():
-            weights, row = _walk(word, (CohClass.basis(word, e),))
-            for i, gen in enumerate(gens, 1):
+            basis = CohClass.basis(word, e)
+            weights, row = _walk(word, (basis,))
+            for i, (gen, gen_value) in enumerate(zip(gens, gen_values), 1):
                 products += 1
-                direct = multiply_generator(word, i, e)
-                values = {ep: v * row[ep] for ep, v in gen.items() if ep in row}
+                direct = multiply(gen, basis)
+                values = {ep: v * row[ep] for ep, v in gen_value.items() if ep in row}
                 generic = _class_of(word, values, weights)
                 if direct != generic:
                     failures.append(

@@ -132,7 +132,7 @@ def test_sigma_against_worked_table():
     for e in gals:
         expected_row = A2_TABLE[str(e)]
         for k, ep in enumerate(gals):
-            assert word.sigma(e, ep) == p(expected_row[k]), (str(e), str(ep))
+            assert CohClass.basis(word, e).restriction(ep) == p(expected_row[k]), (str(e), str(ep))
 
 
 def test_table_lines():

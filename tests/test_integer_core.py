@@ -71,7 +71,7 @@ def test_products_restrictions_and_subword_sums_are_int(rs):
         for e in rng.sample(gals, min(6, len(gals))):
             assert_int(x for a in weights(rs, word.letters, e.bits) for x in a)
             for ep in rng.sample(gals, min(6, len(gals))):
-                assert_int(coefficients(word.sigma(e, ep)))
+                assert_int(coefficients(CohClass.basis(word, e).restriction(ep)))
             for i in range(1, n + 1):
                 assert_int(class_coefficients(multiply_generator(word, i, e)))
         for _ in range(8):

@@ -151,7 +151,8 @@ def test_one_bit_classes_restrict_to_the_reference_weights(label):
         for ep in word.galleries():
             alphas = weights(word.rs, word.letters, ep.bits)
             for i in ep.support:
-                assert word.sigma(Gallery.unit(word.n, i), ep) == Polynomial.linear(alphas[i - 1])
+                one_bit = CohClass.basis(word, Gallery.unit(word.n, i))
+                assert one_bit.restriction(ep) == Polynomial.linear(alphas[i - 1])
 
 
 @pytest.mark.parametrize("label", sorted(SYSTEMS))

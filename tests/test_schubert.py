@@ -19,6 +19,7 @@ from bottsam import (
     fiber,
     parse_polynomial,
 )
+from bottsam import rootsystem, schubert
 from bottsam.schubert import _reduced_word_of_gallery, check_billey_identities
 from reference import act, betas, element, identity, matmul, reflection
 
@@ -150,13 +151,32 @@ def test_all_reduced_words_of_b2_longest_agree():
         assert all(v == vals[0] for v in vals)
 
 
-def test_verify_keeps_nothing_in_the_beta_table():
+def test_verify_keeps_the_beta_table_within_the_bound(monkeypatch):
+    def verify(rs):
+        return check_billey_identities(BSWord(rs, rs.longest_word()), rs.weyl_from_word((1, 2, 3, 4)))
+
     d4 = RootSystem.from_label("D4")
-    word = BSWord(d4, d4.longest_word())
-    before = dict(d4._betas)
-    agree = check_billey_identities(word, d4.weyl_from_word((1, 2, 3, 4)))
+    agree = verify(d4)
     assert len(agree) == 1096 and all(agree)
-    assert d4._betas == before
+    assert 0 < len(d4._betas) <= rootsystem.MEMO_MAX_ENTRIES
+    monkeypatch.setattr(rootsystem, "MEMO_MAX_ENTRIES", 0)
+    bare = RootSystem.from_label("D4")
+    assert verify(bare) == agree
+    assert not bare._betas
+
+
+@pytest.mark.parametrize("label", ["A2", "B2"])
+def test_verify_checks_the_betas_billey_reads(monkeypatch, label):
+    real = schubert._packed_betas
+
+    def reversed_betas(rs, v_word):
+        size, forms = real(rs, v_word)
+        return size, forms[::-1]
+
+    monkeypatch.setattr(schubert, "_packed_betas", reversed_betas)
+    rs = RootSystem.from_label(label)
+    word = BSWord(rs, rs.longest_word())
+    assert not all(check_billey_identities(word, rs.weyl_from_word((1,))))
 
 
 # ---- GKM conditions: an oracle that shares nothing with the subword sum ----
