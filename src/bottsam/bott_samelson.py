@@ -59,13 +59,16 @@ class Gallery:
     Printed as e.g. ``101``; position ``i`` (1-based) is *on* when the
     corresponding letter participates.  Stored as the integer ``mask``
     with position ``i`` at bit ``8(i - 1)``, one byte per position, and
-    the length ``n``; ``bits`` and the text are read from its bytes.
+    the length ``n``; ``bits`` and the text are read from its bytes.  The
+    constructor validates a tuple of bits as it is, and reads any other
+    iterable, an iterator too, into a tuple once first.
     """
 
     __slots__ = ("mask", "n")
 
     def __init__(self, bits: Bits):
-        bits = tuple(bits)
+        if bits.__class__ is not tuple:
+            bits = tuple(bits)
         try:
             raw = bytes(bits)  # taken as is only when every bit is 0 or 1
         except (TypeError, ValueError):
@@ -98,7 +101,7 @@ class Gallery:
 
     @classmethod
     def zero(cls, n: int) -> "Gallery":
-        return cls((0,) * n)
+        return cls._of_mask(0, n)
 
     @classmethod
     def unit(cls, n: int, i: int) -> "Gallery":
@@ -259,8 +262,16 @@ class CohClass:
 
     @classmethod
     def basis(cls, word: BSWord, e: Gallery) -> "CohClass":
-        word.check_gallery(e)
-        return cls._of(word, {e: Polynomial.one(word.rs.rank)})
+        """The class ``sigma_e``, built directly: its one coordinate is a new
+        polynomial 1 each call, keyed by the root system's exponent tuple of
+        a constant, so a caller that changes it changes no other class."""
+        if e.n != word.n:
+            word.check_gallery(e)
+        one = Polynomial.__new__(Polynomial)
+        one.rank, one.terms = word.rs.rank, {word.rs._constant: 1}
+        c = cls.__new__(cls)
+        c.word, c.coords = word, {e: one}
+        return c
 
     @classmethod
     def unit(cls, word: BSWord) -> "CohClass":
@@ -394,7 +405,7 @@ def _walk(word: BSWord, classes=(), low: int = 0, high: int | None = None) -> tu
     the weights at its on positions, and skips a branch with none left."""
     rs = word.rs
     high = int.from_bytes(b"\1" * word.n, "little") if high is None else high
-    one, weights, forms, values = {(0,) * rs.rank: 1}, {}, {}, {}
+    one, weights, forms, values = {rs._constant: 1}, {}, {}, {}
     live = [[(e.mask, p, None) for e, p in c.coords.items() if not e.mask & ~high]
             for c in classes]
     if not all(live):
@@ -554,6 +565,9 @@ def _unpack(p: dict, rank: int, size: int) -> dict:
             for m, c in p.items() if c for b in [m.to_bytes(n, "little")]}
 
 
+_ONE = {0: 1}  # the packed constant 1, only ever compared
+
+
 def multiply(c1: CohClass, c2: CohClass) -> CohClass:
     """Product of two classes by the closed generator rule, with no division.
 
@@ -563,32 +577,37 @@ def multiply(c1: CohClass, c2: CohClass) -> CohClass:
     position order, and multiply by ``q`` unless it is 1.  This is exact: the
     rule at bit i reads only the bits below i, and its corrections add only
     off bits below i."""
-    word, rank = c1.word, c1.word.rs.rank
+    word, rs = c1.word, c1.word.rs
     if c2.word is not word and c2.word != word:
         raise WordMismatch("classes over different words")
-    # a generator raises the degree by at most one
-    top = word.n
+    # one pass per factor for its masks and its degree (a generator raises
+    # the degree by at most one); a constant coordinate packs as ``{0: c}``
+    # at every width, any other once the width is known
+    n = top = word.n
+    const, factors = rs._constant, []
     for c in (c1, c2):
-        degree = 0
-        for p in c.coords.values():
-            for m in p.terms:
-                if sum(m) > degree:
-                    degree = sum(m)
-        top += degree
-    size, units = _packing(word.rs, top)
-    firsts, seconds = factors = [], []
-    for c, packed in zip((c1, c2), factors):
+        degree, packed = 0, []
         for e, p in c.coords.items():
-            if top > word.n:
-                packed.append((e.mask, {sum(map(mul, m, units)): v for m, v in p.terms.items()}))
-            else:  # every coordinate of both factors is one constant
-                (v,) = p.terms.values()
-                packed.append((e.mask, {0: v}))
+            t = p.terms
+            if len(t) == 1 and const in t:
+                t = {0: t[const]}
+            else:
+                for m in t:
+                    if sum(m) > degree:
+                        degree = sum(m)
+            packed.append((e.mask, t))
+        top += degree
+        factors.append(packed)
+    size, units = _packing(rs, top)
+    if top > n:  # packed keys are ints, exponent tuples are not
+        factors = [[(a, t if 0 in t else {sum(map(mul, m, units)): v for m, v in t.items()})
+                    for a, t in packed] for packed in factors]
+    firsts, seconds = factors
     gens, spill, out = word._generators, {}, {}
     rest = len(seconds)
     for b, q in seconds:
         rest -= 1
-        unit = q == {0: 1}
+        unit = q == _ONE
         for a, p1 in firsts:
             cur, overlap = {a | b: p1}, a & b
             while overlap:
@@ -620,7 +639,7 @@ def multiply(c1: CohClass, c2: CohClass) -> CohClass:
                         m += mq
                         d[m] = d.get(m, 0) + v * c
     # terms that cancelled are still there, at zero
-    n, coords = word.n, {}
+    rank, keys, coords = rs.rank, rs._monomials, {}
     for mask, p in out.items():
         if size > 1:
             terms = _unpack(p, rank, size)
@@ -628,13 +647,19 @@ def multiply(c1: CohClass, c2: CohClass) -> CohClass:
             terms = {}
             for m, v in p.items():
                 if v:  # integral coefficients as int
-                    terms[tuple(m.to_bytes(rank, "little"))] = (
-                        v if type(v) is int or v.denominator != 1 else v.numerator)
+                    key = keys.get(m)
+                    if key is None:
+                        key = tuple(m.to_bytes(rank, "little"))
+                        if len(keys) < rootsystem.MEMO_MAX_ENTRIES:
+                            keys[m] = key
+                    terms[key] = v if type(v) is int or v.denominator != 1 else v.numerator
         if terms:
             e, poly = Gallery.__new__(Gallery), Polynomial.__new__(Polynomial)
             e.mask, e.n, poly.rank, poly.terms = mask, n, rank, terms
             coords[e] = poly
-    return CohClass._of(word, coords)
+    product = CohClass.__new__(CohClass)
+    product.word, product.coords = word, coords
+    return product
 
 
 def multiply_by_localization(c1: CohClass, c2: CohClass) -> CohClass:

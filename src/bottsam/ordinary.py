@@ -101,7 +101,8 @@ class OrdinaryClass:
 
     @classmethod
     def basis(cls, word: BSWord, e: Gallery) -> "OrdinaryClass":
-        word.check_gallery(e)
+        if e.n != word.n:
+            word.check_gallery(e)
         return cls._of(word, {e: 1})
 
     @property
@@ -191,9 +192,9 @@ def ordinary_multiply(c1: OrdinaryClass, c2: OrdinaryClass) -> OrdinaryClass:
     i, so every later overlap bit is still on when its turn comes.
     Galleries are integer masks with position k + 1 at bit 8k.
     """
-    if c1.word != c2.word:
-        raise WordMismatch("classes over different words")
     word = c1.word
+    if c2.word is not word and c2.word != word:
+        raise WordMismatch("classes over different words")
     gens, spill = word._generators, {}
     acc: dict[int, int | Fraction] = {}
     masks = [(e.mask, q) for e, q in c1.coords.items()]

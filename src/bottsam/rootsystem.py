@@ -220,6 +220,12 @@ class RootSystem:
         # each variable's unit in a packed monomial, per bytes per exponent
         # (``bott_samelson._packing``)
         self._units: dict[int, tuple[int, ...]] = {}
+        # the exponents of a constant, the key of every basis class's one
+        # term, and the exponents of each monomial packed one byte each that
+        # ``bott_samelson.multiply`` unpacked, up to ``MEMO_MAX_ENTRIES``:
+        # tuples, so the polynomials that share them cannot change them
+        self._constant = (0,) * self.rank
+        self._monomials: dict[int, tuple[int, ...]] = {0: self._constant}
 
     @classmethod
     def from_label(cls, label: str) -> "RootSystem":

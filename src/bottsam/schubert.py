@@ -211,17 +211,23 @@ def check_billey_identities(
     word: BSWord, w: WeylElement, galleries: list[Gallery] | None = None
 ) -> list[bool]:
     """:func:`check_billey_identity` at each gallery, by default at every
-    reduced gallery, listed only once the word has passed.  The fiber of
-    ``w`` is found once, and every gallery is checked to be reduced before
-    :func:`billey` runs at any of them."""
-    rs = word.rs
+    reduced gallery, listed only once the word has passed.  One walk over
+    the reduced galleries gives the fiber of ``w`` and the default
+    galleries, whose letters it has already proved reduced; galleries
+    passed in are each checked to be reduced before :func:`billey` runs at
+    any of them."""
+    rs, n = word.rs, word.n
     longest = len(word.letters) == len(rs.positive_roots)
     if not (longest and rs.is_reduced(word.letters)):
         raise NotLongestWord(
             f"{word.letters} is not a reduced decomposition of the longest element"
         )
+    rs.length(w)  # an element of another rank or group raises
+    walk = _reduced_walk(word)
+    fib = CohClass(word, {Gallery._of_mask(m, n): 1 for m, rows in walk if rows == w.rows})
     if galleries is None:
-        galleries = reduced_galleries(word)
-    fib = CohClass(word, dict.fromkeys(fiber(word, w), 1))
-    v_words = [_reduced_word_of_gallery(word, e) for e in galleries]
+        galleries = sorted((Gallery._of_mask(m, n) for m, _ in walk), key=Gallery.sort_key)
+        v_words = [tuple(word.letters[i - 1] for i in e.support) for e in galleries]
+    else:
+        v_words = [_reduced_word_of_gallery(word, e) for e in galleries]
     return [billey(BilleyQuery(rs, w, v)) == fib.restriction(e) for e, v in zip(galleries, v_words)]

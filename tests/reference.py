@@ -7,6 +7,8 @@ in ``WeylElement.rows``.  The package moves an element by one reflection at a
 time (``RootSystem.times_reflection``); nothing here calls it.
 """
 
+from fractions import Fraction
+
 from bottsam import WeylElement
 
 
@@ -60,3 +62,21 @@ def betas(rs, word):
     """beta_j = r_{i_1} .. r_{i_{j-1}}(alpha_{i_j}) for each position j of a
     word: the weights of the gallery with every position on."""
     return list(weights(rs, word, (1,) * len(word)))
+
+
+def fundamental_weights(cartan):
+    """omega_1, .., omega_r in simple-root coordinates: column i of the
+    inverse Cartan matrix, since <omega_i, alpha_j^vee> = delta_ij and row j
+    of the Cartan matrix pairs a coordinate tuple with alpha_j^vee.  Found
+    by Gauss-Jordan elimination on Fractions."""
+    n = len(cartan)
+    rows = [[Fraction(a) for a in row] + [Fraction(int(j == k)) for k in range(n)]
+            for j, row in enumerate(cartan)]
+    for k in range(n):
+        pivot = next(j for j in range(k, n) if rows[j][k])
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        rows[k] = [x / rows[k][k] for x in rows[k]]
+        for j in range(n):
+            if j != k and rows[j][k]:
+                rows[j] = [x - rows[j][k] * y for x, y in zip(rows[j], rows[k])]
+    return [tuple(rows[j][n + i] for j in range(n)) for i in range(n)]

@@ -86,14 +86,19 @@ def test_unit_and_the_empty_gallery():
 
 
 def test_the_constructor_converts_and_refuses_as_before():
-    assert Gallery((True, 0, "1")).bits == (1, 0, 1)
-    assert Gallery("101").bits == (1, 0, 1)
     floats = [(1.5, 0), (0.9, 1), (1.0, 0), (float("nan"),), (float("inf"),)]
     # a text bit is "0" or "1": no other digit, no blank or leading zero
     texts = [("x",), ("\u0661", "0"), ("\uff11",), (" 1", "0"), ("01", "0"), ("1_0",), ("",)]
-    for bad in [(2,), (0, -1), (256,), (1, 0.5, 3), (Fraction(3, 2),), *floats, *texts]:
-        with pytest.raises(ValueError, match="gallery bits must be 0 or 1"):
-            Gallery(bad)
+    # a tuple is read as it is; any other iterable, a one-shot generator
+    # too, is read once and then validated the same way
+    for form in (tuple, list, lambda bits: (b for b in bits)):
+        assert Gallery(form((True, 0, "1"))).bits == (1, 0, 1)
+        assert Gallery(form((0, 1, 1, 0))).mask == 1 << 8 | 1 << 16
+        assert Gallery(form(())).bits == ()
+        for bad in [(2,), (0, -1), (256,), (1, 0.5, 3), (Fraction(3, 2),), *floats, *texts]:
+            with pytest.raises(ValueError, match="gallery bits must be 0 or 1"):
+                Gallery(form(bad))
+    assert Gallery("101").bits == (1, 0, 1)
     for text in ["", "012", " 01", "1\n"]:
         with pytest.raises(ValueError, match="not a gallery bit string"):
             Gallery.from_string(text)

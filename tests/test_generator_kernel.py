@@ -236,6 +236,39 @@ def test_a_unit_coefficient_takes_the_product_without_aliasing_its_inputs(where)
                     assert got == want == multiply_by_localization(x, y), (word, str(x), str(y))
 
 
+@pytest.mark.parametrize("changed", ["basis", "product"])
+def test_a_caller_that_changes_one_class_changes_no_other(changed):
+    """Basis classes and products share only tuples: the exponents of a
+    constant and of each unpacked monomial.  Changing the terms of one
+    coordinate, of a basis class or of a product, leaves every later basis
+    class, ``Polynomial.one`` and every later product on the word as they
+    were."""
+    for label, letters in (("B2", (1, 2, 1, 2)), ("A3", (1, 2, 3, 1, 2))):
+        rs = RootSystem.from_label(label)
+        word = BSWord(rs, letters)
+        zero, x = (0,) * rs.rank, (1,) + (0,) * (rs.rank - 1)
+        gals = word.galleries()
+        pairs = [(a, b) for a in gals[1::3] for b in gals[2::5]]
+        before = [str(multiply(CohClass.basis(word, a), CohClass.basis(word, b))) for a, b in pairs]
+        for (a, b), text in zip(pairs, before):
+            if changed == "basis":
+                c = CohClass.basis(word, a)
+                terms = c.coords[a].terms
+            else:
+                c = multiply(CohClass.basis(word, a), CohClass.basis(word, b))
+                terms = next(iter(c.coords.values())).terms
+            terms[zero] = 7
+            terms[x] = -3
+            assert str(CohClass.basis(word, a)) == f"{a}: 1"
+            assert str(CohClass.basis(word, b)) == f"{b}: 1"
+            assert Polynomial.one(rs.rank).terms == {zero: 1}
+            assert CohClass.unit(word).coords[gals[0]].terms == {zero: 1}
+            assert [str(multiply(CohClass.basis(word, a), CohClass.basis(word, b)))
+                    for a, b in pairs] == before
+            terms.clear()
+            assert str(multiply(CohClass.basis(word, a), CohClass.basis(word, b))) == text
+
+
 def test_disjoint_basis_classes_multiply_to_their_join_without_the_rule_table():
     rng = random.Random("disjoint")
     for rs in SYSTEMS:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from bottsam import (
+    BUILTIN_CARTAN,
     BSWord,
     BilleyQuery,
     CartanSpec,
@@ -21,7 +22,7 @@ from bottsam import (
 )
 from bottsam import rootsystem, schubert
 from bottsam.schubert import _reduced_word_of_gallery, check_billey_identities
-from reference import act, betas, element, identity, matmul, reflection
+from reference import act, betas, element, fundamental_weights, identity, matmul, reflection
 
 A2 = RootSystem.from_label("A2")
 B2 = RootSystem.from_label("B2")
@@ -288,3 +289,26 @@ def test_billey_values_vanish_exactly_off_the_bruhat_order(label):
             assert value.is_zero == (w not in below[v]), (w_word, v_word)
             zeros += value.is_zero
     assert 0 < zeros < len(checked) * len(words)
+
+
+# ---- Chevalley's formula: a second oracle that shares nothing with billey ----
+
+CHEVALLEY_SYSTEMS = {label: RootSystem.from_label(label)
+                     for label in sorted(BUILTIN_CARTAN) if len(BUILTIN_CARTAN[label]) >= 2}
+CHEVALLEY_SYSTEMS["A1xA1"] = GKM_SYSTEMS["A1xA1"]
+CHEVALLEY_SYSTEMS["A1xB2"] = GKM_SYSTEMS["A1xB2"]
+
+
+@pytest.mark.parametrize("label", sorted(CHEVALLEY_SYSTEMS))
+def test_billey_of_a_simple_reflection_is_the_chevalley_formula(label):
+    """The equivariant Chevalley formula for one letter (Kostant-Kumar):
+    the class of s_i at v is omega_i - v(omega_i), with the fundamental
+    weight omega_i from the inverse Cartan matrix and v a reference matrix
+    product, for every v in W and every i."""
+    rs = CHEVALLEY_SYSTEMS[label]
+    omegas = fundamental_weights(rs.cartan)
+    for rows, v_word in reduced_words(rs).items():
+        for i, omega in enumerate(omegas, 1):
+            want = Polynomial.linear(tuple(a - b for a, b in zip(omega, act(rows, omega))))
+            got = billey(BilleyQuery(rs, element(rs, (i,)), v_word))
+            assert got == want, (v_word, i, str(got), str(want))
