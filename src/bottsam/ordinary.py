@@ -215,7 +215,8 @@ def ordinary_multiply(c1: OrdinaryClass, c2: OrdinaryClass) -> OrdinaryClass:
             for m, c in cur.items():
                 acc[m] = acc.get(m, 0) + q * c
     n = word.n
-    return OrdinaryClass._of(word, {Gallery._of_mask(m, n): exact(c) for m, c in acc.items() if c})
+    return OrdinaryClass._of(word, {Gallery._of_mask(m, n): c if type(c) is int else exact(c)
+                                    for m, c in acc.items() if c})
 
 
 def evaluate_at_origin(c: CohClass) -> OrdinaryClass:

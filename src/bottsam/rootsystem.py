@@ -44,7 +44,8 @@ ROOT_CLOSURE_BOUND = 10_000
 # system keeps per reduced word and the generator rules a word keeps for
 # multiply and ordinary_multiply count entries (up to about 3 KB each, 12 MB a
 # table); the weak intervals a root system keeps for billey, as up-edges per
-# letter, count elements (about 160 B each, 0.7 MB a table).
+# letter, and its right Cayley table count elements (about 160 B each, and
+# 410-520 B each at ranks 4-8).
 MEMO_MAX_ENTRIES = 4096
 
 
@@ -213,6 +214,11 @@ class RootSystem:
         )
         self.positive_roots = self._close_positive_roots()
         self._longest_word: SimpleWord | None = None
+        # the right Cayley table, filled by ``times_reflection`` as it is
+        # asked, up to ``MEMO_MAX_ENTRIES`` elements: per element's rows a
+        # node ``[rows, slot_1, .., slot_rank]``, slot i the node of
+        # ``u r_i`` once it has been formed
+        self._right: dict[Rows, list] = {}
         # ``billey``'s packed betas per reduced word and weak intervals per
         # element (``schubert._packed_betas``, ``schubert._weak_interval``)
         self._betas: dict[SimpleWord, tuple] = {}
@@ -222,8 +228,9 @@ class RootSystem:
         self._units: dict[int, tuple[int, ...]] = {}
         # the exponents of a constant, the key of every basis class's one
         # term, and the exponents of each monomial packed one byte each that
-        # ``bott_samelson.multiply`` unpacked, up to ``MEMO_MAX_ENTRIES``:
-        # tuples, so the polynomials that share them cannot change them
+        # ``bott_samelson.multiply`` or ``schubert.billey`` unpacked, up to
+        # ``MEMO_MAX_ENTRIES``: tuples, so the polynomials that share them
+        # cannot change them
         self._constant = (0,) * self.rank
         self._monomials: dict[int, tuple[int, ...]] = {0: self._constant}
 
@@ -248,8 +255,16 @@ class RootSystem:
             raise IndexOutOfRange(f"simple-root index {i} not in 1..{self.rank}")
 
     def times_reflection(self, rows: Rows, i: int) -> Rows:
-        """The rows of ``u r_i`` from the rows of ``u``: column k becomes
-        ``u(alpha_k) - A[i][k] u(alpha_i)``."""
+        """The rows of ``u r_i`` from the rows of ``u``, for ``1 <= i <=
+        rank`` (the callers check it): column k becomes ``u(alpha_k) -
+        A[i][k] u(alpha_i)``.  Read from the right Cayley table; formed, and
+        entered while the table has room, the first time it is asked for.
+        A matrix outside the group enters like any other: its slots hold its
+        own products."""
+        right = self._right
+        node = right.get(rows)
+        if node is not None and node[i] is not None:
+            return node[i][0]
         k = i - 1
         nonzero = self._cartan_nonzero[k]
         out = []
@@ -261,14 +276,34 @@ class RootSystem:
                     moved[j] -= a * rk
                 r = tuple(moved)
             out.append(r)
-        return tuple(out)
+        out = tuple(out)
+        if node is None:
+            if len(right) >= MEMO_MAX_ENTRIES:
+                return out
+            node = right[rows] = [rows] + [None] * self.rank
+        moved = right.get(out)
+        if moved is None:
+            if len(right) >= MEMO_MAX_ENTRIES:
+                return out
+            moved = right[out] = [out] + [None] * self.rank
+        node[i] = moved
+        return moved[0]
 
     def weyl_from_word(self, word: Sequence[int]) -> WeylElement:
-        """The product r_{i_1}···r_{i_l}; the empty word is the identity."""
-        rows = self.identity_rows
+        """The product r_{i_1}···r_{i_l}; the empty word is the identity.
+        Goes from node to node of the Cayley table while its slots are
+        filled, hashing no matrix."""
+        rows, rank, right = self.identity_rows, self.rank, self._right
+        node = right.get(rows)
         for i in letters_of(word):
-            self._check_index(i)
-            rows = self.times_reflection(rows, i)
+            if not 0 < i <= rank:
+                self._check_index(i)
+            node = node and node[i]
+            if node:
+                rows = node[0]
+            else:
+                rows = self.times_reflection(rows, i)
+                node = right.get(rows)
         return WeylElement(rows)
 
     # ---- positive roots and lengths -----------------------------------

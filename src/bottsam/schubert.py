@@ -56,28 +56,26 @@ def reduced_galleries(word: BSWord) -> list[Gallery]:
 
 def _packed_betas(rs: RootSystem, v_word: SimpleWord) -> tuple[int, tuple]:
     """``beta_j``, column ``i_j`` of the prefix product, which must be
-    positive at every step (the word is reduced), as the byte width that
-    holds ``len(v_word)`` and, per beta, the ``(unit, coefficient)`` pairs
-    of its nonzero coordinates, each exponent packed into that width as
-    ``multiply`` packs them.  Kept in ``rs`` until it holds
-    ``MEMO_MAX_ENTRIES`` words; only reduced words are kept, so any other
-    word raises every time."""
-    v_word = rootsystem.letters_of(v_word)  # 1.0 must not find (1,)
-    out = rs._betas.get(v_word)
-    if out is None:
-        for i in v_word:
-            rs._check_index(i)
-        size, units = _packing(rs, len(v_word))
-        rows = rs.identity_rows
-        forms = []
-        for i in v_word:
-            if not ascends(rows, i):
-                raise NotReducedWord(f"{v_word} is not reduced")
-            forms.append(tuple((p, r[i - 1]) for p, r in zip(units, rows) if r[i - 1]))
-            rows = rs.times_reflection(rows, i)
-        out = size, tuple(forms)
-        if len(rs._betas) < rootsystem.MEMO_MAX_ENTRIES:
-            rs._betas[v_word] = out
+    positive at every step (the word, of ``int`` letters, is reduced), as
+    the byte width that holds ``len(v_word)`` and, per beta, the ``(unit,
+    coefficient)`` pairs of its nonzero coordinates, each exponent packed
+    into that width as ``multiply`` packs them.  Entered in ``rs._betas``,
+    which :class:`BilleyQuery` reads first, until it holds
+    ``MEMO_MAX_ENTRIES`` words; only reduced words enter, so any other word
+    raises every time."""
+    for i in v_word:
+        rs._check_index(i)
+    size, units = _packing(rs, len(v_word))
+    rows = rs.identity_rows
+    forms = []
+    for i in v_word:
+        if not ascends(rows, i):
+            raise NotReducedWord(f"{v_word} is not reduced")
+        forms.append(tuple((p, r[i - 1]) for p, r in zip(units, rows) if r[i - 1]))
+        rows = rs.times_reflection(rows, i)
+    out = size, tuple(forms)
+    if len(rs._betas) < rootsystem.MEMO_MAX_ENTRIES:
+        rs._betas[v_word] = out
     return out
 
 
@@ -92,8 +90,8 @@ class BilleyQuery:
             raise RankMismatch(f"element of rank {w.rank} against rank {rs.rank}")
         self.rs = rs
         self.w = w
-        self.v_word = tuple(v_word)
-        self._betas = _packed_betas(rs, self.v_word)
+        self.v_word = v_word = rootsystem.letters_of(v_word)  # 1.0 must not find (1,)
+        self._betas = rs._betas.get(v_word) or _packed_betas(rs, v_word)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not BilleyQuery:
@@ -184,8 +182,18 @@ def billey(q: BilleyQuery) -> Polynomial:
     # every coefficient is a sum of products of positive-root coordinates,
     # so none is zero, and each is an int
     sums = states[0] or {}
-    return Polynomial._of(rank, {tuple(m.to_bytes(rank, "little")): c for m, c in sums.items()}
-                          if size == 1 else _unpack(sums, rank, size))
+    if size > 1:
+        return Polynomial._of(rank, _unpack(sums, rank, size))
+    # packed one byte each: the exponent tuples multiply's exit keeps in rs
+    keys, terms = q.rs._monomials, {}
+    for m, c in sums.items():
+        key = keys.get(m)
+        if key is None:
+            key = tuple(m.to_bytes(rank, "little"))
+            if len(keys) < rootsystem.MEMO_MAX_ENTRIES:
+                keys[m] = key
+        terms[key] = c
+    return Polynomial._of(rank, terms)
 
 
 def fiber(word: BSWord, w: WeylElement) -> set[Gallery]:

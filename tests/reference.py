@@ -45,6 +45,24 @@ def element(rs, word):
     return WeylElement(rows)
 
 
+def reduced_words(rs):
+    """A reduced word of each element of W, keyed by its rows: breadth
+    first from the identity by reference matrix products, so each element
+    is first met by a shortest word."""
+    words = {identity(rs.rank): ()}
+    frontier = list(words.items())
+    while frontier:
+        new = []
+        for rows, word in frontier:
+            for i in range(1, rs.rank + 1):
+                moved = matmul(rows, reflection(rs.cartan, i))
+                if moved not in words:
+                    words[moved] = word + (i,)
+                    new.append((moved, word + (i,)))
+        frontier = new
+    return words
+
+
 def weights(rs, letters, bits):
     """The localization weights (alpha_1, .., alpha_N) of a gallery, as
     coordinate tuples: alpha_k is the image of the simple root of letter k

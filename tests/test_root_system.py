@@ -1,17 +1,26 @@
 
+import random
+
 import pytest
 
 from bottsam import (
+    BUILTIN_CARTAN,
+    BSWord,
+    BilleyQuery,
     CartanSpec,
+    CohClass,
+    Gallery,
     IndexOutOfRange,
     InvalidCartan,
     NotFiniteType,
     NotInWeylGroup,
     RootSystem,
     WeylElement,
+    billey,
     parse_word,
+    rootsystem,
 )
-from reference import act, element, reflection
+from reference import act, element, reduced_words, reflection
 
 
 def test_builtin_positive_root_counts():
@@ -154,3 +163,82 @@ def test_parse_word():
     for text in ["1,x", "\u0661,2", "\uff11,\uff12", "1_0", "1.0", "2/1"]:
         with pytest.raises(IndexOutOfRange, match="contains a non-integer letter"):
             parse_word(text)
+
+
+# ---- the right Cayley table --------------------------------------------------
+
+# for each built-in type of rank 2 to 4, another of its rank: most elements
+# of the other's Weyl group are not in its own
+SAME_RANK = {"A2": "B2", "B2": "G2", "G2": "A2", "A3": "B3", "B3": "C3", "C3": "A3",
+             "A4": "D4", "D4": "A4"}
+TABLE_BOUND = 8
+
+
+def table_answers(rs, words, queries, check=lambda: None):
+    """Everything the table serves on ``rs``, in order, with ``check`` run
+    after each call: elements and lengths of ``words``, whether each is
+    reduced, the longest word, subword sums and basis values."""
+    out = []
+    for word in words:
+        w = rs.weyl_from_word(word)
+        check()
+        out += [w, rs.length(w), rs.is_reduced(word)]
+        check()
+    out.append(rs.longest_word())
+    check()
+    for w_word, v_word in queries:
+        out.append(billey(BilleyQuery(rs, rs.weyl_from_word(w_word), v_word)))
+        check()
+    word = BSWord(rs, rs.longest_word())
+    rng = random.Random(f"restrictions {rs.label}")
+    for _ in range(6):
+        e, at = (Gallery(tuple(rng.randint(0, 1) for _ in range(word.n))) for _ in range(2))
+        out.append(CohClass.basis(word, e).restriction(at))
+        check()
+    return out
+
+
+@pytest.mark.parametrize("label", sorted(BUILTIN_CARTAN))
+def test_the_cayley_table_is_transparent_and_bounded(monkeypatch, label):
+    """A root system whose tables hold at most TABLE_BOUND elements gives
+    the answers of a fresh one with the default bound, read cold and warm,
+    and its Cayley table never holds more; every element equals its
+    product of reference reflection matrices, read cold and warm.  A matrix
+    from another Cartan matrix of the same rank still has no length and a
+    zero subword sum, and changes no later answer."""
+    fresh = RootSystem.from_label(label)
+    group = reduced_words(fresh)
+    rng = random.Random(f"cayley {label}")
+    reduced = list(group.values())
+    words = reduced + [tuple(rng.randint(1, fresh.rank) for _ in range(rng.randint(2, 14)))
+                       for _ in range(20)]
+    v_words = [(), *rng.sample(reduced, min(4, len(reduced))), reduced[-1]]
+    queries = [(rng.choice(words), rng.choice(v_words)) for _ in range(16)]
+    want = table_answers(fresh, words, queries)
+    for word in words:
+        assert fresh.weyl_from_word(word) == element(fresh, word)
+    assert set(fresh._right) == set(group)  # the whole group entered, nothing else
+    monkeypatch.setattr(rootsystem, "MEMO_MAX_ENTRIES", TABLE_BOUND)
+    bounded = RootSystem.from_label(label)
+
+    def within_bound():
+        assert len(bounded._right) <= TABLE_BOUND
+
+    for rs in (bounded, fresh):
+        for _ in range(2):  # cold, then warm
+            assert table_answers(rs, words, queries, within_bound) == want
+            for word in words:
+                assert rs.weyl_from_word(word) == element(rs, word)
+    assert len(bounded._right) == min(TABLE_BOUND, len(group))
+    if label not in SAME_RANK:
+        return
+    other = RootSystem.from_label(SAME_RANK[label])
+    foreign = [w for w in reduced_words(other) if w not in group]
+    assert foreign
+    for rs in (bounded, fresh):
+        for rows in rng.sample(foreign, min(6, len(foreign))):
+            with pytest.raises(NotInWeylGroup):
+                rs.length(WeylElement(rows))
+            assert billey(BilleyQuery(rs, WeylElement(rows), rs.longest_word())).is_zero
+            within_bound()
+        assert table_answers(rs, words, queries, within_bound) == want

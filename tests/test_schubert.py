@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from bottsam import (
     NotReducedWord,
     Polynomial,
     RootSystem,
+    WeylElement,
     billey,
     check_billey_identity,
     divide_exact,
@@ -22,7 +24,7 @@ from bottsam import (
 )
 from bottsam import rootsystem, schubert
 from bottsam.schubert import _reduced_word_of_gallery, check_billey_identities
-from reference import act, betas, element, fundamental_weights, identity, matmul, reflection
+from reference import act, betas, element, fundamental_weights, identity, matmul, reduced_words
 
 A2 = RootSystem.from_label("A2")
 B2 = RootSystem.from_label("B2")
@@ -202,24 +204,6 @@ def sample_of_w(label, words):
     return [ws[0], ws[-1], *random.Random(f"gkm {label}").sample(ws[1:-1], W_SAMPLE - 2)]
 
 
-def reduced_words(rs):
-    """A reduced word of each element of W, keyed by its rows: breadth
-    first from the identity by reference matrix products, so each element
-    is first met by a shortest word."""
-    words = {identity(rs.rank): ()}
-    frontier = list(words.items())
-    while frontier:
-        new = []
-        for rows, word in frontier:
-            for i in range(1, rs.rank + 1):
-                moved = matmul(rows, reflection(rs.cartan, i))
-                if moved not in words:
-                    words[moved] = word + (i,)
-                    new.append((moved, word + (i,)))
-        frontier = new
-    return words
-
-
 def column(rows, i):
     return tuple(r[i - 1] for r in rows)
 
@@ -312,3 +296,76 @@ def test_billey_of_a_simple_reflection_is_the_chevalley_formula(label):
             want = Polynomial.linear(tuple(a - b for a, b in zip(omega, act(rows, omega))))
             got = billey(BilleyQuery(rs, element(rs, (i,)), v_word))
             assert got == want, (v_word, i, str(got), str(want))
+
+
+# A4 has 120 elements and D4 192: for them the identity and a seeded sample
+# of the other classes w, against every v
+CHEVALLEY_W_SAMPLE = {"A4": 5, "D4": 3}
+
+
+def coroot_pairing(omega, beta, s_beta):
+    """<omega, beta^vee>, read off the reflection: s_beta(omega) = omega -
+    <omega, beta^vee> beta."""
+    moved = [a - b for a, b in zip(omega, act(s_beta, omega))]
+    k = next(k for k, b in enumerate(beta) if b)
+    c, rest = divmod(moved[k], beta[k])
+    assert not rest and moved == [c * b for b in beta]
+    return c
+
+
+@pytest.mark.parametrize("label", sorted(CHEVALLEY_SYSTEMS))
+def test_billey_satisfies_the_pointwise_chevalley_identity(label):
+    """The equivariant Chevalley formula (Kostant-Kumar), evaluated at each
+    point v: (w omega_i - v omega_i) xi^w(v) = sum of <omega_i, beta^vee>
+    xi^{w s_beta}(v) over the positive roots beta with l(w s_beta) = l(w) +
+    1.  It has no division and no subword: omega_i, s_beta, the pairings
+    and the lengths all come from reference matrix products.  Every w (a
+    seeded sample on A4 and D4), every v and every i."""
+    rs = CHEVALLEY_SYSTEMS[label]
+    words = reduced_words(rs)  # breadth first, so each word is shortest
+    # the identity is linear in omega_i, so a multiple with integer
+    # coordinates keeps the arithmetic on int
+    omegas = fundamental_weights(rs.cartan)
+    scale = math.lcm(*(c.denominator for omega in omegas for c in omega))
+    omegas = [tuple(int(c * scale) for c in omega) for omega in omegas]
+    # s_beta = u r_j u^-1 for beta = u(alpha_j), column j of u
+    reflections = {}
+    for rows, word in words.items():
+        for j in range(1, rs.rank + 1):
+            beta = column(rows, j)
+            if min(beta) >= 0 and beta not in reflections:
+                reflections[beta] = element(rs, word + (j,) + word[::-1]).rows
+    assert len(reflections) == len(rs.positive_roots)
+    pairings = {beta: [coroot_pairing(omega, beta, s) for omega in omegas]
+                for beta, s in reflections.items()}
+    images = {rows: [act(rows, omega) for omega in omegas] for rows in words}
+    ws = list(words)
+    if label in CHEVALLEY_W_SAMPLE:
+        rng = random.Random(f"chevalley {label}")
+        ws = [ws[0], *rng.sample(ws[1:], CHEVALLEY_W_SAMPLE[label] - 1)]
+    xi = {}
+
+    def value(x, v_word):
+        if (x, v_word) not in xi:
+            xi[x, v_word] = billey(BilleyQuery(rs, WeylElement(x), v_word))
+        return xi[x, v_word]
+
+    checks = nonzero = 0
+    for w in ws:
+        covers = []
+        for beta, s in reflections.items():
+            x = matmul(w, s)
+            if len(words[x]) == len(words[w]) + 1:
+                covers.append((x, pairings[beta]))
+        for v, v_word in words.items():
+            here = value(w, v_word)
+            for i in range(rs.rank):
+                want = Polynomial.zero(rs.rank)
+                for x, pairing in covers:
+                    if pairing[i]:
+                        want = want + value(x, v_word) * pairing[i]
+                shift = Polynomial.linear(tuple(a - b for a, b in zip(images[w][i], images[v][i])))
+                assert shift * here == want, (words[w], v_word, i + 1, str(want))
+                checks += 1
+                nonzero += not want.is_zero
+    assert 0 < nonzero < checks
