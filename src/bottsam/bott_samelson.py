@@ -96,8 +96,10 @@ class Gallery:
     def from_string(cls, text: str) -> "Gallery":
         if not text or text.strip("01"):
             raise ValueError(f"not a gallery bit string: {text!r}")
-        mask = int.from_bytes(text.encode().translate(_FROM_TEXT), "little")
-        return cls._of_mask(mask, len(text))
+        g = cls.__new__(cls)  # inline: class documents read one per coordinate
+        g.mask = int.from_bytes(text.encode().translate(_FROM_TEXT), "little")
+        g.n = len(text)
+        return g
 
     @classmethod
     def zero(cls, n: int) -> "Gallery":
@@ -377,7 +379,7 @@ def read_class_doc(
     if not isinstance(coords, dict):
         raise ValueError("'coords' must be an object from bit strings to coefficients")
     word = BSWord(rs, letters, cap=cap)
-    items, wrong = [], None
+    n, items, wrong = word.n, [], None
     for bits, value in coords.items():
         if type(value) is not int and not isinstance(value, str):
             kind = _JSON_KINDS.get(type(value), type(value).__name__)
@@ -386,7 +388,7 @@ def read_class_doc(
                 " (write rationals as 'p/q')"
             )
         e = Gallery.from_string(bits)
-        if e.n != word.n and wrong is None:
+        if e.n != n and wrong is None:
             wrong = e
         items.append((e, value))
     if wrong is not None:
@@ -721,7 +723,8 @@ def integrate(word: BSWord, e: Gallery, c: CohClass) -> Polynomial:
     to the Kronecker delta of ``e'`` and ``e``, so it is the ``e``
     coordinate of the class.
     """
-    word.check_gallery(e)
+    if e.n != word.n:
+        word.check_gallery(e)
     if c.word is not word and c.word != word:
         raise WordMismatch("class over a different word")
     p = c.coords.get(e)

@@ -47,10 +47,19 @@ class Polynomial:
 
     def __init__(self, rank: int, terms: dict[Monomial, int | Fraction] | None = None):
         self.rank = rank
-        if terms:
-            self.terms = {e: q for e, c in terms.items() if (q := exact(c))}
-        else:
-            self.terms = {}
+        self.terms = {}
+        if not terms:
+            return
+        # an exponent key is a tuple of ``rank`` non-negative ints: any other
+        # key would print wrongly or never meet its equal
+        for e in terms:
+            if e.__class__ is not tuple or not all(k.__class__ is int and k >= 0 for k in e):
+                raise ValueError(f"exponent key {e!r} is not a tuple of non-negative ints")
+        for e, c in terms.items():
+            if len(e) != rank:
+                raise RankMismatch(f"exponent key {e!r} has {len(e)} entries, not the rank {rank}")
+            if q := exact(c):
+                self.terms[e] = q
 
     # ---- constructors --------------------------------------------------
 
@@ -73,7 +82,7 @@ class Polynomial:
     @classmethod
     def constant(cls, rank: int, value: Fraction | int) -> "Polynomial":
         v = exact(value)
-        return cls(rank, {(0,) * rank: v} if v else None)
+        return cls._of(rank, {(0,) * rank: v} if v else {})
 
     @classmethod
     def linear(cls, form: tuple) -> "Polynomial":
@@ -254,14 +263,28 @@ def format_polynomial(p: Polynomial) -> str:
     return " ".join(parts)
 
 
-# One step of the scan: an operator, then a factor, each after optional
-# whitespace.  The operator is "+" or "-" before a term (optional before the
-# first one) or "*" between two factors of a term; a factor is a number with
-# an optional "/denominator", or a variable with an optional "^power"; the
-# digits are ASCII ones, which ``\d`` and ``int`` are not limited to.
-_STEP = re.compile(
-    r"\s*([-+*]?)\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?|([a-zA-Z]+)([0-9]+)(?:\s*\^\s*([0-9]+))?)"
+# One match of the scan: a step, one stray character, or the whitespace at
+# the end of the text, so that the matches cover the text.  A step is an
+# optional operator and a factor, each after optional whitespace.  The
+# operator is "+" or "-" before a term (optional before the first one) or
+# "*" between two factors of a term; a factor is a number with an optional
+# "/denominator", or a variable with an optional "^power"; the digits are
+# ASCII ones, which ``\d`` and ``int`` are not limited to.  No run of
+# whitespace is split between two ``\s*``, so a failed alternative gives a
+# run back once at most and the scan is linear in the length of the text.
+_SCAN = re.compile(
+    r"\s*(?:([-+*])\s*)?(?:([0-9]+)(?:\s*/\s*([0-9]+))?|([a-zA-Z]+)([0-9]+)(?:\s*\^\s*([0-9]+))?)"
+    r"|\s*(\S)|\s+\Z"
 )
+
+
+def _failed_at(text: str) -> str:
+    """The text from where its scan failed, for a message: from the first
+    stray character, or from the first term after the first one that has no
+    operator before it."""
+    for k, m in enumerate(_SCAN.finditer(text)):
+        if m[7] or k and not m[1] and (m[2] or m[4]):
+            return text[m.start():].strip()
 
 
 def parse_polynomial(text: str, rank: int) -> Polynomial:
@@ -272,42 +295,35 @@ def parse_polynomial(text: str, rank: int) -> Polynomial:
     ``n``, ``p/q`` with ``q`` nonzero, ``aK`` or ``aK^n`` with ``K`` in
     ``1..rank``, numbers in ASCII digits.  Whitespace may separate any two
     tokens.  Any other text raises a :class:`ValueError` with a one-line
-    message.
+    message.  The text is scanned once, in linear time.
     """
     terms: dict[Monomial, int | Fraction] = {}
     exps = None  # exponents of the open term, None until the first term
-    pos = 0
-    match = _STEP.match
-    while True:
-        m = match(text, pos)
-        if m is None:
-            op = None
-        else:
-            op, n, d, name, idx, power = m.groups()
+    for op, n, d, name, idx, power, stray in _SCAN.findall(text):
         if op == "*":
             if exps is None:
                 raise ValueError(f"polynomial text {text!r} starts with '*'")
-        else:
-            if exps is not None:
-                if op == "":
-                    raise ValueError(f"expected an operator at {text[pos:]!r}")
+        elif n or name:
+            if exps is not None:  # a new term: the open one is complete
+                if not op:
+                    raise ValueError(f"expected an operator at {_failed_at(text)!r}")
                 if num:
                     exp = tuple(exps)
-                    c = num // den if not num % den else Fraction(num, den)
-                    if exp in terms:
-                        c = exact(terms[exp] + c)
-                    if c:
-                        terms[exp] = c
-                    else:
+                    c = num if den == 1 else num // den if not num % den else Fraction(num, den)
+                    if exp in terms and not (c := exact(terms[exp] + c)):
                         del terms[exp]
-            if m is None:
-                break
+                    else:
+                        terms[exp] = c
             exps = [0] * rank
             num = -1 if op == "-" else 1
             den = 1
-        if n is not None:
+        elif stray:
+            raise ValueError(f"cannot read polynomial text at {_failed_at(text)!r}")
+        else:
+            continue  # the whitespace at the end
+        if n:
             num *= int(n)
-            if d is not None:
+            if d:
                 d = int(d)
                 if not d:
                     raise ValueError(f"zero denominator in polynomial text {text!r}")
@@ -318,12 +334,16 @@ def parse_polynomial(text: str, rank: int) -> Polynomial:
             k = int(idx)
             if not 1 <= k <= rank:
                 raise ValueError(f"variable index {k} out of range 1..{rank}")
-            exps[k - 1] += 1 if power is None else int(power)
-        pos = m.end()
-    if text[pos:].strip():
-        raise ValueError(f"cannot read polynomial text at {text[pos:]!r}")
+            exps[k - 1] += int(power) if power else 1
     if exps is None:
         raise ValueError("empty polynomial text")
+    if num:  # the last term, completed as the loop completes the others
+        exp = tuple(exps)
+        c = num if den == 1 else num // den if not num % den else Fraction(num, den)
+        if exp in terms and not (c := exact(terms[exp] + c)):
+            del terms[exp]
+        else:
+            terms[exp] = c
     res = Polynomial.__new__(Polynomial)  # inline: the parser is hot on class documents
     res.rank = rank
     res.terms = terms  # zero terms were never stored

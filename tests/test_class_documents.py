@@ -3,12 +3,14 @@ library readers and from ``integrate --class``, where they are one line on
 stderr with exit 2."""
 
 import json
+import time
 
 import pytest
 
 from bottsam import CohClass, IndexOutOfRange, LengthMismatch, RootSystem
 from bottsam.cli import main
 from bottsam.ordinary import OrdinaryClass
+from test_polyring import REFUSALS
 
 
 def refused(kind):
@@ -64,3 +66,26 @@ def test_a_well_formed_document_keeps_its_nonzero_coordinates():
     assert CohClass.from_json_dict(rs, c.to_json_dict()) == c
     assert str(OrdinaryClass.from_json_dict(rs, {"word": [1, 2, 1], "coords": {"011": "1/2"}})) \
         == "1/2*x_{011}"
+
+
+@pytest.mark.parametrize("text, message", REFUSALS)
+def test_integrate_reports_a_refused_coefficient_on_one_line(capsys, text, message):
+    doc = {"word": [1, 2, 1], "coords": {"111": text}}
+    code = main(["--type", "A2", "--word", "1,2,1", "integrate", "111", "--class", json.dumps(doc)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: ValueError: {message}\n")
+
+
+def test_integrate_reads_a_long_blank_run_in_linear_time(capsys):
+    blanks = " " * 20_000
+    for text, code, out, err in [
+        ("a1" + blanks, 0, "a1\n", ""),
+        ("a1 +" + blanks, 2, "", "error: ValueError: cannot read polynomial text at '+'\n"),
+    ]:
+        doc = json.dumps({"word": [1, 2, 1], "coords": {"111": text}})
+        start = time.perf_counter()
+        got = main(["--type", "A2", "--word", "1,2,1", "integrate", "111", "--class", doc])
+        seconds = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (got, captured.out, captured.err) == (code, out, err)
+        assert seconds < 1.0

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,62 @@ def test_parse_errors():
     for bad in ("a\u0661", "\u0663/\u0664*a2", "\uff12*a1", "a1^\u0662", "1/\u0662"):
         with pytest.raises(ValueError, match="cannot read polynomial text"):
             parse_polynomial(bad, 2)
+
+
+# one case per kind of refusal, at rank 2: the text and the exact message
+REFUSALS = [
+    ("1 ? 2", "cannot read polynomial text at '? 2'"),
+    ("a1 a2 + 1", "expected an operator at 'a2 + 1'"),
+    ("*a1", "polynomial text '*a1' starts with '*'"),
+    ("a1 + 3/0", "zero denominator in polynomial text 'a1 + 3/0'"),
+    ("2*b1", "unknown variable 'b1'"),
+    ("a1*a3", "variable index 3 out of range 1..2"),
+    (" \t", "empty polynomial text"),
+]
+
+
+@pytest.mark.parametrize("text, message", REFUSALS)
+def test_parse_refusals_and_their_messages(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_polynomial(text, 2)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_parse_takes_linear_time_in_whitespace():
+    # a backtracking scan that splits a run of blanks between two optional
+    # blank runs takes time quadratic in the length of the run
+    cases = [
+        ("a1" + " " * 20_000, "a1"),
+        (" " * 20_000 + "?", "cannot read polynomial text at '?'"),
+        ("a1 +" + " " * 20_000, "cannot read polynomial text at '+'"),
+    ]
+    for text, outcome in cases:
+        start = time.perf_counter()
+        try:
+            got = str(parse_polynomial(text, 2))
+        except ValueError as exc:
+            got = str(exc)
+        assert (got, time.perf_counter() - start < 1.0) == (outcome, True)
+
+
+def test_constructor_refuses_malformed_exponent_keys():
+    # stored, such keys print wrongly ("a1^1.5 + 3*a1 + 2" for the first
+    # dict) or never meet their equal (adding a1 to it gives "3*a1 + a1")
+    with pytest.raises(ValueError, match=r"^exponent key \(0, -1\) is not a tuple of non-negative ints$"):
+        Polynomial(2, {(1,): 3, (0, -1): 2, (1.5, 0): 1})
+    for key in [(0, -1), (1.5, 0), (True, 0), (0, False), "a1", 1, (1, "0"), (Fraction(1), 0)]:
+        with pytest.raises(ValueError) as info:
+            Polynomial(2, {key: 1})
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"exponent key {key!r} is not a tuple of non-negative ints"
+    for key in [(1,), (1, 0, 0), ()]:
+        with pytest.raises(RankMismatch) as info:
+            Polynomial(2, {(1, 0): 1, key: 2})
+        assert str(info.value) == f"exponent key {key!r} has {len(key)} entries, not the rank 2"
+    # a key of the right shape goes in, also when its coefficient is dropped
+    assert str(Polynomial(2, {(1, 0): 3, (0, 0): 2}) + Polynomial(2, {(1, 0): 1})) == "4*a1 + 2"
+    assert Polynomial(2, {(0, 7): 0}).is_zero
+    assert Polynomial(0, {(): 5}) == 5
 
 
 def test_divide_exact():

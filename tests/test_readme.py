@@ -63,7 +63,7 @@ def test_every_example_is_read():
     assert "bottsam --type A2 roots" in commands and "bottsam selftest" in commands
     shown = {next(w for w in shlex.split(cmd) if w in COMMANDS) for cmd, _ in WITH_OUTPUT}
     assert shown == set(COMMANDS) - {"roots", "selftest"}
-    assert len(WITH_OUTPUT) == 8
+    assert len(WITH_OUTPUT) == 9
 
 
 @pytest.mark.parametrize("command, expected", WITH_OUTPUT, ids=[c for c, _ in WITH_OUTPUT])
