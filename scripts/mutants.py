@@ -10,11 +10,8 @@ nodes with ``PYTHONPATH`` on the copy.  The mutant is caught when pytest
 reports a failed test (exit code 1).  First the nodes of every mutant run
 once on the unchanged copy, where they must pass.
 
-Usage, from anywhere::
-
-    python3 scripts/mutants.py            # every mutant
-    python3 scripts/mutants.py --list     # their names
-    python3 scripts/mutants.py NAME ...   # the named ones
+Usage, from anywhere: ``python3 scripts/mutants.py``, which runs every
+mutant and prints one line for each.
 
 Exits 0 when every mutant is caught; 1 when a text does not occur exactly
 once, the unchanged copy fails a node, or a mutant survives or breaks pytest
@@ -24,7 +21,6 @@ standard library and pytest only.
 
 from __future__ import annotations
 
-import argparse
 import os
 import pathlib
 import shutil
@@ -38,6 +34,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PARSE_FUZZ = "tests/test_parse_fuzz.py::test_parser_agrees_with_the_reference_on_random_texts"
 CHEVALLEY = "tests/test_schubert.py::test_billey_satisfies_the_pointwise_chevalley_identity"
 BILLEY_LOOP = "for i, form in zip(q.v_word, forms):"
+INTEGRAL = "c = num if den == 1 else num // den if not num % den else Fraction(num, den)"
 
 # (name, file under src/bottsam, exact text, replacement, node ids)
 MUTANTS = [
@@ -50,11 +47,17 @@ MUTANTS = [
     ("parser: missing operator accepted", "polyring.py",
      "if not op:", "if False:",
      ["tests/test_polyring.py::test_parse_errors", PARSE_FUZZ]),
-    # on the last term of a text, which the scan completes after its loop
-    ("parser: Fraction kept for integral terms", "polyring.py",
-     "c = num if den == 1 else num // den if not num % den else Fraction(num, den)\n"
-     "        if exp in terms", "c = Fraction(num, den)\n        if exp in terms",
+    # the parser completes a term in its loop, when the next term opens, and
+    # the last term after the loop: the indentation tells the two apart
+    ("parser: Fraction kept for integral terms in the loop", "polyring.py",
+     " " * 20 + INTEGRAL, " " * 20 + "c = Fraction(num, den)",
      ["tests/test_integer_core.py::test_rational_text_keeps_fractions", PARSE_FUZZ]),
+    ("parser: Fraction kept for an integral last term", "polyring.py",
+     "\n" + " " * 8 + INTEGRAL, "\n" + " " * 8 + "c = Fraction(num, den)",
+     ["tests/test_integer_core.py::test_rational_text_keeps_fractions", PARSE_FUZZ]),
+    ("parser: a stray letter taken alone, rescanning a run of letters", "polyring.py",
+     r"|\s*([a-zA-Z]+|\S)|", r"|\s*(\S)|",
+     ["tests/test_polyring.py::test_parse_takes_linear_time_on_long_runs"]),
     ("billey: v read in reverse", "schubert.py",
      BILLEY_LOOP, "for i, form in zip(q.v_word[::-1], forms[::-1]):", [CHEVALLEY]),
     ("billey: first letter of v skipped", "schubert.py",
@@ -82,22 +85,10 @@ def pytest(src: pathlib.Path, nodes: list[str]) -> int:
                           stderr=subprocess.DEVNULL).returncode
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    parser.add_argument("--list", action="store_true", help="print the names and exit")
-    args = parser.parse_args(argv)
-    if args.list:
-        print("\n".join(m[0] for m in MUTANTS))
-        return 0
-    unknown = set(args.names) - {m[0] for m in MUTANTS}
-    if unknown:
-        parser.error(f"no such mutant: {', '.join(sorted(unknown))}")
-    chosen = [m for m in MUTANTS if not args.names or m[0] in args.names]
-
+def main() -> int:
     package = ROOT / "src" / "bottsam"
     bad = False
-    for name, file, text, _, _ in chosen:
+    for name, file, text, _, _ in MUTANTS:
         count = (package / file).read_text(encoding="utf-8").count(text)
         if count != 1:
             print(f"text of {name!r} occurs {count} times in {file}, not once")
@@ -114,11 +105,11 @@ def main(argv: list[str] | None = None) -> int:
         if not where.startswith(str(src)):
             print(f"bottsam is imported from {where.strip() or 'nowhere'}, not from the copy")
             return 1
-        nodes = sorted({node for m in chosen for node in m[4]})
+        nodes = sorted({node for m in MUTANTS for node in m[4]})
         if pytest(src, nodes):
             print("the unchanged copy fails the mutants' tests; fix them first")
             return 1
-        for name, file, text, replacement, tests in chosen:
+        for name, file, text, replacement, tests in MUTANTS:
             path = src / "bottsam" / file
             original = path.read_text(encoding="utf-8")
             path.write_text(original.replace(text, replacement), encoding="utf-8")

@@ -263,18 +263,21 @@ def format_polynomial(p: Polynomial) -> str:
     return " ".join(parts)
 
 
-# One match of the scan: a step, one stray character, or the whitespace at
-# the end of the text, so that the matches cover the text.  A step is an
-# optional operator and a factor, each after optional whitespace.  The
-# operator is "+" or "-" before a term (optional before the first one) or
-# "*" between two factors of a term; a factor is a number with an optional
-# "/denominator", or a variable with an optional "^power"; the digits are
-# ASCII ones, which ``\d`` and ``int`` are not limited to.  No run of
+# One match of the scan: a step, a stray run of letters or one stray
+# character, or the whitespace at the end of the text, so that the matches
+# cover the text.  A step is an optional operator and a factor, each after
+# optional whitespace.  The operator is "+" or "-" before a term (optional
+# before the first one) or "*" between two factors of a term; a factor is a
+# number with an optional "/denominator", or a variable with an optional
+# "^power"; the digits are ASCII ones, which ``\d`` and ``int`` are not
+# limited to.  The scan is linear in the length of the text: no run of
 # whitespace is split between two ``\s*``, so a failed alternative gives a
-# run back once at most and the scan is linear in the length of the text.
+# run back once at most; and a stray letter takes the letters after it,
+# which the variable alternative scanned for an index, so that no run of
+# letters is scanned again from each of its letters.
 _SCAN = re.compile(
     r"\s*(?:([-+*])\s*)?(?:([0-9]+)(?:\s*/\s*([0-9]+))?|([a-zA-Z]+)([0-9]+)(?:\s*\^\s*([0-9]+))?)"
-    r"|\s*(\S)|\s+\Z"
+    r"|\s*([a-zA-Z]+|\S)|\s+\Z"
 )
 
 
@@ -307,7 +310,7 @@ def parse_polynomial(text: str, rank: int) -> Polynomial:
             if exps is not None:  # a new term: the open one is complete
                 if not op:
                     raise ValueError(f"expected an operator at {_failed_at(text)!r}")
-                if num:
+                if num:  # as after the loop: a shared helper costs a text 10%
                     exp = tuple(exps)
                     c = num if den == 1 else num // den if not num % den else Fraction(num, den)
                     if exp in terms and not (c := exact(terms[exp] + c)):

@@ -5,6 +5,8 @@ Coordinates are in the simple-root basis and a matrix acts on coordinate
 columns, so column k of an element's matrix is the image of alpha_{k+1}, as
 in ``WeylElement.rows``.  The package moves an element by one reflection at a
 time (``RootSystem.times_reflection``); nothing here calls it.
+
+Also data that more than one test file uses.
 """
 
 from fractions import Fraction
@@ -98,3 +100,15 @@ def fundamental_weights(cartan):
             if j != k and rows[j][k]:
                 rows[j] = [x - rows[j][k] * y for x, y in zip(rows[j], rows[k])]
     return [tuple(rows[j][n + i] for j in range(n)) for i in range(n)]
+
+
+# one case per kind of refusal, at rank 2: the text and the exact message
+REFUSALS = [
+    ("1 ? 2", "cannot read polynomial text at '? 2'"),
+    ("a1 a2 + 1", "expected an operator at 'a2 + 1'"),
+    ("*a1", "polynomial text '*a1' starts with '*'"),
+    ("a1 + 3/0", "zero denominator in polynomial text 'a1 + 3/0'"),
+    ("2*b1", "unknown variable 'b1'"),
+    ("a1*a3", "variable index 3 out of range 1..2"),
+    (" \t", "empty polynomial text"),
+]

@@ -10,7 +10,7 @@ import pytest
 from bottsam import CohClass, IndexOutOfRange, LengthMismatch, RootSystem
 from bottsam.cli import main
 from bottsam.ordinary import OrdinaryClass
-from test_polyring import REFUSALS
+from reference import REFUSALS
 
 
 def refused(kind):
@@ -76,11 +76,13 @@ def test_integrate_reports_a_refused_coefficient_on_one_line(capsys, text, messa
     assert (code, captured.out, captured.err) == (2, "", f"error: ValueError: {message}\n")
 
 
-def test_integrate_reads_a_long_blank_run_in_linear_time(capsys):
-    blanks = " " * 20_000
+def test_integrate_reads_a_long_run_in_linear_time(capsys):
+    blanks, letters = " " * 20_000, "b" * 20_000
     for text, code, out, err in [
         ("a1" + blanks, 0, "a1\n", ""),
         ("a1 +" + blanks, 2, "", "error: ValueError: cannot read polynomial text at '+'\n"),
+        ("a1 + " + letters, 2, "",
+         f"error: ValueError: cannot read polynomial text at {'+ ' + letters!r}\n"),
     ]:
         doc = json.dumps({"word": [1, 2, 1], "coords": {"111": text}})
         start = time.perf_counter()

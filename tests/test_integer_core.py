@@ -100,6 +100,9 @@ def test_rational_text_keeps_fractions():
     assert q == parse_polynomial("2*a1", 2) == 2 * Polynomial.linear((1, 0))
     assert_int(coefficients(q))
     assert format_polynomial(q) == "2*a1"
+    # an integral term before the last one is an int too
+    q = parse_polynomial("6/3*a2 - 1/2*a1", 2)
+    assert q.terms == {(0, 1): 2, (1, 0): Fraction(-1, 2)} and type(q.terms[0, 1]) is int
 
     # halves that add up to an integer come back as an int
     r = parse_polynomial("1/2*a1 + 1/2*a1 - 6/3", 2)

@@ -13,6 +13,7 @@ from bottsam import (
     format_polynomial,
     parse_polynomial,
 )
+from reference import REFUSALS
 
 
 def poly(text, rank=2):
@@ -91,18 +92,6 @@ def test_parse_errors():
             parse_polynomial(bad, 2)
 
 
-# one case per kind of refusal, at rank 2: the text and the exact message
-REFUSALS = [
-    ("1 ? 2", "cannot read polynomial text at '? 2'"),
-    ("a1 a2 + 1", "expected an operator at 'a2 + 1'"),
-    ("*a1", "polynomial text '*a1' starts with '*'"),
-    ("a1 + 3/0", "zero denominator in polynomial text 'a1 + 3/0'"),
-    ("2*b1", "unknown variable 'b1'"),
-    ("a1*a3", "variable index 3 out of range 1..2"),
-    (" \t", "empty polynomial text"),
-]
-
-
 @pytest.mark.parametrize("text, message", REFUSALS)
 def test_parse_refusals_and_their_messages(text, message):
     with pytest.raises(ValueError) as info:
@@ -110,13 +99,18 @@ def test_parse_refusals_and_their_messages(text, message):
     assert type(info.value) is ValueError and str(info.value) == message
 
 
-def test_parse_takes_linear_time_in_whitespace():
-    # a backtracking scan that splits a run of blanks between two optional
-    # blank runs takes time quadratic in the length of the run
+def test_parse_takes_linear_time_on_long_runs():
+    # a backtracking scan takes time quadratic in the length of a run when
+    # it splits the run between two optional parts of its pattern, or when
+    # each match scans to the end of the run and then takes one character
+    # of it: blanks, and letters with no index after them
+    letters = "b" * 20_000
     cases = [
         ("a1" + " " * 20_000, "a1"),
         (" " * 20_000 + "?", "cannot read polynomial text at '?'"),
         ("a1 +" + " " * 20_000, "cannot read polynomial text at '+'"),
+        (letters, f"cannot read polynomial text at {letters!r}"),
+        ("a1 + " + letters, f"cannot read polynomial text at {'+ ' + letters!r}"),
     ]
     for text, outcome in cases:
         start = time.perf_counter()
