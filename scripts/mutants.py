@@ -33,8 +33,12 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 PARSE_FUZZ = "tests/test_parse_fuzz.py::test_parser_agrees_with_the_reference_on_random_texts"
 CHEVALLEY = "tests/test_schubert.py::test_billey_satisfies_the_pointwise_chevalley_identity"
+FIBER_SUM = "tests/test_schubert.py::test_the_schubert_class_pulls_back_to_the_fiber_sum_at_every_point[B3]"
 BILLEY_LOOP = "for i, form in zip(q.v_word, forms):"
 INTEGRAL = "c = num if den == 1 else num // den if not num % den else Fraction(num, den)"
+ZERO_TEST = "tests/test_ordinary.py::test_the_zero_test_skips_only_pairs_whose_product_is_zero"
+UNIT_COPY = "tests/test_generator_kernel.py::test_a_unit_coefficient_takes_the_product_without_aliasing_its_inputs"
+CHANGES_ONE = "tests/test_generator_kernel.py::test_a_caller_that_changes_one_class_changes_no_other"
 
 # (name, file under src/bottsam, exact text, replacement, node ids)
 MUTANTS = [
@@ -59,13 +63,13 @@ MUTANTS = [
      r"|\s*([a-zA-Z]+|\S)|", r"|\s*(\S)|",
      ["tests/test_polyring.py::test_parse_takes_linear_time_on_long_runs"]),
     ("billey: v read in reverse", "schubert.py",
-     BILLEY_LOOP, "for i, form in zip(q.v_word[::-1], forms[::-1]):", [CHEVALLEY]),
+     BILLEY_LOOP, "for i, form in zip(q.v_word[::-1], forms[::-1]):", [CHEVALLEY, FIBER_SUM]),
     ("billey: first letter of v skipped", "schubert.py",
-     BILLEY_LOOP, "for i, form in zip(q.v_word[1:], forms[1:]):", [CHEVALLEY]),
+     BILLEY_LOOP, "for i, form in zip(q.v_word[1:], forms[1:]):", [CHEVALLEY, FIBER_SUM]),
     ("billey: betas reversed", "schubert.py",
-     BILLEY_LOOP, "for i, form in zip(q.v_word, forms[::-1]):", [CHEVALLEY]),
+     BILLEY_LOOP, "for i, form in zip(q.v_word, forms[::-1]):", [CHEVALLEY, FIBER_SUM]),
     ("billey: odd degrees negated", "schubert.py",
-     "terms[key] = c", "terms[key] = -c if sum(key) % 2 else c", [CHEVALLEY]),
+     "terms[key] = c", "terms[key] = -c if sum(key) % 2 else c", [CHEVALLEY, FIBER_SUM]),
     # the slot of r_i holds r_i u, whose row i - 1 is that row of u less
     # A[i][j] times row j of u, summed over j
     ("cayley: slot holds r_i u", "rootsystem.py",
@@ -74,6 +78,39 @@ MUTANTS = [
      " for c, x in enumerate(r)) if m == k else r for m, r in enumerate(rows))\n"
      "        node[i] = right.setdefault(left, [left] + [None] * self.rank)\n",
      ["tests/test_root_system.py::test_the_cayley_table_is_transparent_and_bounded"]),
+    # the zero test of ordinary_multiply: the t-th overlap position needs t
+    # off positions below it
+    ("ordinary: zero test one short", "ordinary.py",
+     "bit_count() < t", "bit_count() <= t",
+     ["tests/test_ordinary.py::test_two_step_rewriting", f"{ZERO_TEST}[A2]"]),
+    ("ordinary: zero test counts the off positions above", "ordinary.py",
+     "off & (bit - 1)", "off & ~(bit - 1)", [f"{ZERO_TEST}[A2]", f"{ZERO_TEST}[A3]"]),
+    # a term of unit coefficient joins the product as it is, copied when a
+    # later pair reads it
+    ("multiply: unit-coefficient term adopted without its copy", "bott_samelson.py",
+     "out[mask] = dict(p) if rest and p is p1 else p", "out[mask] = p",
+     [f"{UNIT_COPY}[first]", f"{UNIT_COPY}[middle]"]),
+    # each basis class and product owns its polynomials and their terms
+    ("basis: one terms dict per root system", "bott_samelson.py",
+     "one.rank, one.terms = word.rs.rank, {word.rs._constant: 1}",
+     'one.rank, one.terms = word.rs.rank, word.rs.__dict__.setdefault("_one", {word.rs._constant: 1})',
+     [f"{CHANGES_ONE}[basis]"]),
+    ("basis: one polynomial per root system", "bott_samelson.py",
+     "c.word, c.coords = word, {e: one}",
+     'c.word, c.coords = word, {e: word.rs.__dict__.setdefault("_one", one)}',
+     [f"{CHANGES_ONE}[basis]"]),
+    ("multiply: equal product coordinates share a terms dict", "bott_samelson.py",
+     "e.mask, e.n, poly.rank, poly.terms = mask, n, rank, terms",
+     "e.mask, e.n, poly.rank, poly.terms = mask, n, rank, "
+     "word.__dict__.setdefault(repr(sorted(terms.items())), terms)",
+     [f"{CHANGES_ONE}[product]"]),
+    ("gallery: a non-tuple validated without reading it into a tuple", "bott_samelson.py",
+     "        if bits.__class__ is not tuple:\n            bits = tuple(bits)\n", "",
+     ["tests/test_gallery_masks.py::test_the_constructor_converts_and_refuses_as_before"]),
+    ("billey check: galleries passed in are not validated", "schubert.py",
+     "v_words = [_reduced_word_of_gallery(word, e) for e in galleries]",
+     "v_words = [tuple(word.letters[i - 1] for i in e.support) for e in galleries]",
+     ["tests/test_schubert.py::test_check_billey_identity_input_errors"]),
 ]
 
 

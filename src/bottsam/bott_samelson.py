@@ -51,6 +51,7 @@ Bits = tuple[int, ...]
 _FROM_TEXT = bytes.maketrans(b"01", b"\0\1")
 _TO_TEXT = bytes.maketrans(b"\0\1", b"01")
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+_from_bytes = int.from_bytes
 
 
 class Gallery:
@@ -80,8 +81,8 @@ class Gallery:
             if not {*bits} <= {0, 1}:
                 raise ValueError("gallery bits must be 0 or 1")
             raw = bytes(bits)
-        self.mask = int.from_bytes(raw, "little")
-        self.n = len(raw)
+        self.mask = _from_bytes(raw, "little")
+        self.n = len(bits)
 
     @classmethod
     def _of_mask(cls, mask: int, n: int) -> "Gallery":

@@ -88,14 +88,6 @@ class OrdinaryClass:
         self.coords = clean
 
     @classmethod
-    def _of(cls, word: BSWord, coords: dict[Gallery, int | Fraction]) -> "OrdinaryClass":
-        """A class of nonzero exact coordinates the package built, unvalidated."""
-        c = cls.__new__(cls)
-        c.word = word
-        c.coords = coords
-        return c
-
-    @classmethod
     def zero(cls, word: BSWord) -> "OrdinaryClass":
         return cls(word, {})
 
@@ -103,7 +95,9 @@ class OrdinaryClass:
     def basis(cls, word: BSWord, e: Gallery) -> "OrdinaryClass":
         if e.n != word.n:
             word.check_gallery(e)
-        return cls._of(word, {e: 1})
+        c = cls.__new__(cls)  # inline: one per factor of a product
+        c.word, c.coords = word, {e: 1}
+        return c
 
     @property
     def is_zero(self) -> bool:
@@ -191,32 +185,58 @@ def ordinary_multiply(c1: OrdinaryClass, c2: OrdinaryClass) -> OrdinaryClass:
     of the bits of ``e`` up to and including i.  They add bits only below
     i, so every later overlap bit is still on when its turn comes.
     Galleries are integer masks with position k + 1 at bit 8k.
+
+    Zero test.  Each correction ``x_{e + j}`` turns on one position
+    ``j < i`` that is off in ``e``, and a position once on stays on.  So
+    every monomial the rewriting reaches picks, for the overlap positions
+    ``i_1 < .. < i_r``, distinct positions ``j_1, .., j_r`` off in ``a or
+    b`` with ``j_t < i_t``: a system of distinct representatives of the
+    sets of off positions below each ``i_t``.  Those sets are nested, so
+    by Hall's theorem one exists exactly when, for every t, at least t
+    positions below ``i_t`` are off in ``a or b``.  A pair that fails this
+    reaches no monomial and contributes zero; it is skipped before it
+    reads any generator rule.
     """
     word = c1.word
     if c2.word is not word and c2.word != word:
         raise WordMismatch("classes over different words")
-    gens, spill = word._generators, {}
-    acc: dict[int, int | Fraction] = {}
-    masks = [(e.mask, q) for e, q in c1.coords.items()]
+    n = word.n
+    gens, spill, acc = word._generators, {}, {}
+    full = ((1 << 8 * n) - 1) // 255  # every position on
     for e2, q2 in c2.coords.items():
         b = e2.mask
-        for a, q1 in masks:
-            cur = {a | b: 1}
+        for e1, q1 in c1.coords.items():
+            a = e1.mask
             overlap = a & b
-            while overlap:
-                bit = overlap & -overlap
-                overlap ^= bit
-                low, nxt = (bit << 1) - 1, {}
-                for mask, c in cur.items():
-                    for add, d in (gens.get(mask & low) or _generator(word, mask & low, spill))[0]:
-                        nxt[mask | add] = nxt.get(mask | add, 0) + c * d
-                cur = nxt
-            q = q1 * q2
-            for m, c in cur.items():
-                acc[m] = acc.get(m, 0) + q * c
-    n = word.n
-    return OrdinaryClass._of(word, {Gallery._of_mask(m, n): c if type(c) is int else exact(c)
-                                    for m, c in acc.items() if c})
+            off, t, rest = full ^ (a | b), 0, overlap
+            while rest:  # the zero test
+                bit = rest & -rest
+                rest ^= bit
+                t += 1
+                if (off & (bit - 1)).bit_count() < t:
+                    break
+            else:
+                cur = {a | b: 1}
+                while overlap:
+                    bit = overlap & -overlap
+                    overlap ^= bit
+                    low, nxt = (bit << 1) - 1, {}
+                    for mask, c in cur.items():
+                        for add, d in (gens.get(mask & low) or _generator(word, mask & low, spill))[0]:
+                            nxt[mask | add] = nxt.get(mask | add, 0) + c * d
+                    cur = nxt
+                q = q1 * q2
+                for m, c in cur.items():
+                    acc[m] = acc.get(m, 0) + q * c
+    coords = {}
+    for m, c in acc.items():
+        if c:
+            e = Gallery.__new__(Gallery)
+            e.mask, e.n = m, n
+            coords[e] = c if type(c) is int else exact(c)
+    product = OrdinaryClass.__new__(OrdinaryClass)
+    product.word, product.coords = word, coords
+    return product
 
 
 def evaluate_at_origin(c: CohClass) -> OrdinaryClass:

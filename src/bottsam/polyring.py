@@ -281,13 +281,18 @@ _SCAN = re.compile(
 )
 
 
+def _quoted(text: str) -> str:
+    """``text`` quoted for a one-line message, cut after 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+
+
 def _failed_at(text: str) -> str:
-    """The text from where its scan failed, for a message: from the first
-    stray character, or from the first term after the first one that has no
-    operator before it."""
+    """The text from where its scan failed, quoted for a message: from the
+    first stray character, or from the first term after the first one that
+    has no operator before it."""
     for k, m in enumerate(_SCAN.finditer(text)):
         if m[7] or k and not m[1] and (m[2] or m[4]):
-            return text[m.start():].strip()
+            return _quoted(text[m.start():].strip())
 
 
 def parse_polynomial(text: str, rank: int) -> Polynomial:
@@ -305,11 +310,11 @@ def parse_polynomial(text: str, rank: int) -> Polynomial:
     for op, n, d, name, idx, power, stray in _SCAN.findall(text):
         if op == "*":
             if exps is None:
-                raise ValueError(f"polynomial text {text!r} starts with '*'")
+                raise ValueError(f"polynomial text {_quoted(text)} starts with '*'")
         elif n or name:
             if exps is not None:  # a new term: the open one is complete
                 if not op:
-                    raise ValueError(f"expected an operator at {_failed_at(text)!r}")
+                    raise ValueError(f"expected an operator at {_failed_at(text)}")
                 if num:  # as after the loop: a shared helper costs a text 10%
                     exp = tuple(exps)
                     c = num if den == 1 else num // den if not num % den else Fraction(num, den)
@@ -321,7 +326,7 @@ def parse_polynomial(text: str, rank: int) -> Polynomial:
             num = -1 if op == "-" else 1
             den = 1
         elif stray:
-            raise ValueError(f"cannot read polynomial text at {_failed_at(text)!r}")
+            raise ValueError(f"cannot read polynomial text at {_failed_at(text)}")
         else:
             continue  # the whitespace at the end
         if n:
@@ -329,11 +334,11 @@ def parse_polynomial(text: str, rank: int) -> Polynomial:
             if d:
                 d = int(d)
                 if not d:
-                    raise ValueError(f"zero denominator in polynomial text {text!r}")
+                    raise ValueError(f"zero denominator in polynomial text {_quoted(text)}")
                 den *= d
         else:
             if name != "a":
-                raise ValueError(f"unknown variable {name + idx!r}")
+                raise ValueError(f"unknown variable {_quoted(name + idx)}")
             k = int(idx)
             if not 1 <= k <= rank:
                 raise ValueError(f"variable index {k} out of range 1..{rank}")

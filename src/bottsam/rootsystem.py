@@ -304,7 +304,9 @@ class RootSystem:
             else:
                 rows = self.times_reflection(rows, i)
                 node = right.get(rows)
-        return WeylElement(rows)
+        w = WeylElement.__new__(WeylElement)  # inline: one per subword sum asked for
+        w.rows = rows
+        return w
 
     # ---- positive roots and lengths -----------------------------------
 

@@ -86,7 +86,7 @@ class BilleyQuery:
     __slots__ = ("rs", "w", "v_word", "_betas")
 
     def __init__(self, rs: RootSystem, w: WeylElement, v_word: SimpleWord):
-        if w.rank != rs.rank:
+        if len(w.rows) != rs.rank:
             raise RankMismatch(f"element of rank {w.rank} against rank {rs.rank}")
         self.rs = rs
         self.w = w
@@ -183,17 +183,19 @@ def billey(q: BilleyQuery) -> Polynomial:
     # so none is zero, and each is an int
     sums = states[0] or {}
     if size > 1:
-        return Polynomial._of(rank, _unpack(sums, rank, size))
-    # packed one byte each: the exponent tuples multiply's exit keeps in rs
-    keys, terms = q.rs._monomials, {}
-    for m, c in sums.items():
-        key = keys.get(m)
-        if key is None:
-            key = tuple(m.to_bytes(rank, "little"))
-            if len(keys) < rootsystem.MEMO_MAX_ENTRIES:
-                keys[m] = key
-        terms[key] = c
-    return Polynomial._of(rank, terms)
+        terms = _unpack(sums, rank, size)
+    else:  # packed one byte each: the exponent tuples multiply's exit keeps in rs
+        keys, terms = q.rs._monomials, {}
+        for m, c in sums.items():
+            key = keys.get(m)
+            if key is None:
+                key = tuple(m.to_bytes(rank, "little"))
+                if len(keys) < rootsystem.MEMO_MAX_ENTRIES:
+                    keys[m] = key
+            terms[key] = c
+    value = Polynomial.__new__(Polynomial)
+    value.rank, value.terms = rank, terms
+    return value
 
 
 def fiber(word: BSWord, w: WeylElement) -> set[Gallery]:

@@ -102,6 +102,21 @@ def fundamental_weights(cartan):
     return [tuple(rows[j][n + i] for j in range(n)) for i in range(n)]
 
 
+def zero_test_keeps(a, b):
+    """Whether ``ordinary_multiply``'s zero test keeps the pair of
+    galleries: the t-th position on in both has at least t positions below
+    it that are off in both.  Read from the bits, position by position."""
+    off = shared = 0
+    for x, y in zip(a.bits, b.bits):
+        if x and y:
+            shared += 1
+            if off < shared:
+                return False
+        elif not (x or y):
+            off += 1
+    return True
+
+
 # one case per kind of refusal, at rank 2: the text and the exact message
 REFUSALS = [
     ("1 ? 2", "cannot read polynomial text at '? 2'"),

@@ -82,7 +82,7 @@ def test_integrate_reads_a_long_run_in_linear_time(capsys):
         ("a1" + blanks, 0, "a1\n", ""),
         ("a1 +" + blanks, 2, "", "error: ValueError: cannot read polynomial text at '+'\n"),
         ("a1 + " + letters, 2, "",
-         f"error: ValueError: cannot read polynomial text at {'+ ' + letters!r}\n"),
+         f"error: ValueError: cannot read polynomial text at {('+ ' + letters)[:40]!r}...\n"),
     ]:
         doc = json.dumps({"word": [1, 2, 1], "coords": {"111": text}})
         start = time.perf_counter()
@@ -91,3 +91,13 @@ def test_integrate_reads_a_long_run_in_linear_time(capsys):
         captured = capsys.readouterr()
         assert (got, captured.out, captured.err) == (code, out, err)
         assert seconds < 1.0
+
+
+def test_a_refusal_of_a_long_text_is_one_short_line(capsys):
+    doc = json.dumps({"word": [1, 2, 1], "coords": {"111": "a1 " * 30_000}})
+    code = main(["--type", "A2", "--word", "1,2,1", "integrate", "111", "--class", doc])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert len(captured.err) < 200
+    assert captured.err == f"error: ValueError: expected an operator at {('a1 ' * 14)[:40]!r}...\n"

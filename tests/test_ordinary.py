@@ -14,10 +14,12 @@ from bottsam import (
     WordMismatch,
     evaluate_at_origin,
     multiply,
+    multiply_by_localization,
     ordinary_multiply,
     parse_polynomial,
     relations,
 )
+from reference import zero_test_keeps
 
 A2 = RootSystem.from_label("A2")
 
@@ -181,3 +183,39 @@ def test_ordinary_and_equivariant_documents_read_the_same_constants():
     assert 200 < accepted < len(texts) - 200
     for text in ("1.5", "1e3", "1_000"):
         assert read_constant(OrdinaryClass, text) is None
+
+
+# basis pairs per word: every pair of the A2 and B2 longest words, a seeded
+# sample of 400 on the others (of 4 096 on a 6-letter word)
+ZERO_TEST_PAIRS = 400
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_the_zero_test_skips_only_pairs_whose_product_is_zero(label):
+    """On the longest word (at most 6 letters here) and on one seeded
+    non-reduced word: every basis pair the zero test rejects is zero under
+    the independent route, evaluation at the origin of the localization
+    product, and ``ordinary_multiply`` equals that route on every pair."""
+    rs = RootSystem.from_label(label)
+    rng = random.Random(f"zero test {label}")
+    while True:
+        letters = [rng.randint(1, rs.rank) for _ in range(rng.randint(4, 6))]
+        if not rs.is_reduced(letters):
+            break
+    skipped = kept = 0
+    for letters in (rs.longest_word(), letters):
+        word = BSWord(rs, letters)
+        gals = word.galleries()
+        pairs = [(a, b) for a in gals for b in gals]
+        if len(pairs) > ZERO_TEST_PAIRS:
+            pairs = rng.sample(pairs, ZERO_TEST_PAIRS)
+        for a, b in pairs:
+            want = evaluate_at_origin(
+                multiply_by_localization(CohClass.basis(word, a), CohClass.basis(word, b)))
+            assert ordinary_multiply(OrdinaryClass.basis(word, a), OrdinaryClass.basis(word, b)) == want
+            if zero_test_keeps(a, b):
+                kept += a.mask & b.mask != 0
+            else:
+                assert want.is_zero, (letters, a, b)
+                skipped += 1
+    assert skipped >= 200 and kept >= 100

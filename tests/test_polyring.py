@@ -109,8 +109,8 @@ def test_parse_takes_linear_time_on_long_runs():
         ("a1" + " " * 20_000, "a1"),
         (" " * 20_000 + "?", "cannot read polynomial text at '?'"),
         ("a1 +" + " " * 20_000, "cannot read polynomial text at '+'"),
-        (letters, f"cannot read polynomial text at {letters!r}"),
-        ("a1 + " + letters, f"cannot read polynomial text at {'+ ' + letters!r}"),
+        (letters, f"cannot read polynomial text at {letters[:40]!r}..."),
+        ("a1 + " + letters, f"cannot read polynomial text at {('+ ' + letters)[:40]!r}..."),
     ]
     for text, outcome in cases:
         start = time.perf_counter()
@@ -119,6 +119,30 @@ def test_parse_takes_linear_time_on_long_runs():
         except ValueError as exc:
             got = str(exc)
         assert (got, time.perf_counter() - start < 1.0) == (outcome, True)
+
+
+def test_refusals_quote_at_most_forty_characters():
+    # each refusal that quotes the text, on a text of 90 000 characters:
+    # the text is quoted as far as its 40th character, then "..."
+    run, stray, sums = "a1 " * 30_000, "1 ? " + "a1 " * 30_000, "a1 + " * 18_000
+    for text, message in [
+        (run, f"expected an operator at {run[3:43]!r}..."),
+        (stray, f"cannot read polynomial text at {stray[2:42]!r}..."),
+        ("*" + run, f"polynomial text {('*' + run)[:40]!r}... starts with '*'"),
+        (sums + "1/0", f"zero denominator in polynomial text {sums[:40]!r}..."),
+        ("b" * 90_000 + "1", f"unknown variable {'b' * 40!r}..."),
+    ]:
+        with pytest.raises(ValueError) as info:
+            parse_polynomial(text, 2)
+        assert str(info.value) == message
+    # a text of exactly 40 characters is quoted whole
+    text = "a1 + " * 7 + "a2 a2"
+    assert len(text) == 40
+    with pytest.raises(ValueError, match=r"^expected an operator at 'a2'$"):
+        parse_polynomial(text, 2)
+    with pytest.raises(ValueError) as info:
+        parse_polynomial("*" + text[1:], 2)
+    assert str(info.value) == f"polynomial text {'*' + text[1:]!r} starts with '*'"
 
 
 def test_constructor_refuses_malformed_exponent_keys():

@@ -27,10 +27,12 @@ from bottsam import (
     billey,
     evaluate_at_origin,
     multiply,
+    multiply_by_localization,
     ordinary_multiply,
     rootsystem,
 )
 from bottsam.schubert import check_billey_identities, reduced_galleries
+from reference import zero_test_keeps as kept
 
 CUSTOM = {
     "A1xA1": ((2, 0), (0, 2)),
@@ -54,6 +56,17 @@ def seeded_pairs(rng, n, count):
     return [(bits(), bits()) for _ in range(count)]
 
 
+def kept_pairs(rng, n, count):
+    """Seeded pairs that overlap and that the zero test keeps, so that
+    each product reads the generator table."""
+    pairs = []
+    while len(pairs) < count:
+        a, b = seeded_pairs(rng, n, 1)[0]
+        if a.mask & b.mask and kept(a, b):
+            pairs.append((a, b))
+    return pairs
+
+
 def product(word, a, b):
     return ordinary_multiply(OrdinaryClass.basis(word, a), OrdinaryClass.basis(word, b))
 
@@ -68,7 +81,7 @@ def test_warm_and_cold_rewrite_tables_give_the_same_products(rs):
     for n in (5, 9, 12):
         letters = [rng.randint(1, rs.rank) for _ in range(n)]
         warm = BSWord(rs, letters)
-        pairs = seeded_pairs(rng, n, 12)
+        pairs = kept_pairs(rng, n, 12)
         first = [product(warm, a, b) for a, b in pairs]
         assert warm._generators  # the products met some overlaps
         for (a, b), got in zip(pairs, first):
@@ -100,7 +113,7 @@ def test_words_over_different_cartan_matrices_never_share_entries():
 def test_bounded_tables_stop_growing_and_keep_their_results(monkeypatch):
     d4 = RootSystem.from_label("D4")
     letters = [d4.longest_word()[k % 12] for k in range(14)]
-    pairs = seeded_pairs(random.Random("bound"), len(letters), 20)
+    pairs = kept_pairs(random.Random("bound"), len(letters), 20)
     unbounded = [product(BSWord(d4, letters), a, b) for a, b in pairs]
     lw = d4.longest_word()
     queries = [(d4.weyl_from_word(lw[: k // 2]), lw[:k]) for k in range(len(lw) + 1)]
@@ -129,6 +142,7 @@ def test_ordinary_and_equivariant_products_share_one_table(monkeypatch):
     # bits of the other factor below it, and nothing else; its key is the
     # mask of the bits up to and including the overlap bit
     pairs = [(e, Gallery.unit(word.n, i)) for e in word.galleries()[::13] for i in e.support]
+    pairs = [(a, b) for a, b in pairs if kept(a, b)]  # a skipped pair reads no rule
     ordinary = [product(word, a, b) for a, b in pairs]
     table = dict(word._generators)
     assert set(table) == {a.mask & (b.mask << 1) - 1 for a, b in pairs}
@@ -146,6 +160,41 @@ def test_ordinary_and_equivariant_products_share_one_table(monkeypatch):
             assert multiply(CohClass.basis(bounded, a), CohClass.basis(bounded, b)) == want
             assert len(bounded._generators) <= bound
         assert len(bounded._generators) == bound
+
+
+@pytest.mark.parametrize("label", ["A1", "B3", "D4"])
+def test_a_pair_the_zero_test_skips_is_zero_and_reads_no_rule(label):
+    rs = RootSystem.from_label(label)
+    rng = random.Random(f"skipped:{label}")
+    letters = [rng.randint(1, rs.rank) for _ in range(9)]
+    word = BSWord(rs, letters)
+    for a, b in kept_pairs(rng, word.n, 10):  # a warm table, to show it is left alone
+        product(word, a, b)
+    table = dict(word._generators)
+    skipped = [(a, b) for a, b in seeded_pairs(rng, word.n, 200) if not kept(a, b)]
+    assert len(skipped) >= 40
+    for a, b in skipped:
+        assert product(word, a, b) == OrdinaryClass.zero(word)
+        assert word._generators == table
+        assert all(word._generators[key] is entry for key, entry in table.items())
+    # the independent route agrees that they are zero
+    for a, b in skipped[:10]:
+        equivariant = multiply_by_localization(CohClass.basis(word, a), CohClass.basis(word, b))
+        assert evaluate_at_origin(equivariant).is_zero
+
+
+def test_no_seeded_pair_at_nine_letters_on_a1_reads_a_rule():
+    # the 12 pairs the warm-and-cold test drew at 9 letters on A1 before it
+    # drew only kept pairs: 9 are skipped and 3 are disjoint
+    rng = random.Random("tables:A1")
+    for n in (5, 9):
+        word = BSWord(RootSystem.from_label("A1"), [rng.randint(1, 1) for _ in range(n)])
+        pairs = seeded_pairs(rng, n, 12)
+    assert sum(not kept(a, b) for a, b in pairs) == 9
+    assert sum(not a.mask & b.mask for a, b in pairs) == 3
+    for a, b in pairs:
+        assert product(word, a, b).is_zero == (not kept(a, b))
+    assert word._generators == {}
 
 
 def test_a_non_reduced_word_raises_every_time():

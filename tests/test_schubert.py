@@ -9,6 +9,7 @@ from bottsam import (
     BSWord,
     BilleyQuery,
     CartanSpec,
+    CohClass,
     Gallery,
     NotLongestWord,
     NotReducedGallery,
@@ -23,6 +24,7 @@ from bottsam import (
     parse_polynomial,
 )
 from bottsam import rootsystem, schubert
+from bottsam.bott_samelson import _walk
 from bottsam.schubert import _reduced_word_of_gallery, check_billey_identities
 from reference import act, betas, element, fundamental_weights, identity, matmul, reduced_words
 
@@ -369,3 +371,69 @@ def test_billey_satisfies_the_pointwise_chevalley_identity(label):
                 checks += 1
                 nonzero += not want.is_zero
     assert 0 < nonzero < checks
+
+
+# the random words per type and kind, and their lengths
+SCHUBERT_CLASS_WORDS = 2
+SCHUBERT_CLASS_LENGTHS = (2, 7)
+
+
+def random_word(rs, rng, reduced):
+    """A seeded word of 2-7 letters (if reduced, at most as long as the
+    longest word): letters drawn among the ascents of the reference product so
+    far when ``reduced``, else drawn freely until the word is not reduced."""
+    while True:
+        rows, letters = identity(rs.rank), []
+        top = len(rs.positive_roots) if reduced else SCHUBERT_CLASS_LENGTHS[1]
+        low, high = SCHUBERT_CLASS_LENGTHS
+        for _ in range(rng.randint(min(low, top), min(high, top))):
+            ascents = [i for i in range(1, rs.rank + 1) if sum(column(rows, i)) > 0]
+            i = rng.choice(ascents if reduced else range(1, rs.rank + 1))
+            letters.append(i)
+            rows = matmul(rows, element(rs, (i,)).rows)
+        if reduced or not rs.is_reduced(letters):
+            return tuple(letters)
+
+
+def check_schubert_class_at_every_point(rs, letters, ws, words, xi):
+    """The sum F_w of the basis classes over the galleries whose on letters
+    form a reduced word of w is, at every fixed point e', the Schubert
+    class of w at v(e'): billey of w at a reduced word of v(e').  The fiber
+    and v(e') come from reference matrix products; each F_w's values come
+    from one walk over the cube.  Returns the number of points checked."""
+    word = BSWord(rs, letters)
+    points = {e: element(rs, [letters[k - 1] for k in e.support]).rows for e in word.galleries()}
+    zero, checks = Polynomial.zero(rs.rank), 0
+    for w in ws:
+        fib = {e for e, rows in points.items() if rows == w and e.ones == len(words[w])}
+        assert fib == fiber(word, WeylElement(w))
+        values = _walk(word, (CohClass(word, dict.fromkeys(fib, 1)),))[1]
+        for e, rows in points.items():
+            if (w, rows) not in xi:
+                xi[w, rows] = billey(BilleyQuery(rs, WeylElement(w), words[rows]))
+            assert values.get(e.mask, zero) == xi[w, rows], (letters, w, e)
+            checks += 1
+    return checks
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3", "B3", "C3"])
+def test_the_schubert_class_pulls_back_to_the_fiber_sum_at_every_point(label):
+    """The identity behind the paper's recovery of Billey's formula, at
+    every fixed point rather than at the reduced galleries alone: on the
+    longest word (every w), and on seeded reduced
+    and non-reduced words with every element v(g) of the word as w."""
+    rs = RootSystem.from_label(label)
+    words = reduced_words(rs)
+    rng = random.Random(f"schubert class {label}")
+    xi = {}
+    checks = check_schubert_class_at_every_point(rs, rs.longest_word(), words, words, xi)
+    assert checks == len(words) * 2 ** len(rs.positive_roots)
+    for reduced in (True, False) * SCHUBERT_CLASS_WORDS:
+        letters = random_word(rs, rng, reduced)
+        assert rs.is_reduced(letters) == reduced
+        word = BSWord(rs, letters)
+        ws = {element(rs, [letters[k - 1] for k in e.support]).rows for e in word.galleries()}
+        checks += check_schubert_class_at_every_point(rs, letters, ws, words, xi)
+    assert checks > len(words) * 2 ** len(rs.positive_roots)
+    # the identity is not carried by zeros: each w is nonzero somewhere
+    assert {w for (w, _), value in xi.items() if not value.is_zero} == set(words)
