@@ -39,6 +39,9 @@ INTEGRAL = "c = num if den == 1 else num // den if not num % den else Fraction(n
 ZERO_TEST = "tests/test_ordinary.py::test_the_zero_test_skips_only_pairs_whose_product_is_zero"
 UNIT_COPY = "tests/test_generator_kernel.py::test_a_unit_coefficient_takes_the_product_without_aliasing_its_inputs"
 CHANGES_ONE = "tests/test_generator_kernel.py::test_a_caller_that_changes_one_class_changes_no_other"
+TWO_BYTES = "tests/test_overlap_kernels.py::test_two_byte_packing_on_a_270_letter_word"
+WIDE_DEGREES = "tests/test_generator_kernel.py::test_degrees_above_the_word_length_are_packed_wide_enough"
+EXPONENT_TABLES = "tests/test_rewrite_tables.py::test_the_exponent_tables_per_width_are_transparent_and_bounded"
 
 # (name, file under src/bottsam, exact text, replacement, node ids)
 MUTANTS = [
@@ -68,8 +71,18 @@ MUTANTS = [
      BILLEY_LOOP, "for i, form in zip(q.v_word[1:], forms[1:]):", [CHEVALLEY, FIBER_SUM]),
     ("billey: betas reversed", "schubert.py",
      BILLEY_LOOP, "for i, form in zip(q.v_word, forms[::-1]):", [CHEVALLEY, FIBER_SUM]),
-    ("billey: odd degrees negated", "schubert.py",
-     "terms[key] = c", "terms[key] = -c if sum(key) % 2 else c", [CHEVALLEY, FIBER_SUM]),
+    # billey and multiply leave their packed monomials through one exit
+    ("unpack: odd degrees negated, in billey and multiply", "bott_samelson.py",
+     "terms[key] = c if", "terms[key] = -c if sum(key) % 2 else c if",
+     [CHEVALLEY, FIBER_SUM, WIDE_DEGREES]),
+    ("unpack: only the low byte of each exponent read", "bott_samelson.py",
+     'int.from_bytes(b[k : k + size], "little")', "b[k]", [TWO_BYTES, WIDE_DEGREES]),
+    ("unpack: one table of exponent tuples for every width", "bott_samelson.py",
+     "units, {0: rs._constant}", 'units, rs.__dict__.setdefault("_keys", {0: rs._constant})',
+     [EXPONENT_TABLES]),
+    ("unpack: the table of exponent tuples grows past its bound", "bott_samelson.py",
+     "                if len(keys) < rootsystem.MEMO_MAX_ENTRIES:\n",
+     "                if True:\n", [EXPONENT_TABLES]),
     # the slot of r_i holds r_i u, whose row i - 1 is that row of u less
     # A[i][j] times row j of u, summed over j
     ("cayley: slot holds r_i u", "rootsystem.py",

@@ -549,23 +549,33 @@ def _generator(word: BSWord, key: int, spill: dict) -> tuple[tuple, tuple]:
 
 # Bit k of a gallery is bit 8k of its mask; a monomial packs its exponents
 # ``size`` bytes each (``units``), so ``int.to_bytes`` reads them back.
-def _packing(rs: RootSystem, top: int) -> tuple[int, tuple[int, ...]]:
-    """The bytes per exponent that hold ``top``, and each variable's unit,
-    kept in ``rs`` per size."""
+def _packing(rs: RootSystem, top: int) -> tuple[int, tuple[int, ...], dict]:
+    """The bytes per exponent that hold ``top``, each variable's unit, and
+    the table of exponent tuples :func:`_unpack` reads at that width, kept
+    in ``rs`` per width."""
     size = (top.bit_length() + 7) // 8 or 1
-    units = rs._units.get(size)
-    if units is None:
-        units = rs._units[size] = tuple(1 << 8 * size * v for v in range(rs.rank))
-    return size, units
+    packing = rs._packings.get(size)
+    if packing is None:
+        units = tuple(1 << 8 * size * v for v in range(rs.rank))
+        packing = rs._packings[size] = units, {0: rs._constant}
+    return size, *packing
 
 
-def _unpack(p: dict, rank: int, size: int) -> dict:
+def _unpack(p: dict, rank: int, size: int, keys: dict) -> dict:
     """The nonzero terms of a packed polynomial on exponent tuples, integral
-    coefficients as ``int``."""
-    n, cuts = rank * size, range(0, rank * size, size)
-    return {tuple(int.from_bytes(b[k : k + size], "little") for k in cuts): c
-            if type(c) is int or c.denominator != 1 else c.numerator
-            for m, c in p.items() if c for b in [m.to_bytes(n, "little")]}
+    coefficients as ``int``.  Each tuple is read from ``keys``, the table of
+    its width, or from the bytes, then kept there up to ``MEMO_MAX_ENTRIES``."""
+    n, terms = rank * size, {}
+    for m, c in p.items():
+        if c:  # terms that cancelled are still there, at zero
+            key = keys.get(m)
+            if key is None:
+                b = m.to_bytes(n, "little")
+                key = tuple(int.from_bytes(b[k : k + size], "little") for k in range(0, n, size))
+                if len(keys) < rootsystem.MEMO_MAX_ENTRIES:
+                    keys[m] = key
+            terms[key] = c if type(c) is int or c.denominator != 1 else c.numerator
+    return terms
 
 
 _ONE = {0: 1}  # the packed constant 1, only ever compared
@@ -601,7 +611,7 @@ def multiply(c1: CohClass, c2: CohClass) -> CohClass:
             packed.append((e.mask, t))
         top += degree
         factors.append(packed)
-    size, units = _packing(rs, top)
+    size, units, keys = _packing(rs, top)
     if top > n:  # packed keys are ints, exponent tuples are not
         factors = [[(a, t if 0 in t else {sum(map(mul, m, units)): v for m, v in t.items()})
                     for a, t in packed] for packed in factors]
@@ -641,22 +651,9 @@ def multiply(c1: CohClass, c2: CohClass) -> CohClass:
                     for m, v in p.items():
                         m += mq
                         d[m] = d.get(m, 0) + v * c
-    # terms that cancelled are still there, at zero
-    rank, keys, coords = rs.rank, rs._monomials, {}
+    rank, coords = rs.rank, {}
     for mask, p in out.items():
-        if size > 1:
-            terms = _unpack(p, rank, size)
-        else:
-            terms = {}
-            for m, v in p.items():
-                if v:  # integral coefficients as int
-                    key = keys.get(m)
-                    if key is None:
-                        key = tuple(m.to_bytes(rank, "little"))
-                        if len(keys) < rootsystem.MEMO_MAX_ENTRIES:
-                            keys[m] = key
-                    terms[key] = v if type(v) is int or v.denominator != 1 else v.numerator
-        if terms:
+        if terms := _unpack(p, rank, size, keys):
             e, poly = Gallery.__new__(Gallery), Polynomial.__new__(Polynomial)
             e.mask, e.n, poly.rank, poly.terms = mask, n, rank, terms
             coords[e] = poly

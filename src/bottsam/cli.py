@@ -55,6 +55,21 @@ COMMON_DEFAULTS = {
 }
 
 
+class _Pairs(dict):
+    """Pairs, read once, that ``json.JSONEncoder.iterencode`` writes as a
+    nonempty object as it reads them: it asks a dict only for its truth and
+    its ``items()``."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def __bool__(self) -> bool:
+        return True
+
+    def items(self):
+        return self.pairs
+
+
 def _ascii_int(text: str) -> int:  # as ``parse_word`` reads a letter
     if text.isascii() and text[text[:1] in "+-":].isdigit():
         return int(text)
@@ -62,46 +77,40 @@ def _ascii_int(text: str) -> int:  # as ``parse_word`` reads a letter
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     g = common.add_argument_group("common options")
     g.add_argument(
         "--type",
         dest="type_label",
         metavar="LABEL",
-        default=argparse.SUPPRESS,
         help="built-in Cartan type (A1, A2, A3, A4, B2, B3, C3, D4, G2)",
     )
     g.add_argument(
         "--cartan",
         metavar="FILE",
-        default=argparse.SUPPRESS,
         help='JSON file {"label": ..., "matrix": [[...]]}',
     )
     g.add_argument(
         "--word",
         metavar="LETTERS",
-        default=argparse.SUPPRESS,
         help="word of 1-based simple-root indices, comma- or space-separated",
     )
     g.add_argument(
         "--json",
         dest="as_json",
         action="store_true",
-        default=argparse.SUPPRESS,
         help="emit JSON instead of text",
     )
     g.add_argument(
         "--cap",
         type=_ascii_int,
         metavar="N",
-        default=argparse.SUPPRESS,
         help=f"refuse words longer than N (default {DEFAULT_GALLERY_CAP})",
     )
     g.add_argument(
         "--seed",
         type=_ascii_int,
         metavar="K",
-        default=argparse.SUPPRESS,
         help="seed for the randomized selftest checks (default 0)",
     )
 
@@ -405,7 +414,7 @@ def main(argv=None) -> int:
         doc, lines, code = COMMANDS[args.command](args)
         if args.as_json and doc is not None:
             # written in batches, never as one string; lazy rows print as an object
-            chunks = json.JSONEncoder(indent=2, default=dict).iterencode({"schema": 1, **doc})
+            chunks = json.JSONEncoder(indent=2, default=_Pairs).iterencode({"schema": 1, **doc})
             for batch in iter(lambda: "".join(itertools.islice(chunks, 4096)), ""):
                 sys.stdout.write(batch)
             print()

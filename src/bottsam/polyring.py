@@ -281,6 +281,10 @@ _SCAN = re.compile(
 )
 
 
+MAX_DIGITS = 4300  # Python's own default limit on reading a number
+_LONG_NUMBER = re.compile(rf"(?<![0-9])[0-9]{{{MAX_DIGITS + 1}}}")
+
+
 def _quoted(text: str) -> str:
     """``text`` quoted for a one-line message, cut after 40 characters."""
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
@@ -303,8 +307,12 @@ def parse_polynomial(text: str, rank: int) -> Polynomial:
     ``n``, ``p/q`` with ``q`` nonzero, ``aK`` or ``aK^n`` with ``K`` in
     ``1..rank``, numbers in ASCII digits.  Whitespace may separate any two
     tokens.  Any other text raises a :class:`ValueError` with a one-line
-    message.  The text is scanned once, in linear time.
+    message; so is a number of more than ``MAX_DIGITS`` digits, on every
+    Python.  The text is scanned once, in linear time (twice if it is
+    longer than ``MAX_DIGITS``).
     """
+    if len(text) > MAX_DIGITS and (long := _LONG_NUMBER.search(text)):
+        raise ValueError(f"number of more than {MAX_DIGITS} digits at {_quoted(text[long.start():])}")
     terms: dict[Monomial, int | Fraction] = {}
     exps = None  # exponents of the open term, None until the first term
     for op, n, d, name, idx, power, stray in _SCAN.findall(text):
@@ -341,7 +349,8 @@ def parse_polynomial(text: str, rank: int) -> Polynomial:
                 raise ValueError(f"unknown variable {_quoted(name + idx)}")
             k = int(idx)
             if not 1 <= k <= rank:
-                raise ValueError(f"variable index {k} out of range 1..{rank}")
+                shown = k if len(idx) <= 40 else _quoted(idx)
+                raise ValueError(f"variable index {shown} out of range 1..{rank}")
             exps[k - 1] += int(power) if power else 1
     if exps is None:
         raise ValueError("empty polynomial text")

@@ -223,16 +223,12 @@ class RootSystem:
         # element (``schubert._packed_betas``, ``schubert._weak_interval``)
         self._betas: dict[SimpleWord, tuple] = {}
         self._intervals: dict[Rows, tuple] = {}
-        # each variable's unit in a packed monomial, per bytes per exponent
-        # (``bott_samelson._packing``)
-        self._units: dict[int, tuple[int, ...]] = {}
         # the exponents of a constant, the key of every basis class's one
-        # term, and the exponents of each monomial packed one byte each that
-        # ``bott_samelson.multiply`` or ``schubert.billey`` unpacked, up to
-        # ``MEMO_MAX_ENTRIES``: tuples, so the polynomials that share them
-        # cannot change them
+        # term; and per bytes per exponent, each variable's unit in a packed
+        # monomial and the exponent tuples unpacked at that width
+        # (``bott_samelson._packing``)
         self._constant = (0,) * self.rank
-        self._monomials: dict[int, tuple[int, ...]] = {0: self._constant}
+        self._packings: dict[int, tuple[tuple[int, ...], dict[int, tuple[int, ...]]]] = {}
 
     @classmethod
     def from_label(cls, label: str) -> "RootSystem":

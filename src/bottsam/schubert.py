@@ -54,18 +54,19 @@ def reduced_galleries(word: BSWord) -> list[Gallery]:
     return sorted((Gallery._of_mask(m, word.n) for m, _ in _reduced_walk(word)), key=Gallery.sort_key)
 
 
-def _packed_betas(rs: RootSystem, v_word: SimpleWord) -> tuple[int, tuple]:
+def _packed_betas(rs: RootSystem, v_word: SimpleWord) -> tuple[int, dict, tuple]:
     """``beta_j``, column ``i_j`` of the prefix product, which must be
     positive at every step (the word, of ``int`` letters, is reduced), as
-    the byte width that holds ``len(v_word)`` and, per beta, the ``(unit,
-    coefficient)`` pairs of its nonzero coordinates, each exponent packed
-    into that width as ``multiply`` packs them.  Entered in ``rs._betas``,
+    the byte width that holds ``len(v_word)``, the table of exponent tuples
+    at that width and, per beta, the ``(unit, coefficient)`` pairs of its
+    nonzero coordinates, each exponent packed into that width as
+    ``multiply`` packs them.  Entered in ``rs._betas``,
     which :class:`BilleyQuery` reads first, until it holds
     ``MEMO_MAX_ENTRIES`` words; only reduced words enter, so any other word
     raises every time."""
     for i in v_word:
         rs._check_index(i)
-    size, units = _packing(rs, len(v_word))
+    size, units, keys = _packing(rs, len(v_word))
     rows = rs.identity_rows
     forms = []
     for i in v_word:
@@ -73,7 +74,7 @@ def _packed_betas(rs: RootSystem, v_word: SimpleWord) -> tuple[int, tuple]:
             raise NotReducedWord(f"{v_word} is not reduced")
         forms.append(tuple((p, r[i - 1]) for p, r in zip(units, rows) if r[i - 1]))
         rows = rs.times_reflection(rows, i)
-    out = size, tuple(forms)
+    out = size, keys, tuple(forms)
     if len(rs._betas) < rootsystem.MEMO_MAX_ENTRIES:
         rs._betas[v_word] = out
     return out
@@ -156,13 +157,13 @@ def billey(q: BilleyQuery) -> Polynomial:
     letter ``s`` extends ``u`` along its up-edge when ``l(us) > l(u)`` and
     ``us`` is in the interval.  The sums are integer polynomials with each
     exponent packed into the bytes that hold ``len(v_word)``, as
-    ``multiply`` packs them.
+    ``multiply`` packs them, and unpacked as it unpacks them.
     """
     edges, identity, count = _weak_interval(q.rs, q.w)
     rank = q.rs.rank
     if identity is None:
         return Polynomial.zero(rank)
-    size, forms = q._betas
+    size, keys, forms = q._betas
     states: list[dict[int, int] | None] = [None] * count
     states[identity] = {0: 1}
     for i, form in zip(q.v_word, forms):
@@ -179,22 +180,8 @@ def billey(q: BilleyQuery) -> Polynomial:
                 for p, b in form:
                     m = mono + p
                     acc[m] = acc.get(m, 0) + c * b
-    # every coefficient is a sum of products of positive-root coordinates,
-    # so none is zero, and each is an int
-    sums = states[0] or {}
-    if size > 1:
-        terms = _unpack(sums, rank, size)
-    else:  # packed one byte each: the exponent tuples multiply's exit keeps in rs
-        keys, terms = q.rs._monomials, {}
-        for m, c in sums.items():
-            key = keys.get(m)
-            if key is None:
-                key = tuple(m.to_bytes(rank, "little"))
-                if len(keys) < rootsystem.MEMO_MAX_ENTRIES:
-                    keys[m] = key
-            terms[key] = c
     value = Polynomial.__new__(Polynomial)
-    value.rank, value.terms = rank, terms
+    value.rank, value.terms = rank, _unpack(states[0] or {}, rank, size, keys)
     return value
 
 

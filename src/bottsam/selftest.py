@@ -27,8 +27,8 @@ from .bott_samelson import (
 )
 from .ordinary import OrdinaryClass, evaluate_at_origin, ordinary_multiply, relations
 from .polyring import Polynomial, format_polynomial
-from .rootsystem import RootSystem, SimpleWord
-from .schubert import BilleyQuery, billey, check_billey_identities, reduced_galleries
+from .rootsystem import RootSystem, SimpleWord, WeylElement
+from .schubert import BilleyQuery, _reduced_walk, billey, check_billey_identities
 
 DELTA_TYPES = ("A1", "A2", "B2", "G2", "A3")
 GOLDEN_RESOURCE = "golden_a2.txt"
@@ -151,13 +151,12 @@ def check_billey_suite() -> CheckResult:
     for label in ("A1", "A2", "B2"):
         rs = RootSystem.from_label(label)
         word = BSWord(rs, rs.longest_word())
-        reduced_gals = reduced_galleries(word)
-        elements = {}
-        for e in reduced_gals:
-            w = word.v(e)
-            elements[w.rows] = w
-        for w in elements.values():
-            agree = check_billey_identities(word, w, reduced_gals)
+        # one walk: the reduced galleries, in the check's order, and their elements
+        rows_of = {Gallery._of_mask(m, word.n): rows for m, rows in _reduced_walk(word)}
+        reduced_gals = sorted(rows_of, key=Gallery.sort_key)
+        for rows in dict.fromkeys(rows_of[e] for e in reduced_gals):
+            w = WeylElement(rows)
+            agree = check_billey_identities(word, w)
             checks += len(agree)
             for e, ok in zip(reduced_gals, agree):
                 if not ok:

@@ -126,4 +126,6 @@ REFUSALS = [
     ("2*b1", "unknown variable 'b1'"),
     ("a1*a3", "variable index 3 out of range 1..2"),
     (" \t", "empty polynomial text"),
+    ("a" + "9" * 4000, f"variable index {'9' * 40!r}... out of range 1..2"),
+    ("a1 + 2*" + "9" * 5000, f"number of more than 4300 digits at {'9' * 40!r}..."),
 ]

@@ -321,6 +321,25 @@ def test_json_is_written_in_batches_as_json_dumps_would_print_it(capsys, monkeyp
     assert len(writes) > 3 and out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
+def test_table_json_is_written_before_every_row_is_made(monkeypatch):
+    from bottsam import bott_samelson
+
+    walk, rows_made, at_first_write = bott_samelson._walk, [], []
+
+    def counting_walk(*args, **kwargs):  # one walk per row
+        rows_made.append(None)
+        return walk(*args, **kwargs)
+
+    def write(text):
+        if not at_first_write:
+            at_first_write.append(len(rows_made))
+
+    monkeypatch.setattr(bott_samelson, "_walk", counting_walk)
+    monkeypatch.setattr("sys.stdout.write", write)
+    assert main(["--type", "A1", "--word", "1,1,1,1,1,1,1", "table", "--json"]) == 0
+    assert len(rows_made) == 2**7 and 0 < at_first_write[0] < 2**7
+
+
 def test_conflicting_cartan_sources(tmp_path, capsys):
     path = tmp_path / "b2.json"
     path.write_text(json.dumps({"matrix": [[2, -1], [-2, 2]]}))

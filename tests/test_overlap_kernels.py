@@ -19,13 +19,16 @@ from bottsam import (
     BSWord,
     BilleyQuery,
     CartanSpec,
+    CohClass,
     Gallery,
     OrdinaryClass,
     Polynomial,
     RootSystem,
     WeylElement,
     billey,
+    multiply,
     ordinary_multiply,
+    parse_polynomial,
     relations,
 )
 from bottsam.schubert import _weak_interval
@@ -215,3 +218,10 @@ def test_two_byte_packing_on_a_270_letter_word():
         got = billey(BilleyQuery(rs, w, v))
         assert got == tuple_sweep(rs, v, w) and not got.is_zero, on
         assert all(type(c) is int for c in got.terms.values())
+    # multiply on a word of v's letters packs two bytes per exponent too,
+    # here with exponents above one byte: no position lies below the first,
+    # so sigma_1 times a class at the first gallery is its value there times it
+    word, e = BSWord(rs, v, cap=270), Gallery.unit(270, 1)
+    p = parse_polynomial("a1^260*a2 - 3*a23^300", rank)
+    got = multiply(CohClass(word, {e: p}), CohClass.basis(word, e))
+    assert got == CohClass(word, {e: p * CohClass.basis(word, e).restriction(e)})

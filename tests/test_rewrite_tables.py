@@ -1,7 +1,8 @@
 """The rewrite tables that outlive a call: the generator rules a word keeps
 for ``multiply`` and ``ordinary_multiply`` alike, and the beta columns per
 reduced word and the weak intervals per element that a root system keeps
-for ``billey``.
+for ``billey``, and the exponent tuples per width it keeps for the packed
+monomials that ``multiply`` and ``billey`` unpack.
 
 A warm table must give what a cold one gives, tables of different Cartan
 matrices must not mix, the bound ``MEMO_MAX_ENTRIES`` must stop a table
@@ -29,6 +30,7 @@ from bottsam import (
     multiply,
     multiply_by_localization,
     ordinary_multiply,
+    parse_polynomial,
     rootsystem,
 )
 from bottsam.schubert import check_billey_identities, reduced_galleries
@@ -132,6 +134,38 @@ def test_bounded_tables_stop_growing_and_keep_their_results(monkeypatch):
     assert [product(word, a, b) for a, b in pairs] == unbounded
     assert [billey(BilleyQuery(rs, w, v)) for w, v in queries] == values
     assert not word._generators and not rs._betas
+
+
+def test_the_exponent_tables_per_width_are_transparent_and_bounded(monkeypatch):
+    """With the bound patched to 8, a root system gives the products and
+    subword sums of one with the default bound, read cold and warm, at one
+    and at two bytes per exponent, and no table of exponent tuples holds
+    more than 8."""
+
+    def answers(rs):
+        rng = random.Random("exponent tables")
+        word, lw = BSWord(rs, (1, 2, 3, 1, 2, 3, 1, 2)), rs.longest_word()
+        wide = CohClass(word, {Gallery.unit(8, 3): parse_polynomial("a1^250*a2 - a3^3 + 2", 3)})
+        out = []
+        for a, b in seeded_pairs(rng, word.n, 30):
+            basis = CohClass.basis(word, a)
+            out += [multiply(basis, CohClass.basis(word, b)), multiply(wide, basis)]
+        for _ in range(30):
+            on = sorted(rng.sample(range(len(lw)), rng.randint(0, 5)))
+            out.append(billey(BilleyQuery(rs, rs.weyl_from_word([lw[j] for j in on]), lw)))
+        return out
+
+    fresh_b3 = RootSystem.from_label("B3")
+    want = answers(fresh_b3)
+    monkeypatch.setattr(rootsystem, "MEMO_MAX_ENTRIES", 8)
+    bounded = RootSystem.from_label("B3")
+    for rs in (bounded, fresh_b3):
+        for _ in range(2):  # cold, then warm
+            assert answers(rs) == want
+            assert all(len(keys) <= 8 for _, keys in bounded._packings.values())
+    assert sorted(bounded._packings) == [1, 2]
+    assert all(len(keys) == 8 for _, keys in bounded._packings.values())
+    assert all(len(keys) > 8 for _, keys in fresh_b3._packings.values())
 
 
 def test_ordinary_and_equivariant_products_share_one_table(monkeypatch):

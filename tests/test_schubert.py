@@ -175,8 +175,8 @@ def test_verify_checks_the_betas_billey_reads(monkeypatch, label):
     real = schubert._packed_betas
 
     def reversed_betas(rs, v_word):
-        size, forms = real(rs, v_word)
-        return size, forms[::-1]
+        *packing, forms = real(rs, v_word)
+        return (*packing, forms[::-1])
 
     monkeypatch.setattr(schubert, "_packed_betas", reversed_betas)
     rs = RootSystem.from_label(label)
