@@ -42,6 +42,7 @@ CHANGES_ONE = "tests/test_generator_kernel.py::test_a_caller_that_changes_one_cl
 TWO_BYTES = "tests/test_overlap_kernels.py::test_two_byte_packing_on_a_270_letter_word"
 WIDE_DEGREES = "tests/test_generator_kernel.py::test_degrees_above_the_word_length_are_packed_wide_enough"
 EXPONENT_TABLES = "tests/test_rewrite_tables.py::test_the_exponent_tables_per_width_are_transparent_and_bounded"
+CHEVALLEY_CLASSES = "tests/test_schubert.py::test_multiply_satisfies_chevalley_as_a_class_identity"
 
 # (name, file under src/bottsam, exact text, replacement, node ids)
 MUTANTS = [
@@ -83,6 +84,13 @@ MUTANTS = [
     ("unpack: the table of exponent tuples grows past its bound", "bott_samelson.py",
      "                if len(keys) < rootsystem.MEMO_MAX_ENTRIES:\n",
      "                if True:\n", [EXPONENT_TABLES]),
+    # a correction of the generator rule is -<alpha, alpha_l^vee> sigma_j
+    ("generator: each correction's sign flipped", "bott_samelson.py",
+     "corrections.append((1 << 8 * j, -c))", "corrections.append((1 << 8 * j, c))",
+     [f"{CHEVALLEY_CLASSES}[A2]"]),
+    ("cartan: entries read with int, which truncates and parses", "rootsystem.py",
+     "tuple(map(operator.index, row))", "tuple(map(int, row))",
+     ["tests/test_root_system.py::test_cartan_entries_are_read_exactly"]),
     # the slot of r_i holds r_i u, whose row i - 1 is that row of u less
     # A[i][j] times row j of u, summed over j
     ("cayley: slot holds r_i u", "rootsystem.py",

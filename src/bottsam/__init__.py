@@ -23,7 +23,7 @@ _EXPORTS = {
         "RankMismatch", "WordMismatch", "ZeroForm",
     ),
     "rootsystem": (
-        "BUILTIN_CARTAN", "CartanSpec", "RootSystem", "SimpleWord", "WeylElement",
+        "BUILTIN_CARTAN", "RootSystem", "SimpleWord", "WeylElement",
         "format_word", "parse_word",
     ),
     "polyring": ("Polynomial", "divide_exact", "format_polynomial", "parse_polynomial"),

@@ -30,9 +30,9 @@ from .bott_samelson import (
     restriction_table,
     table_lines,
 )
-from .errors import BottsamError, CapExceeded, NotDivisible, NotInSpan, WordMismatch
+from .errors import BottsamError, CapExceeded, NotDivisible, NotInSpan, WordMismatch, _quoted
 from .polyring import Polynomial, format_polynomial
-from .rootsystem import CartanSpec, RootSystem, format_word, parse_word
+from .rootsystem import RootSystem, ascii_int, format_word, parse_word
 
 EXIT_OK = 0
 EXIT_USER = 2
@@ -70,10 +70,14 @@ class _Pairs(dict):
         return self.pairs
 
 
-def _ascii_int(text: str) -> int:  # as ``parse_word`` reads a letter
-    if text.isascii() and text[text[:1] in "+-":].isdigit():
-        return int(text)
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+def _int_option(text: str) -> int:
+    """``--cap`` and ``--seed``, read as :func:`parse_word` reads a letter."""
+    try:
+        if (value := ascii_int(text)) is not None:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,13 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g.add_argument(
         "--cap",
-        type=_ascii_int,
+        type=_int_option,
         metavar="N",
         help=f"refuse words longer than N (default {DEFAULT_GALLERY_CAP})",
     )
     g.add_argument(
         "--seed",
-        type=_ascii_int,
+        type=_int_option,
         metavar="K",
         help="seed for the randomized selftest checks (default 0)",
     )
@@ -407,7 +411,7 @@ def main(argv=None) -> int:
             args.rs = RootSystem.from_label(args.type_label)
         elif args.cartan:
             with open(args.cartan, encoding="utf-8") as fh:
-                args.rs = RootSystem(CartanSpec.from_json_dict(_read_json(fh.read())))
+                args.rs = RootSystem.from_json_dict(_read_json(fh.read()))
         elif args.command != "selftest":
             raise ValueError("choose a Cartan source with --type or --cartan")
         args.letters = parse_word(args.word) if args.word is not None else None

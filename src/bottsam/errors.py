@@ -6,7 +6,18 @@ mismatched ranks or words) all derive from :class:`BottsamError`.
 them when an exact division leaves a remainder, which for genuine cohomology
 classes can only mean a bug, so the command-line driver reports them as
 internal failures rather than usage errors.
+
+Also the two rules that keep every message to one short line: no number of
+more than ``MAX_DIGITS`` digits is read or printed, and text is quoted to 40
+characters.
 """
+
+MAX_DIGITS = 4300  # Python's own default limit on reading a number
+
+
+def _quoted(text: str) -> str:
+    """``text`` quoted for a one-line message, cut after 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
 
 
 class BottsamError(Exception):

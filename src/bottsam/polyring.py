@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from operator import add
 
-from .errors import NotDivisible, RankMismatch, ZeroForm
+from .errors import MAX_DIGITS, NotDivisible, RankMismatch, ZeroForm, _quoted
 
 Monomial = tuple[int, ...]
 
@@ -239,7 +239,9 @@ def divide_exact(p: Polynomial, form: tuple) -> Polynomial:
 
 def format_polynomial(p: Polynomial) -> str:
     """Canonical text: terms in descending graded-lex order, variables
-    ``a1..ar``, unit coefficients elided, e.g. ``-2*a1^2*a2 + a1*a2 + 3``."""
+    ``a1..ar``, unit coefficients elided, e.g. ``-2*a1^2*a2 + a1*a2 + 3``.
+    A coefficient of more than ``MAX_DIGITS`` digits is refused with a
+    one-line ``ValueError``, as the parser refuses such a number."""
     if p.is_zero:
         return "0"
     parts: list[str] = []
@@ -252,6 +254,8 @@ def format_polynomial(p: Polynomial) -> str:
             elif e > 1:
                 factors.append(f"a{k + 1}^{e}")
         mag = abs(coef)
+        if mag.numerator >= _TOO_LONG or mag.denominator >= _TOO_LONG:
+            raise ValueError(f"coefficient of more than {MAX_DIGITS} digits")
         if factors:
             body = "*".join(factors) if mag == 1 else f"{mag}*" + "*".join(factors)
         else:
@@ -281,13 +285,8 @@ _SCAN = re.compile(
 )
 
 
-MAX_DIGITS = 4300  # Python's own default limit on reading a number
+_TOO_LONG = 10**MAX_DIGITS  # the least number of more digits
 _LONG_NUMBER = re.compile(rf"(?<![0-9])[0-9]{{{MAX_DIGITS + 1}}}")
-
-
-def _quoted(text: str) -> str:
-    """``text`` quoted for a one-line message, cut after 40 characters."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
 
 
 def _failed_at(text: str) -> str:

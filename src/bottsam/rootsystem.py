@@ -14,7 +14,8 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Sequence
 
-from .errors import IndexOutOfRange, InvalidCartan, NotFiniteType, NotInWeylGroup, RankMismatch
+from .errors import MAX_DIGITS, IndexOutOfRange, InvalidCartan, NotFiniteType, _quoted
+from .errors import NotInWeylGroup, RankMismatch
 
 # A word in the simple reflections, as 1-based indices.  The empty word is
 # the identity.
@@ -49,16 +50,33 @@ ROOT_CLOSURE_BOUND = 10_000
 MEMO_MAX_ENTRIES = 4096
 
 
+def ascii_int(text: str) -> int | None:
+    """``text`` as an ``int`` if it is ASCII digits after an optional sign
+    (``int`` would also read other digits), else ``None``.  More than
+    ``MAX_DIGITS`` digits raise a one-line ``ValueError`` before ``int``
+    reads them, the same on every Python."""
+    digits = text[text[:1] in "+-":]
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    if len(digits) > MAX_DIGITS:
+        raise ValueError(f"{_quoted(text)} has more than {MAX_DIGITS} digits")
+    return int(text)
+
+
 def parse_word(text: str) -> SimpleWord:
-    """Parse a comma- or space-separated word of 1-based indices, each ASCII
-    digits after an optional sign (``int`` would also read other digits).
+    """Parse a comma- or space-separated word of 1-based indices, each read
+    by :func:`ascii_int`.
 
     An empty or all-whitespace string is the empty word (the identity).
     """
     parts = text.replace(",", " ").split()
-    if not all(p.isascii() and p[p[0] in "+-":].isdigit() for p in parts):
-        raise IndexOutOfRange(f"word {text!r} contains a non-integer letter")
-    return tuple(map(int, parts))
+    try:
+        letters = tuple(map(ascii_int, parts))
+    except ValueError as exc:
+        raise IndexOutOfRange(f"letter {exc}") from None
+    if None in letters:
+        raise IndexOutOfRange(f"word {_quoted(text)} contains a non-integer letter")
+    return letters
 
 
 def letters_of(word: Iterable) -> SimpleWord:
@@ -116,96 +134,46 @@ class WeylElement:
         return f"WeylElement({self.rows})"
 
 
-class CartanSpec:
-    """A generalized Cartan matrix, rows indexed by simple roots."""
-
-    __slots__ = ("matrix", "label")
-
-    def __init__(self, matrix: tuple[tuple[int, ...], ...], label: str | None = None):
-        self.matrix = matrix
-        self.label = label
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not CartanSpec:
-            return NotImplemented
-        return (self.matrix, self.label) == (other.matrix, other.label)
-
-    def __hash__(self) -> int:
-        return hash((self.matrix, self.label))
-
-    def __repr__(self) -> str:
-        return f"CartanSpec(matrix={self.matrix!r}, label={self.label!r})"
-
-    @classmethod
-    def from_label(cls, label: str) -> "CartanSpec":
-        try:
-            return cls(BUILTIN_CARTAN[label], label)
-        except KeyError:
-            known = ", ".join(sorted(BUILTIN_CARTAN))
-            raise InvalidCartan(f"unknown type label {label!r} (built in: {known})")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], label: str | None = None) -> "CartanSpec":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows), label)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "CartanSpec":
-        """Build from the documented file schema ``{"label":…, "matrix":…}``."""
-        if not isinstance(doc, dict) or "matrix" not in doc:
-            raise InvalidCartan('Cartan file must be an object with a "matrix" key')
-        matrix = doc["matrix"]
-        label = doc.get("label")
-        if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
-            raise InvalidCartan('"matrix" must be a list of rows')
-        for row in matrix:
-            for v in row:
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise InvalidCartan(f"matrix entry {v!r} is not an integer")
-        if label is not None and not isinstance(label, str):
-            raise InvalidCartan('"label" must be a string when present')
-        return cls.from_rows(matrix, label)
-
-    @property
-    def rank(self) -> int:
-        return len(self.matrix)
-
-    def validate(self) -> None:
-        n = len(self.matrix)
-        if n == 0:
-            raise InvalidCartan("empty Cartan matrix")
-        for row in self.matrix:
-            if len(row) != n:
-                raise InvalidCartan("Cartan matrix is not square")
-        for i in range(n):
-            if self.matrix[i][i] != 2:
-                raise InvalidCartan(f"diagonal entry A[{i + 1}][{i + 1}] != 2")
-            for j in range(n):
-                if i == j:
-                    continue
-                if self.matrix[i][j] > 0:
-                    raise InvalidCartan(
-                        f"off-diagonal entry A[{i + 1}][{j + 1}] = "
-                        f"{self.matrix[i][j]} is positive"
-                    )
-                if (self.matrix[i][j] == 0) != (self.matrix[j][i] == 0):
-                    raise InvalidCartan(
-                        f"asymmetric zero at A[{i + 1}][{j + 1}] / A[{j + 1}][{i + 1}]"
-                    )
-
-
 class RootSystem:
     """Validated Cartan data together with the derived positive roots, as
     integer coordinate tuples in height order.
 
+    ``matrix`` is a generalized Cartan matrix, rows indexed by simple roots;
+    its entries are read with ``operator.index``, so a float, a
+    ``Fraction`` or a string is refused with
+    :class:`~bottsam.errors.InvalidCartan`, never truncated or parsed.
     Construction runs the positive-root closure, so every instance is of
     finite type; :class:`~bottsam.errors.NotFiniteType` is raised otherwise.
     """
 
-    def __init__(self, spec: CartanSpec):
-        spec.validate()
-        self.rank = spec.rank
-        self.cartan = spec.matrix
-        self.label = spec.label
+    def __init__(self, matrix: Iterable[Iterable[int]], label: str | None = None):
+        try:
+            cartan = tuple(tuple(map(operator.index, row)) for row in matrix)
+        except TypeError:
+            raise InvalidCartan(
+                f"Cartan matrix {matrix!r} has an entry that is not an integer"
+            ) from None
+        n = len(cartan)
+        if n == 0:
+            raise InvalidCartan("empty Cartan matrix")
+        for row in cartan:
+            if len(row) != n:
+                raise InvalidCartan("Cartan matrix is not square")
+        for i in range(n):
+            if cartan[i][i] != 2:
+                raise InvalidCartan(f"diagonal entry A[{i + 1}][{i + 1}] != 2")
+            for j in range(n):  # A[i][i] = 2 has no asymmetric zero
+                if i != j and cartan[i][j] > 0:
+                    raise InvalidCartan(
+                        f"off-diagonal entry A[{i + 1}][{j + 1}] = {cartan[i][j]} is positive"
+                    )
+                if (cartan[i][j] == 0) != (cartan[j][i] == 0):
+                    raise InvalidCartan(
+                        f"asymmetric zero at A[{i + 1}][{j + 1}] / A[{j + 1}][{i + 1}]"
+                    )
+        self.rank = n
+        self.cartan = cartan
+        self.label = label
         # the identity and each Cartan row's nonzero entries, for the
         # integer reflection step
         self.identity_rows: Rows = WeylElement.identity(self.rank).rows
@@ -232,7 +200,28 @@ class RootSystem:
 
     @classmethod
     def from_label(cls, label: str) -> "RootSystem":
-        return cls(CartanSpec.from_label(label))
+        try:
+            return cls(BUILTIN_CARTAN[label], label)
+        except KeyError:
+            known = ", ".join(sorted(BUILTIN_CARTAN))
+            raise InvalidCartan(f"unknown type label {label!r} (built in: {known})")
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "RootSystem":
+        """Build from the documented file schema ``{"label":…, "matrix":…}``."""
+        if not isinstance(doc, dict) or "matrix" not in doc:
+            raise InvalidCartan('Cartan file must be an object with a "matrix" key')
+        matrix = doc["matrix"]
+        label = doc.get("label")
+        if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
+            raise InvalidCartan('"matrix" must be a list of rows')
+        for row in matrix:
+            for v in row:
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise InvalidCartan(f"matrix entry {v!r} is not an integer")
+        if label is not None and not isinstance(label, str):
+            raise InvalidCartan('"label" must be a string when present')
+        return cls(matrix, label)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RootSystem) and self.cartan == other.cartan

@@ -49,11 +49,6 @@ def _reduced_walk(word: BSWord) -> list[tuple[int, Rows]]:
     return out
 
 
-def reduced_galleries(word: BSWord) -> list[Gallery]:
-    """The galleries whose on letters form a reduced word, in gallery order."""
-    return sorted((Gallery._of_mask(m, word.n) for m, _ in _reduced_walk(word)), key=Gallery.sort_key)
-
-
 def _packed_betas(rs: RootSystem, v_word: SimpleWord) -> tuple[int, dict, tuple]:
     """``beta_j``, column ``i_j`` of the prefix product, which must be
     positive at every step (the word, of ``int`` letters, is reduced), as

@@ -3,7 +3,7 @@ from math import prod
 
 import pytest
 
-from bottsam import BUILTIN_CARTAN, CartanSpec, RootSystem
+from bottsam import BUILTIN_CARTAN, RootSystem
 from bottsam.cli import main
 from reference import betas, weights
 
@@ -71,7 +71,7 @@ def test_roots_output_is_pinned(label, tmp_path, capsys):
         source = ("--type", label)
     doc = run_json(capsys, *source, "roots", "--json")
     word = doc["longest_word"]
-    rs = RootSystem(CartanSpec.from_rows(matrix))  # reference.betas reads its Cartan matrix
+    rs = RootSystem(matrix)  # reference.betas reads its Cartan matrix
     roots = sorted(betas(rs, word), key=lambda b: (sum(b), tuple(-c for c in b)))
     assert len(set(roots)) == len(roots) == doc["longest_length"] == len(word)
     assert all(min(b) >= 0 for b in roots)
@@ -313,6 +313,39 @@ def test_bad_cartan_file_is_a_user_error(tmp_path, capsys):
     assert code == 2
 
 
+# a Cartan file and what ``roots`` prints from it: one valid file, then one
+# refusal per check, in the order the checks run
+CARTAN_FILES = [
+    ('{"label": "B2", "matrix": [[2, -1], [-2, 2]]}', 0,
+     "type: B2\ncartan matrix:\n    2  -1\n   -2   2\n"
+     "positive roots: a1, a2, a1 + a2, a1 + 2*a2\nlongest length: 4\nlongest word: 1 2 1 2\n"),
+    ("[[2, -1], [-1, 2]]", 2, 'InvalidCartan: Cartan file must be an object with a "matrix" key'),
+    ('{"label": "A2"}', 2, 'InvalidCartan: Cartan file must be an object with a "matrix" key'),
+    ('{"matrix": [2, -1]}', 2, 'InvalidCartan: "matrix" must be a list of rows'),
+    ('{"matrix": [[2, -1], [-1, 2.0]]}', 2, "InvalidCartan: matrix entry 2.0 is not an integer"),
+    ('{"matrix": [[2, true], [-1, 2]]}', 2, "InvalidCartan: matrix entry True is not an integer"),
+    ('{"matrix": [[2, -1], [-1, "2"]]}', 2, "InvalidCartan: matrix entry '2' is not an integer"),
+    ('{"label": 2, "matrix": [[2.5]]}', 2, "InvalidCartan: matrix entry 2.5 is not an integer"),
+    ('{"label": 2, "matrix": [[2]]}', 2, 'InvalidCartan: "label" must be a string when present'),
+    ('{"matrix": []}', 2, "InvalidCartan: empty Cartan matrix"),
+    ('{"matrix": [[3, 1]]}', 2, "InvalidCartan: Cartan matrix is not square"),
+    ('{"matrix": [[2, -1], [-1, 3]]}', 2, "InvalidCartan: diagonal entry A[2][2] != 2"),
+    ('{"matrix": [[2, 1], [-1, 2]]}', 2, "InvalidCartan: off-diagonal entry A[1][2] = 1 is positive"),
+    ('{"matrix": [[2, -1], [0, 2]]}', 2, "InvalidCartan: asymmetric zero at A[1][2] / A[2][1]"),
+    ('{"matrix": [[2, -2], [-2, 2]]}', 2, "NotFiniteType: positive-root closure exceeded 10000 roots"),
+]
+
+
+@pytest.mark.parametrize("text, code, printed", CARTAN_FILES, ids=[t for t, _, _ in CARTAN_FILES])
+def test_cartan_files_print_and_refuse_as_pinned(tmp_path, capsys, text, code, printed):
+    """Standard output of a valid file, and the one stderr line of each
+    refusal, byte for byte."""
+    path = tmp_path / "cartan.json"
+    path.write_text(text)
+    out, err = (printed, "") if code == 0 else ("", f"error: {printed}\n")
+    assert run(capsys, "--cartan", str(path), "roots") == (code, out, err)
+
+
 def test_json_is_written_in_batches_as_json_dumps_would_print_it(capsys, monkeypatch):
     writes = []
     monkeypatch.setattr("sys.stdout.write", writes.append)
@@ -386,6 +419,30 @@ def test_cap_and_seed_take_ascii_digits_only(capsys, option, value):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.endswith(f"error: argument {option}: invalid int value: {value!r}\n")
+
+
+def test_long_numbers_are_refused_in_one_short_line(capsys):
+    """A letter, a --cap or --seed value and a printed coefficient of more
+    than MAX_DIGITS digits are refused with the package's own messages,
+    not Python's conversion limit, quoting at most 40 characters."""
+    long = "9" * 5000
+    code, out, err = run(capsys, "--type", "A2", "--word", f"1,{long}", "table")
+    assert (code, out, err) == (
+        2, "", f"error: IndexOutOfRange: letter {long[:40]!r}... has more than 4300 digits\n"
+    )
+    for option in ("--cap", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--type", "A2", "--word", "1,2,1", option, long, "table"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument {option}: invalid int value: {long[:40]!r}...\n")
+    n = "9" * 4300  # read, but the product has 8 600 digits
+    doc = json.dumps({"word": [1, 2, 1], "coords": {"111": f"{n}*{n}"}})
+    for as_json in ((), ("--json",)):
+        argv = ["--type", "A2", "--word", "1,2,1", "integrate", "111", "--class", doc, *as_json]
+        assert run(capsys, *argv) == (
+            2, "", "error: ValueError: coefficient of more than 4300 digits\n"
+        )
 
 
 def test_cap_and_seed_keep_their_sign(capsys):

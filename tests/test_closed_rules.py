@@ -13,7 +13,6 @@ import pytest
 from bottsam import (
     BUILTIN_CARTAN,
     BSWord,
-    CartanSpec,
     CohClass,
     Polynomial,
     RootSystem,
@@ -24,7 +23,7 @@ from bottsam import (
 )
 
 ROOT_SYSTEMS = {label: RootSystem.from_label(label) for label in BUILTIN_CARTAN}
-ROOT_SYSTEMS["A1xA1"] = RootSystem(CartanSpec.from_rows([[2, 0], [0, 2]]))
+ROOT_SYSTEMS["A1xA1"] = RootSystem([[2, 0], [0, 2]])
 
 MAX_LETTERS = {"A4": 5, "D4": 5, "B3": 5, "C3": 5, "A3": 5}
 

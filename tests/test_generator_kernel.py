@@ -17,7 +17,6 @@ import pytest
 from bottsam import (
     BUILTIN_CARTAN,
     BSWord,
-    CartanSpec,
     CohClass,
     Gallery,
     IndexOutOfRange,
@@ -37,7 +36,7 @@ CUSTOM = {
     "A1xB2": ((2, 0, 0), (0, 2, -1), (0, -2, 2)),
 }
 SYSTEMS = [RootSystem.from_label(label) for label in sorted(BUILTIN_CARTAN)] + [
-    RootSystem(CartanSpec(matrix, label)) for label, matrix in CUSTOM.items()
+    RootSystem(matrix, label) for label, matrix in CUSTOM.items()
 ]
 IDS = [rs.label for rs in SYSTEMS]
 

@@ -16,7 +16,6 @@ from bottsam import (
     BUILTIN_CARTAN,
     BSWord,
     BilleyQuery,
-    CartanSpec,
     CohClass,
     Gallery,
     OrdinaryClass,
@@ -34,7 +33,7 @@ from bottsam import (
 from reference import weights
 
 SYSTEMS = [RootSystem.from_label(label) for label in sorted(BUILTIN_CARTAN)] + [
-    RootSystem(CartanSpec(((2, 0), (0, 2)), "A1xA1"))
+    RootSystem(((2, 0), (0, 2)), "A1xA1")
 ]
 IDS = [rs.label for rs in SYSTEMS]
 

@@ -18,7 +18,6 @@ import pytest
 from bottsam import (
     BUILTIN_CARTAN,
     BSWord,
-    CartanSpec,
     CohClass,
     Gallery,
     NotInSpan,
@@ -36,8 +35,8 @@ from bottsam.schubert import check_billey_identities
 from reference import weights
 
 SYSTEMS = {label: RootSystem.from_label(label) for label in BUILTIN_CARTAN}
-SYSTEMS["A1xA1"] = RootSystem(CartanSpec.from_rows([[2, 0], [0, 2]]))
-SYSTEMS["A1xB2"] = RootSystem(CartanSpec.from_rows([[2, 0, 0], [0, 2, -1], [0, -2, 2]]))
+SYSTEMS["A1xA1"] = RootSystem([[2, 0], [0, 2]])
+SYSTEMS["A1xB2"] = RootSystem([[2, 0, 0], [0, 2, -1], [0, -2, 2]])
 
 
 def random_word(rng, rs, max_letters=5):

@@ -18,7 +18,6 @@ from bottsam import (
     BUILTIN_CARTAN,
     BSWord,
     BilleyQuery,
-    CartanSpec,
     CohClass,
     Gallery,
     OrdinaryClass,
@@ -39,14 +38,14 @@ CUSTOM = {
     "A1xB2": ((2, 0, 0), (0, 2, -1), (0, -2, 2)),
 }
 SYSTEMS = [RootSystem.from_label(label) for label in sorted(BUILTIN_CARTAN)] + [
-    RootSystem(CartanSpec(matrix, label)) for label, matrix in CUSTOM.items()
+    RootSystem(matrix, label) for label, matrix in CUSTOM.items()
 ]
 IDS = [rs.label for rs in SYSTEMS]
 
 
 def fresh(rs):
     """A root system of the same Cartan matrix with empty tables."""
-    return RootSystem(CartanSpec(rs.cartan, rs.label))
+    return RootSystem(rs.cartan, rs.label)
 
 
 # ---- ordinary_multiply -------------------------------------------------------
@@ -207,7 +206,7 @@ def test_billey_on_a_warm_table_matches_a_fresh_system_and_the_enumeration(rs):
 def test_two_byte_packing_on_a_270_letter_word():
     rank = 23
     cartan = [[2 if j == k else -1 if abs(j - k) == 1 else 0 for k in range(rank)] for j in range(rank)]
-    rs = RootSystem(CartanSpec.from_rows(cartan, "A23"))
+    rs = RootSystem(cartan, "A23")
     assert len(rs.positive_roots) == 276
     v = rs.longest_word()[:270]
     rng = random.Random("A23")

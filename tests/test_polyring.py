@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bottsam.polyring import MAX_DIGITS
 from bottsam import (
     NotDivisible,
     Polynomial,
@@ -67,6 +68,20 @@ def test_format_canonical_order():
     assert format_polynomial(Polynomial.constant(2, Fraction(-3, 2))) == "-3/2"
     assert format_polynomial(poly("a2 + a1")) == "a1 + a2"
     assert format_polynomial(poly("a1^2*a2 + a1*a2^2")) == "a1^2*a2 + a1*a2^2"
+
+
+def test_format_refuses_coefficients_of_more_than_max_digits():
+    """A coefficient of more digits than the parser reads, in its numerator
+    or its denominator, is refused in print with the package's one-line
+    message, the same on every Python; one of MAX_DIGITS digits prints."""
+    top = 10**MAX_DIGITS - 1
+    assert format_polynomial(Polynomial.constant(2, top)) == "9" * MAX_DIGITS
+    assert format_polynomial(Polynomial.linear((Fraction(-1, top), 0))) == f"-1/{top}*a1"
+    square = poly(f"{top}*{top}*a1 + a2")  # each factor is read
+    for p in (square, top + 1 + poly("a1"), Polynomial.constant(2, Fraction(1, top + 1))):
+        with pytest.raises(ValueError) as info:
+            format_polynomial(p)
+        assert str(info.value) == f"coefficient of more than {MAX_DIGITS} digits"
 
 
 def test_parse_inverts_format():

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from bottsam import (  # noqa: E402
     BUILTIN_CARTAN,
     BSWord,
-    CartanSpec,
     CohClass,
     Gallery,
     OrdinaryClass,
@@ -35,7 +34,7 @@ CUSTOM = {
     "A1xB2": ((2, 0, 0), (0, 2, -1), (0, -2, 2)),
 }
 SYSTEMS = [RootSystem.from_label(label) for label in sorted(BUILTIN_CARTAN)] + [
-    RootSystem(CartanSpec(matrix, label)) for label, matrix in CUSTOM.items()
+    RootSystem(matrix, label) for label, matrix in CUSTOM.items()
 ]
 PROPERTY = settings(max_examples=30, derandomize=True, database=None, deadline=None)
 COEFFICIENTS = st.fractions(min_value=-4, max_value=4, max_denominator=3)

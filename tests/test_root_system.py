@@ -1,5 +1,6 @@
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,6 @@ from bottsam import (
     BUILTIN_CARTAN,
     BSWord,
     BilleyQuery,
-    CartanSpec,
     CohClass,
     Gallery,
     IndexOutOfRange,
@@ -126,31 +126,52 @@ def test_weyl_elements_counts():
 
 def test_invalid_cartan_rejected():
     with pytest.raises(InvalidCartan):
-        RootSystem(CartanSpec.from_rows([[3]]))
+        RootSystem([[3]])
     with pytest.raises(InvalidCartan):
-        RootSystem(CartanSpec.from_rows([[2, 1], [-1, 2]]))
+        RootSystem([[2, 1], [-1, 2]])
     with pytest.raises(InvalidCartan):
-        RootSystem(CartanSpec.from_rows([[2, -1], [0, 2]]))
+        RootSystem([[2, -1], [0, 2]])
     with pytest.raises(InvalidCartan):
-        RootSystem(CartanSpec.from_rows([[2, -1]]))
+        RootSystem([[2, -1]])
     with pytest.raises(InvalidCartan):
-        CartanSpec.from_label("E9")
+        RootSystem.from_label("E9")
 
 
 def test_affine_matrix_is_not_finite_type():
     # the A1~ affine matrix has an infinite root string
     with pytest.raises(NotFiniteType):
-        RootSystem(CartanSpec.from_rows([[2, -2], [-2, 2]]))
+        RootSystem([[2, -2], [-2, 2]])
 
 
 def test_cartan_json_schema():
-    spec = CartanSpec.from_json_dict({"label": "B2", "matrix": [[2, -1], [-2, 2]]})
-    assert spec.label == "B2"
-    assert RootSystem(spec).positive_roots
+    rs = RootSystem.from_json_dict({"label": "B2", "matrix": [[2, -1], [-2, 2]]})
+    assert rs.label == "B2"
+    assert rs == RootSystem.from_label("B2") and rs.positive_roots
     with pytest.raises(InvalidCartan):
-        CartanSpec.from_json_dict({"matrix": [[2, -1], [-2, "2"]]})
+        RootSystem.from_json_dict({"matrix": [[2, -1], [-2, "2"]]})
     with pytest.raises(InvalidCartan):
-        CartanSpec.from_json_dict({"rows": [[2]]})
+        RootSystem.from_json_dict({"rows": [[2]]})
+
+
+@pytest.mark.parametrize("entry", [-1.0, -1.7, Fraction(-1), Fraction(-3, 2), "-1", " -1", None])
+def test_cartan_entries_are_read_exactly(entry):
+    """An entry is an integer: a float, a Fraction or a text is refused,
+    never truncated or parsed into another matrix."""
+    with pytest.raises(InvalidCartan, match="has an entry that is not an integer"):
+        RootSystem([[2, entry], [-1, 2]])
+
+
+def test_a_matrix_of_lists_gives_a_hashable_root_system():
+    """Rows of any sequence are read into tuples, so a root system built
+    from lists equals and hashes as the one built from tuples, and so do
+    the words over it."""
+    lists = RootSystem([[2, -1], [-1, 2]], "A2")
+    tuples = RootSystem(((2, -1), (-1, 2)))
+    assert lists.cartan == BUILTIN_CARTAN["A2"]
+    assert lists == tuples == RootSystem.from_label("A2")
+    assert hash(lists) == hash(tuples)
+    assert hash(BSWord(lists, [1, 2, 1])) == hash(BSWord(tuples, (1, 2, 1)))
+    assert RootSystem(iter([range(2, -2, -3), [True - 2, 2]])) == tuples
 
 
 def test_parse_word():
@@ -163,6 +184,13 @@ def test_parse_word():
     for text in ["1,x", "\u0661,2", "\uff11,\uff12", "1_0", "1.0", "2/1"]:
         with pytest.raises(IndexOutOfRange, match="contains a non-integer letter"):
             parse_word(text)
+    # at most MAX_DIGITS digits, read before int reads them: Python's own
+    # limit on reading a number does not hold on every version
+    assert parse_word("1,-" + "0" * 4299 + "2") == (1, -2)
+    long = "+" + "9" * 4301
+    with pytest.raises(IndexOutOfRange) as info:
+        parse_word(f"1,{long}")
+    assert str(info.value) == f"letter {long[:40]!r}... has more than 4300 digits"
 
 
 # ---- the right Cayley table --------------------------------------------------

@@ -8,7 +8,6 @@ from bottsam import (
     BUILTIN_CARTAN,
     BSWord,
     BilleyQuery,
-    CartanSpec,
     CohClass,
     Gallery,
     NotLongestWord,
@@ -21,6 +20,7 @@ from bottsam import (
     check_billey_identity,
     divide_exact,
     fiber,
+    multiply,
     parse_polynomial,
 )
 from bottsam import rootsystem, schubert
@@ -188,8 +188,8 @@ def test_verify_checks_the_betas_billey_reads(monkeypatch, label):
 
 GKM_SYSTEMS = {label: RootSystem.from_label(label)
                for label in ("A1", "A2", "B2", "G2", "A3", "B3", "C3")}
-GKM_SYSTEMS["A1xA1"] = RootSystem(CartanSpec.from_rows([[2, 0], [0, 2]]))
-GKM_SYSTEMS["A1xB2"] = RootSystem(CartanSpec.from_rows([[2, 0, 0], [0, 2, -1], [0, -2, 2]]))
+GKM_SYSTEMS["A1xA1"] = RootSystem([[2, 0], [0, 2]])
+GKM_SYSTEMS["A1xB2"] = RootSystem([[2, 0, 0], [0, 2, -1], [0, -2, 2]])
 # B3 and C3 have 48 elements: for them a seeded sample of the classes w,
 # with the identity and the longest element, keeps these checks near a
 # second; every smaller group is checked whole
@@ -315,15 +315,14 @@ def coroot_pairing(omega, beta, s_beta):
     return c
 
 
-@pytest.mark.parametrize("label", sorted(CHEVALLEY_SYSTEMS))
-def test_billey_satisfies_the_pointwise_chevalley_identity(label):
-    """The equivariant Chevalley formula (Kostant-Kumar), evaluated at each
-    point v: (w omega_i - v omega_i) xi^w(v) = sum of <omega_i, beta^vee>
-    xi^{w s_beta}(v) over the positive roots beta with l(w s_beta) = l(w) +
-    1.  It has no division and no subword: omega_i, s_beta, the pairings
-    and the lengths all come from reference matrix products.  Every w (a
-    seeded sample on A4 and D4), every v and every i."""
-    rs = CHEVALLEY_SYSTEMS[label]
+def chevalley_data(rs, label, sample):
+    """What both sides of Chevalley's formula are made of, from reference
+    matrix products alone: a shortest word per element, keyed by its rows;
+    the factor that scales the fundamental weights omega_i to integer
+    coordinates; per element the images of the scaled omega_i; and per w to
+    check (every w, or the identity and a seeded sample of ``sample[label]
+    - 1`` others) its covers ``w s_beta``, ``l(w s_beta) = l(w) + 1``, each
+    with its pairings ``<omega_i, beta^vee>``."""
     words = reduced_words(rs)  # breadth first, so each word is shortest
     # the identity is linear in omega_i, so a multiple with integer
     # coordinates keeps the arithmetic on int
@@ -342,9 +341,24 @@ def test_billey_satisfies_the_pointwise_chevalley_identity(label):
                 for beta, s in reflections.items()}
     images = {rows: [act(rows, omega) for omega in omegas] for rows in words}
     ws = list(words)
-    if label in CHEVALLEY_W_SAMPLE:
+    if label in sample:
         rng = random.Random(f"chevalley {label}")
-        ws = [ws[0], *rng.sample(ws[1:], CHEVALLEY_W_SAMPLE[label] - 1)]
+        ws = [ws[0], *rng.sample(ws[1:], sample[label] - 1)]
+    covers = {w: [(matmul(w, s), pairings[beta]) for beta, s in reflections.items()
+                  if len(words[matmul(w, s)]) == len(words[w]) + 1] for w in ws}
+    return words, scale, images, covers
+
+
+@pytest.mark.parametrize("label", sorted(CHEVALLEY_SYSTEMS))
+def test_billey_satisfies_the_pointwise_chevalley_identity(label):
+    """The equivariant Chevalley formula (Kostant-Kumar), evaluated at each
+    point v: (w omega_i - v omega_i) xi^w(v) = sum of <omega_i, beta^vee>
+    xi^{w s_beta}(v) over the positive roots beta with l(w s_beta) = l(w) +
+    1.  It has no division and no subword: omega_i, s_beta, the pairings
+    and the lengths all come from reference matrix products.  Every w (a
+    seeded sample on A4 and D4), every v and every i."""
+    rs = CHEVALLEY_SYSTEMS[label]
+    words, _, images, covers = chevalley_data(rs, label, CHEVALLEY_W_SAMPLE)
     xi = {}
 
     def value(x, v_word):
@@ -353,17 +367,12 @@ def test_billey_satisfies_the_pointwise_chevalley_identity(label):
         return xi[x, v_word]
 
     checks = nonzero = 0
-    for w in ws:
-        covers = []
-        for beta, s in reflections.items():
-            x = matmul(w, s)
-            if len(words[x]) == len(words[w]) + 1:
-                covers.append((x, pairings[beta]))
+    for w in covers:
         for v, v_word in words.items():
             here = value(w, v_word)
             for i in range(rs.rank):
                 want = Polynomial.zero(rs.rank)
-                for x, pairing in covers:
+                for x, pairing in covers[w]:
                     if pairing[i]:
                         want = want + value(x, v_word) * pairing[i]
                 shift = Polynomial.linear(tuple(a - b for a, b in zip(images[w][i], images[v][i])))
@@ -371,6 +380,45 @@ def test_billey_satisfies_the_pointwise_chevalley_identity(label):
                 checks += 1
                 nonzero += not want.is_zero
     assert 0 < nonzero < checks
+
+
+# the seeded sample of w on A4 (120 elements) and D4 (192)
+CHEVALLEY_CLASS_SAMPLE = {"A4": 30, "D4": 20}
+
+
+@pytest.mark.parametrize("label", sorted(CHEVALLEY_SYSTEMS))
+def test_multiply_satisfies_chevalley_as_a_class_identity(label):
+    """Chevalley's formula as an identity of classes on the longest word,
+    with F_w the sum of the basis classes over the fiber of w (the pullback
+    of the Schubert class of w): multiply(F_{s_i}, F_w) = (omega_i - w
+    omega_i) F_w + sum of <omega_i, beta^vee> F_{w s_beta} over the
+    positive roots beta with l(w s_beta) = l(w) + 1.  Both sides are
+    classes of many coordinates with polynomial coefficients; the right
+    side needs no product, so it shares nothing with the generator rule.
+    Every w (a seeded sample on A4 and D4) and every i; omega_i enters
+    scaled to integer coordinates, so the left side is scaled alike."""
+    rs = CHEVALLEY_SYSTEMS[label]
+    words, scale, images, covers = chevalley_data(rs, label, CHEVALLEY_CLASS_SAMPLE)
+    word = BSWord(rs, rs.longest_word())
+    classes = {}
+
+    def schubert_class(x):
+        if x not in classes:
+            classes[x] = CohClass(word, dict.fromkeys(fiber(word, WeylElement(x)), 1))
+        return classes[x]
+
+    generators = [schubert_class(element(rs, (i,)).rows) for i in range(1, rs.rank + 1)]
+    omegas = images[identity(rs.rank)]
+    for w in covers:
+        f_w = schubert_class(w)
+        for i, f_i in enumerate(generators):
+            shift = tuple(a - b for a, b in zip(omegas[i], images[w][i]))
+            want = f_w.scaled(Polynomial.linear(shift))
+            for x, pairing in covers[w]:
+                if pairing[i]:
+                    want = want + schubert_class(x).scaled(pairing[i])
+            assert not want.is_zero  # the identity is not carried by zeros
+            assert multiply(f_i, f_w).scaled(scale) == want, (words[w], i + 1)
 
 
 # the random words per type and kind, and their lengths
