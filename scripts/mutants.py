@@ -43,6 +43,8 @@ TWO_BYTES = "tests/test_overlap_kernels.py::test_two_byte_packing_on_a_270_lette
 WIDE_DEGREES = "tests/test_generator_kernel.py::test_degrees_above_the_word_length_are_packed_wide_enough"
 EXPONENT_TABLES = "tests/test_rewrite_tables.py::test_the_exponent_tables_per_width_are_transparent_and_bounded"
 CHEVALLEY_CLASSES = "tests/test_schubert.py::test_multiply_satisfies_chevalley_as_a_class_identity"
+STRUCTURE = "tests/test_schubert.py::test_multiply_gives_graham_positive_structure_constants"
+SHARED = "tests/test_bott_samelson.py::test_both_kinds_of_class_share_equality_and_sums"
 
 # (name, file under src/bottsam, exact text, replacement, node ids)
 MUTANTS = [
@@ -87,7 +89,10 @@ MUTANTS = [
     # a correction of the generator rule is -<alpha, alpha_l^vee> sigma_j
     ("generator: each correction's sign flipped", "bott_samelson.py",
      "corrections.append((1 << 8 * j, -c))", "corrections.append((1 << 8 * j, c))",
-     [f"{CHEVALLEY_CLASSES}[A2]"]),
+     [f"{CHEVALLEY_CLASSES}[A2]", f"{STRUCTURE}[A2]"]),
+    ("generator: the diagonal coefficient negated", "bott_samelson.py",
+     "tuple((v, a) for v, a in enumerate(alpha) if a)", "tuple((v, -a) for v, a in enumerate(alpha) if a)",
+     [f"{STRUCTURE}[A1]"]),
     ("cartan: entries read with int, which truncates and parses", "rootsystem.py",
      "tuple(map(operator.index, row))", "tuple(map(int, row))",
      ["tests/test_root_system.py::test_cartan_entries_are_read_exactly"]),
@@ -128,6 +133,13 @@ MUTANTS = [
     ("gallery: a non-tuple validated without reading it into a tuple", "bott_samelson.py",
      "        if bits.__class__ is not tuple:\n            bits = tuple(bits)\n", "",
      ["tests/test_gallery_masks.py::test_the_constructor_converts_and_refuses_as_before"]),
+    # CohClass and OrdinaryClass share their constructor and equality
+    ("classes: equality ignores the word", "bott_samelson.py",
+     "return self.word == other.word and self.coords == other.coords", "return self.coords == other.coords",
+     [f"{SHARED}[CohClass]", f"{SHARED}[OrdinaryClass]"]),
+    ("classes: the constructor keeps a zero coordinate", "bott_samelson.py",
+     "            if c is not None:\n                clean[e] = c\n", "            clean[e] = c\n",
+     [f"{SHARED}[CohClass]", f"{SHARED}[OrdinaryClass]"]),
     ("billey check: galleries passed in are not validated", "schubert.py",
      "v_words = [_reduced_word_of_gallery(word, e) for e in galleries]",
      "v_words = [tuple(word.letters[i - 1] for i in e.support) for e in galleries]",

@@ -24,7 +24,6 @@ values gives every coordinate and every localization integral at once.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import reduce
 from operator import and_, mul, or_
 from typing import Iterator
@@ -37,6 +36,7 @@ from .errors import (
     NotDivisible,
     NotInSpan,
     WordMismatch,
+    _named,
 )
 from .polyring import Polynomial, divide_exact, format_polynomial, parse_polynomial
 from .rootsystem import RootSystem, WeylElement
@@ -110,7 +110,7 @@ class Gallery:
     def unit(cls, n: int, i: int) -> "Gallery":
         """The gallery with a single 1 in (1-based) position ``i``."""
         if not 1 <= i <= n:
-            raise IndexOutOfRange(f"position {i} out of range 1..{n}")
+            raise IndexOutOfRange(f"{_named('position', i)} out of range 1..{n}")
         return cls._of_mask(1 << 8 * (i - 1), n)
 
     def __len__(self) -> int:
@@ -175,7 +175,7 @@ class BSWord:
             raise ValueError("a word needs at least one letter")
         if min(letters) < 1 or max(letters) > rs.rank:
             bad = next(i for i in letters if not 1 <= i <= rs.rank)
-            raise IndexOutOfRange(f"letter {bad} out of range 1..{rs.rank}")
+            raise IndexOutOfRange(f"{_named('letter', bad)} out of range 1..{rs.rank}")
         if len(letters) > cap:
             raise CapExceeded(
                 f"word of length {len(letters)} exceeds the gallery cap {cap}"
@@ -234,34 +234,79 @@ class BSWord:
         return f"BSWord({self.rs.label or self.rs.cartan}, {list(self.letters)})"
 
 
-class CohClass:
-    """A cohomology class in the triangular basis: finitely many gallery
-    coordinates, each a polynomial in the simple roots."""
+class _GalleryClass:
+    """What the two kinds of class over galleries share: a word and the
+    nonzero coordinates of the class, one per gallery.  A subclass says how
+    one coefficient is read (``_read``, ``None`` when it is zero) and
+    written in a class document (``_json``)."""
 
     __slots__ = ("word", "coords")
 
-    def __init__(self, word: BSWord, coords: dict[Gallery, Polynomial]):
+    def __init__(self, word: BSWord, coords: dict):
         self.word = word
-        clean: dict[Gallery, Polynomial] = {}
-        for e, p in coords.items():
+        clean, read = {}, self._read
+        for e, c in coords.items():
             word.check_gallery(e)
-            if not isinstance(p, Polynomial):
-                p = Polynomial.constant(word.rs.rank, p)
-            if not p.is_zero:
-                clean[e] = p
+            c = read(word, c)
+            if c is not None:
+                clean[e] = c
         self.coords = clean
 
     @classmethod
-    def _of(cls, word: BSWord, coords: dict[Gallery, Polynomial]) -> "CohClass":
-        """A class of nonzero coordinates the package built, unvalidated."""
-        c = cls.__new__(cls)
-        c.word = word
-        c.coords = coords
-        return c
-
-    @classmethod
-    def zero(cls, word: BSWord) -> "CohClass":
+    def zero(cls, word: BSWord):
         return cls(word, {})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coords
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self.word != other.word:
+            raise WordMismatch("classes over different words")
+        out = dict(self.coords)
+        for e, c in other.coords.items():
+            out[e] = out.get(e, 0) + c
+        return type(self)(self.word, out)
+
+    def scaled(self, c):
+        return type(self)(self.word, {e: p * c for e, p in self.coords.items()})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.word == other.word and self.coords == other.coords
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+    def _items(self) -> list:
+        """The coordinates in the canonical gallery order."""
+        return sorted(self.coords.items(), key=lambda kv: kv[0].sort_key())
+
+    def to_json_dict(self) -> dict:
+        return {
+            "word": list(self.word.letters),
+            "coords": {str(e): self._json(c) for e, c in self._items()},
+        }
+
+
+class CohClass(_GalleryClass):
+    """A cohomology class in the triangular basis: finitely many gallery
+    coordinates, each a polynomial in the simple roots."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _read(word: BSWord, p) -> Polynomial | None:
+        if not isinstance(p, Polynomial):
+            p = Polynomial.constant(word.rs.rank, p)
+        return p if p.terms else None
+
+    _json = staticmethod(format_polynomial)
 
     @classmethod
     def basis(cls, word: BSWord, e: Gallery) -> "CohClass":
@@ -281,10 +326,6 @@ class CohClass:
         """The identity of the ring: the basis class of the empty gallery."""
         return cls.basis(word, Gallery.zero(word.n))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coords
-
     def restriction(self, ep: Gallery) -> Polynomial:
         """Value at the fixed point ``ep``: one walk down its path, carrying
         only the coordinates below ``ep``."""
@@ -292,52 +333,13 @@ class CohClass:
         values = _walk(self.word, (self,), ep.mask, ep.mask)[1]
         return values[ep.mask] if values else Polynomial.zero(self.word.rs.rank)
 
-    def __add__(self, other) -> "CohClass":
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        if self.word != other.word:
-            raise WordMismatch("classes over different words")
-        out = dict(self.coords)
-        for e, c in other.coords.items():
-            s = out.get(e, Polynomial.zero(self.word.rs.rank)) + c
-            if s.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return CohClass(self.word, out)
-
     def __sub__(self, other) -> "CohClass":
         if not isinstance(other, CohClass):
             return NotImplemented
         return self + other.scaled(-1)
 
-    def scaled(self, c: Polynomial | Fraction | int) -> "CohClass":
-        return CohClass(self.word, {e: p * c for e, p in self.coords.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        return self.word == other.word and self.coords == other.coords
-
-    __hash__ = None
-
     def __str__(self) -> str:
-        if not self.coords:
-            return "0"
-        items = sorted(self.coords.items(), key=lambda kv: kv[0].sort_key())
-        return ", ".join(f"{e}: {p}" for e, p in items)
-
-    def __repr__(self) -> str:
-        return f"CohClass({self})"
-
-    # ---- JSON form ---------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        items = sorted(self.coords.items(), key=lambda kv: kv[0].sort_key())
-        return {
-            "word": list(self.word.letters),
-            "coords": {str(e): format_polynomial(p) for e, p in items},
-        }
+        return ", ".join(f"{e}: {p}" for e, p in self._items()) or "0"
 
     @classmethod
     def from_json_dict(
@@ -349,7 +351,9 @@ class CohClass:
             p = parse_polynomial(v, rank) if isinstance(v, str) else Polynomial.constant(rank, v)
             if p.terms:
                 coords[e] = p
-        return cls._of(word, coords)
+        c = cls.__new__(cls)  # inline, as in ``basis``: read_class_doc checked the galleries
+        c.word, c.coords = word, coords
+        return c
 
 
 _JSON_KINDS = {

@@ -7,9 +7,9 @@ them when an exact division leaves a remainder, which for genuine cohomology
 classes can only mean a bug, so the command-line driver reports them as
 internal failures rather than usage errors.
 
-Also the two rules that keep every message to one short line: no number of
-more than ``MAX_DIGITS`` digits is read or printed, and text is quoted to 40
-characters.
+Also the rules that keep every message to one short line: no number of
+more than ``MAX_DIGITS`` digits is read or printed, text is quoted to 40
+characters, and a number in a message is named by its size past 40 digits.
 """
 
 MAX_DIGITS = 4300  # Python's own default limit on reading a number
@@ -18,6 +18,15 @@ MAX_DIGITS = 4300  # Python's own default limit on reading a number
 def _quoted(text: str) -> str:
     """``text`` quoted for a one-line message, cut after 40 characters."""
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+
+
+_LONG = 10**40  # the least number of more than 40 digits
+
+
+def _named(noun: str, number: int) -> str:
+    """``noun number`` for a one-line message, or ``noun of more than 40
+    digits`` when it has more, found without converting it to text."""
+    return f"{noun} {number}" if -_LONG < number < _LONG else f"{noun} of more than 40 digits"
 
 
 class BottsamError(Exception):

@@ -20,6 +20,7 @@ from .bott_samelson import (
     BSWord,
     CohClass,
     Gallery,
+    _GalleryClass,
     _generator,
     read_class_doc,
 )
@@ -71,25 +72,19 @@ def relations(word: BSWord) -> list[Relation]:
     return out
 
 
-class OrdinaryClass:
+class OrdinaryClass(_GalleryClass):
     """A class in the square-free monomial basis, with exact coefficients
     (``int`` when integral, else ``Fraction``)."""
 
-    __slots__ = ("word", "coords")
+    __slots__ = ()
 
-    def __init__(self, word: BSWord, coords: dict[Gallery, int | Fraction]):
-        self.word = word
-        clean: dict[Gallery, int | Fraction] = {}
-        for e, c in coords.items():
-            word.check_gallery(e)
-            c = exact(c)
-            if c:
-                clean[e] = c
-        self.coords = clean
+    @staticmethod
+    def _read(word: BSWord, c) -> int | Fraction | None:
+        return exact(c) or None
 
-    @classmethod
-    def zero(cls, word: BSWord) -> "OrdinaryClass":
-        return cls(word, {})
+    @staticmethod
+    def _json(c: int | Fraction) -> int | str:
+        return int(c) if c.denominator == 1 else str(c)
 
     @classmethod
     def basis(cls, word: BSWord, e: Gallery) -> "OrdinaryClass":
@@ -99,40 +94,9 @@ class OrdinaryClass:
         c.word, c.coords = word, {e: 1}
         return c
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __add__(self, other) -> "OrdinaryClass":
-        if not isinstance(other, OrdinaryClass):
-            return NotImplemented
-        if self.word != other.word:
-            raise WordMismatch("classes over different words")
-        out = dict(self.coords)
-        for e, c in other.coords.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return OrdinaryClass(self.word, out)
-
-    def scaled(self, c: Fraction | int) -> "OrdinaryClass":
-        return OrdinaryClass(self.word, {e: p * c for e, p in self.coords.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OrdinaryClass):
-            return NotImplemented
-        return self.word == other.word and self.coords == other.coords
-
-    __hash__ = None
-
     def __str__(self) -> str:
-        if not self.coords:
-            return "0"
         parts: list[str] = []
-        for e in sorted(self.coords, key=Gallery.sort_key):
-            c = self.coords[e]
+        for e, c in self._items():
             if e.ones == 0:
                 body = str(abs(c))
             else:
@@ -143,17 +107,7 @@ class OrdinaryClass:
                 parts.append(body if c > 0 else f"-{body}")
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"OrdinaryClass({self})"
-
-    def to_json_dict(self) -> dict:
-        coords = {}
-        for e in sorted(self.coords, key=Gallery.sort_key):
-            c = self.coords[e]
-            coords[str(e)] = int(c) if c.denominator == 1 else str(c)
-        return {"word": list(self.word.letters), "coords": coords}
+        return " ".join(parts) or "0"
 
     @classmethod
     def from_json_dict(

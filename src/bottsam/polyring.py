@@ -240,8 +240,9 @@ def divide_exact(p: Polynomial, form: tuple) -> Polynomial:
 def format_polynomial(p: Polynomial) -> str:
     """Canonical text: terms in descending graded-lex order, variables
     ``a1..ar``, unit coefficients elided, e.g. ``-2*a1^2*a2 + a1*a2 + 3``.
-    A coefficient of more than ``MAX_DIGITS`` digits is refused with a
-    one-line ``ValueError``, as the parser refuses such a number."""
+    A coefficient or an exponent of more than ``MAX_DIGITS`` digits is
+    refused with a one-line ``ValueError``, as the parser refuses such a
+    number."""
     if p.is_zero:
         return "0"
     parts: list[str] = []
@@ -252,6 +253,8 @@ def format_polynomial(p: Polynomial) -> str:
             if e == 1:
                 factors.append(f"a{k + 1}")
             elif e > 1:
+                if e >= _TOO_LONG:
+                    raise ValueError(f"exponent of more than {MAX_DIGITS} digits")
                 factors.append(f"a{k + 1}^{e}")
         mag = abs(coef)
         if mag.numerator >= _TOO_LONG or mag.denominator >= _TOO_LONG:

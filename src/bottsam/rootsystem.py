@@ -15,7 +15,7 @@ import operator
 from typing import Iterable, Sequence
 
 from .errors import MAX_DIGITS, IndexOutOfRange, InvalidCartan, NotFiniteType, _quoted
-from .errors import NotInWeylGroup, RankMismatch
+from .errors import NotInWeylGroup, RankMismatch, _named
 
 # A word in the simple reflections, as 1-based indices.  The empty word is
 # the identity.
@@ -237,7 +237,7 @@ class RootSystem:
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.rank:
-            raise IndexOutOfRange(f"simple-root index {i} not in 1..{self.rank}")
+            raise IndexOutOfRange(f"{_named('simple-root index', i)} not in 1..{self.rank}")
 
     def times_reflection(self, rows: Rows, i: int) -> Rows:
         """The rows of ``u r_i`` from the rows of ``u``, for ``1 <= i <=

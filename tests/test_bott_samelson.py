@@ -13,6 +13,7 @@ from bottsam import (
     IndexOutOfRange,
     LengthMismatch,
     NotInSpan,
+    OrdinaryClass,
     Polynomial,
     RootSystem,
     WordMismatch,
@@ -161,6 +162,29 @@ def test_class_normalization_and_equality():
     assert (c + c.scaled(-1)).is_zero
     with pytest.raises(WordMismatch):
         c + CohClass.unit(BSWord(A2, (1, 2)))
+
+
+@pytest.mark.parametrize("kind", [CohClass, OrdinaryClass], ids=lambda kind: kind.__name__)
+def test_both_kinds_of_class_share_equality_and_sums(kind):
+    """What CohClass and OrdinaryClass share: equality asks for the same
+    word as well as the same coordinates (A2 and B2 give the same basis
+    coordinates on the word 1,2,1), a class of one kind never equals one of
+    the other, a zero sum keeps no coordinate, and a sum owns the
+    coefficients it took from its right operand."""
+    a2, b2 = BSWord(A2, (1, 2, 1)), BSWord(B2, (1, 2, 1))
+    other = OrdinaryClass if kind is CohClass else CohClass
+    for e in a2.galleries():
+        assert kind.basis(a2, e).coords == kind.basis(b2, e).coords
+        assert kind.basis(a2, e) != kind.basis(b2, e)
+        assert kind.basis(a2, e) != other.basis(a2, e)
+    assert kind.zero(a2) != kind.zero(b2)
+    assert kind.zero(a2) != other.zero(a2)
+    half = p("1/2*a1 + a2") if kind is CohClass else Fraction(1, 2)
+    x, y = kind(a2, {g("100"): half}), kind(a2, {g("100"): half, g("011"): half})
+    assert x + x.scaled(-1) == kind.zero(a2)
+    total = x + y
+    assert total == kind(a2, {g("100"): half * 2, g("011"): half})
+    assert all(total.coords[e] is not c for e, c in y.coords.items())
 
 
 def test_expand_recovers_basis_square():

@@ -421,10 +421,12 @@ def test_cap_and_seed_take_ascii_digits_only(capsys, option, value):
     assert err.endswith(f"error: argument {option}: invalid int value: {value!r}\n")
 
 
-def test_long_numbers_are_refused_in_one_short_line(capsys):
-    """A letter, a --cap or --seed value and a printed coefficient of more
-    than MAX_DIGITS digits are refused with the package's own messages,
-    not Python's conversion limit, quoting at most 40 characters."""
+def test_long_numbers_are_refused_in_one_short_line(capsys, tmp_path):
+    """A letter, a --cap or --seed value and a printed coefficient or
+    exponent of more than MAX_DIGITS digits are refused with the package's
+    own messages, not Python's conversion limit, quoting at most 40
+    characters; a letter or Weyl-group index out of range is named by its
+    size past 40 digits."""
     long = "9" * 5000
     code, out, err = run(capsys, "--type", "A2", "--word", f"1,{long}", "table")
     assert (code, out, err) == (
@@ -443,6 +445,22 @@ def test_long_numbers_are_refused_in_one_short_line(capsys):
         assert run(capsys, *argv) == (
             2, "", "error: ValueError: coefficient of more than 4300 digits\n"
         )
+    short = "9" * 40
+    code, out, err = run(capsys, "--type", "A2", "--word", f"1,{n}", "table")
+    assert (code, out, err) == (
+        2, "", "error: IndexOutOfRange: letter of more than 40 digits out of range 1..2\n"
+    )
+    code, out, err = run(capsys, "--type", "A2", "--word", f"1,{short}", "table")
+    assert (code, out, err) == (2, "", f"error: IndexOutOfRange: letter {short} out of range 1..2\n")
+    code, out, err = run(capsys, "--type", "A2", "billey", "--w", n, "--v", "1")
+    assert (code, out, err) == (
+        2, "", "error: IndexOutOfRange: simple-root index of more than 40 digits not in 1..2\n"
+    )
+    path = tmp_path / "class.json"  # the exponent sum has 4 301 digits
+    path.write_text(json.dumps({"word": [1, 2, 1], "coords": {"011": f"a1^{n}*a1^{n}"}}))
+    for command in (("restrict", "111"), ("integrate", "011")):
+        argv = ["--type", "A2", "--word", "1,2,1", *command, "--class", str(path)]
+        assert run(capsys, *argv) == (2, "", "error: ValueError: exponent of more than 4300 digits\n")
 
 
 def test_cap_and_seed_keep_their_sign(capsys):

@@ -84,6 +84,18 @@ def test_format_refuses_coefficients_of_more_than_max_digits():
         assert str(info.value) == f"coefficient of more than {MAX_DIGITS} digits"
 
 
+def test_format_refuses_exponents_of_more_than_max_digits():
+    """An exponent of more than MAX_DIGITS digits is refused in print with
+    the package's one-line message, as a coefficient is; one of MAX_DIGITS
+    digits prints."""
+    top = 10**MAX_DIGITS - 1
+    assert str(Polynomial(1, {(top,): 1})) == "a1^" + "9" * MAX_DIGITS
+    for big in (top + 1, 10**5000):
+        with pytest.raises(ValueError) as info:
+            str(Polynomial(1, {(big,): 1}))
+        assert str(info.value) == f"exponent of more than {MAX_DIGITS} digits"
+
+
 def test_parse_inverts_format():
     rng = random.Random(11)
     for _ in range(60):

@@ -193,6 +193,28 @@ def test_parse_word():
     assert str(info.value) == f"letter {long[:40]!r}... has more than 4300 digits"
 
 
+def test_long_indices_are_named_by_their_size():
+    """A letter, a simple-root index or a position of more than 40 digits
+    is named without converting it to text, so even one past Python's
+    conversion limit gives the package's message; 40 digits still print."""
+    rs = RootSystem.from_label("A2")
+    cases = [
+        (lambda i: BSWord(rs, [1, i]), "letter {} out of range 1..2"),
+        (lambda i: rs.weyl_from_word([i]), "simple-root index {} not in 1..2"),
+        (lambda i: rs.is_reduced([i]), "simple-root index {} not in 1..2"),
+        (lambda i: Gallery.unit(3, i), "position {} out of range 1..3"),
+    ]
+    for build, message in cases:
+        for i in (10**5000, -10**5000, 10**40, -10**40):
+            with pytest.raises(IndexOutOfRange) as info:
+                build(i)
+            assert str(info.value) == message.format("of more than 40 digits")
+        for i in (10**40 - 1, 1 - 10**40):
+            with pytest.raises(IndexOutOfRange) as info:
+                build(i)
+            assert str(info.value) == message.format(i)
+
+
 # ---- the right Cayley table --------------------------------------------------
 
 # for each built-in type of rank 2 to 4, another of its rank: most elements

@@ -13,6 +13,7 @@ from bottsam import (
     NotLongestWord,
     NotReducedGallery,
     NotReducedWord,
+    OrdinaryClass,
     Polynomial,
     RootSystem,
     WeylElement,
@@ -21,6 +22,7 @@ from bottsam import (
     divide_exact,
     fiber,
     multiply,
+    ordinary_multiply,
     parse_polynomial,
 )
 from bottsam import rootsystem, schubert
@@ -419,6 +421,47 @@ def test_multiply_satisfies_chevalley_as_a_class_identity(label):
                     want = want + schubert_class(x).scaled(pairing[i])
             assert not want.is_zero  # the identity is not carried by zeros
             assert multiply(f_i, f_w).scaled(scale) == want, (words[w], i + 1)
+
+
+# every pair (u, v) up to A3, and a seeded sample of pairs on B3 and C3
+STRUCTURE_PAIR_SAMPLE = {"B3": 200, "C3": 200}
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3", "B3", "C3"])
+def test_multiply_gives_graham_positive_structure_constants(label):
+    """Structure constants read off multiply on the longest word, with F_w
+    the sum of the basis classes over the fiber of w: F_u F_v is the sum of
+    c_{uv}^w F_w, so the product has no coordinate off the fibers and is
+    constant on each fiber, and c_{uv}^w is homogeneous of degree l(u) +
+    l(v) - l(w) with non-negative integer coefficients in the simple roots
+    (Graham, Duke Math. J. 109, 2001).  The ordinary product of the
+    ordinary F_u and F_v is made of the constants with l(w) = l(u) + l(v)
+    on their fibers, and nothing else."""
+    rs = RootSystem.from_label(label)
+    word = BSWord(rs, rs.longest_word())
+    fibers = [sorted(fiber(word, w), key=Gallery.sort_key) for w in rs.weyl_elements()]
+    lengths = [f[0].ones for f in fibers]
+    of = {e: w for w, f in enumerate(fibers) for e in f}
+    classes = [sum((CohClass.basis(word, e) for e in f), CohClass.zero(word)) for f in fibers]
+    ordinary = [sum((OrdinaryClass.basis(word, e) for e in f), OrdinaryClass.zero(word)) for f in fibers]
+    pairs = list(itertools.product(range(len(fibers)), repeat=2))
+    if label in STRUCTURE_PAIR_SAMPLE:
+        pairs = random.Random(f"structure {label}").sample(pairs, STRUCTURE_PAIR_SAMPLE[label])
+    constants = set()  # degrees of the nonzero constants met
+    for u, v in pairs:
+        product, top = multiply(classes[u], classes[v]), {}
+        assert product.coords.keys() <= of.keys(), "a coordinate off the fibers"
+        for w in {of[e] for e in product.coords}:
+            c = product.coords.get(fibers[w][0])
+            assert all(product.coords.get(e) == c for e in fibers[w]), "not constant on a fiber"
+            degree = lengths[u] + lengths[v] - lengths[w]
+            for m, a in c.terms.items():
+                assert type(a) is int and a > 0 and sum(m) == degree, (u, v, w, str(c))
+            constants.add(degree)
+            if degree == 0:
+                top.update(dict.fromkeys(fibers[w], c.constant_term()))
+        assert ordinary_multiply(ordinary[u], ordinary[v]) == OrdinaryClass(word, top), (u, v)
+    assert 0 in constants and len(constants) > 1  # the checks are not carried by zeros
 
 
 # the random words per type and kind, and their lengths
