@@ -45,6 +45,9 @@ EXPONENT_TABLES = "tests/test_rewrite_tables.py::test_the_exponent_tables_per_wi
 CHEVALLEY_CLASSES = "tests/test_schubert.py::test_multiply_satisfies_chevalley_as_a_class_identity"
 STRUCTURE = "tests/test_schubert.py::test_multiply_gives_graham_positive_structure_constants"
 SHARED = "tests/test_bott_samelson.py::test_both_kinds_of_class_share_equality_and_sums"
+CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_fails_on_a_butterfly_that_skips_a_division"
+CRITERION_2 = "tests/test_acceptance.py::test_criterion_2_fails_on_a_multiply_off_by_one_class"
+HOSTILE = "tests/test_refusals.py::test_hostile_values_are_refused_in_one_short_line"
 
 # (name, file under src/bottsam, exact text, replacement, node ids)
 MUTANTS = [
@@ -144,6 +147,20 @@ MUTANTS = [
      "v_words = [_reduced_word_of_gallery(word, e) for e in galleries]",
      "v_words = [tuple(word.letters[i - 1] for i in e.support) for e in galleries]",
      ["tests/test_schubert.py::test_check_billey_identity_input_errors"]),
+    # a selftest criterion that cannot fail checks nothing
+    ("selftest: criterion 1 never reports a failure", "selftest.py",
+     "if integrals != basis:", "if False:", [CRITERION_1]),
+    ("selftest: criterion 1 compares the basis class with itself", "selftest.py",
+     "integrals = _class_of(word, values, weights)", "integrals = basis", [CRITERION_1]),
+    ("selftest: criterion 2 never reports a failure", "selftest.py",
+     "if direct != generic:", "if False:", [CRITERION_2]),
+    ("selftest: criterion 2 compares multiply with itself", "selftest.py",
+     "generic = _class_of(word, values, weights)", "generic = direct", [CRITERION_2]),
+    ("refusal: an unknown type label quoted whole", "rootsystem.py",
+     "{_quoted(label)}", "{label!r}", [f"{HOSTILE}[from_label]"]),
+    ("refusal: a text that is no gallery quoted whole", "bott_samelson.py",
+     "not a gallery bit string: {_quoted(text)}", "not a gallery bit string: {text!r}",
+     [f"{HOSTILE}[from_string]"]),
 ]
 
 

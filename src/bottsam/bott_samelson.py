@@ -37,9 +37,10 @@ from .errors import (
     NotInSpan,
     WordMismatch,
     _named,
+    _quoted,
 )
 from .polyring import Polynomial, divide_exact, format_polynomial, parse_polynomial
-from .rootsystem import RootSystem, WeylElement
+from .rootsystem import RootSystem
 
 DEFAULT_GALLERY_CAP = 20
 
@@ -96,7 +97,7 @@ class Gallery:
     @classmethod
     def from_string(cls, text: str) -> "Gallery":
         if not text or text.strip("01"):
-            raise ValueError(f"not a gallery bit string: {text!r}")
+            raise ValueError(f"not a gallery bit string: {_quoted(text)}")
         g = cls.__new__(cls)  # inline: class documents read one per coordinate
         g.mask = int.from_bytes(text.encode().translate(_FROM_TEXT), "little")
         g.n = len(text)
@@ -210,11 +211,6 @@ class BSWord:
             )
 
     # ---- Weyl data per gallery --------------------------------------------
-
-    def v(self, e: Gallery) -> WeylElement:
-        """The Weyl-group point of the gallery: all on reflections in order."""
-        self.check_gallery(e)
-        return self.rs.weyl_from_word([i for bit, i in zip(e.bits, self.letters) if bit])
 
     def _poly_of(self, form: tuple) -> Polynomial:
         p = self._form_poly.get(form)
@@ -389,7 +385,7 @@ def read_class_doc(
         if type(value) is not int and not isinstance(value, str):
             kind = _JSON_KINDS.get(type(value), type(value).__name__)
             raise ValueError(
-                f"coefficient of {bits} is {kind}, not a string or an integer"
+                f"coefficient of {_quoted(bits)} is {kind}, not a string or an integer"
                 " (write rationals as 'p/q')"
             )
         e = Gallery.from_string(bits)

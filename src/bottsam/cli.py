@@ -5,17 +5,17 @@ Each command takes the parsed arguments and returns one document (a
 document as JSON under ``--json`` and the lines otherwise; ``selftest`` has
 no document and prints its lines either way.
 
-Exit codes: 0 on success, 2 for input problems (bad Cartan data, malformed
-words or galleries, length mismatches), 3 when an internal invariant is
-violated (a localization division leaves a remainder, a ``--check``
-disagrees, or a selftest check fails).
+Exit codes: 0 on success, 2 for input problems (usage errors, bad Cartan
+data, malformed words or galleries, length mismatches), each reported in one
+line of stderr, 3 when an internal invariant is violated (a localization
+division leaves a remainder, a ``--check`` disagrees, or a selftest check
+fails).
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 
 from .bott_samelson import (
@@ -39,6 +39,7 @@ EXIT_USER = 2
 EXIT_INTERNAL = 3
 
 TABLE_MAX_LETTERS = 12
+USAGE_LINE_MAX = 300
 
 INTERNAL_ERRORS = (NotInSpan, NotDivisible)
 
@@ -68,6 +69,17 @@ class _Pairs(dict):
 
     def items(self):
         return self.pairs
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line of at most ``USAGE_LINE_MAX``
+    characters, without the usage block; its sub-parsers are of its class."""
+
+    def error(self, message):
+        line = " ".join(f"{self.prog}: error: {message}".splitlines())
+        if len(line) > USAGE_LINE_MAX:
+            line = line[: USAGE_LINE_MAX - 3] + "..."
+        self.exit(EXIT_USER, line + "\n")
 
 
 def _int_option(text: str) -> int:
@@ -118,99 +130,47 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for the randomized selftest checks (default 0)",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bottsam",
         description="Exact equivariant cohomology of Bott-Samelson varieties.",
         parents=[common],
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    p = {
+        name: sub.add_parser(name, parents=[common], help=help)
+        for name, (_, help) in COMMANDS.items()
+    }
 
-    sub.add_parser(
-        "roots",
-        parents=[common],
-        help="print the Cartan matrix, positive roots, and longest word",
-    )
-    sub.add_parser(
-        "table",
-        parents=[common],
-        help="print the full restriction table of the word",
-    )
-
-    p = sub.add_parser(
-        "restrict",
-        parents=[common],
-        help="value of a class at one fixed point",
-    )
-    p.add_argument("point", help="gallery bit string of the fixed point")
-    p.add_argument(
-        "--class",
-        dest="class_spec",
-        required=True,
-        metavar="CLASS",
-        help="bit string (basis class), inline JSON, or a JSON file path",
-    )
-
-    p = sub.add_parser(
-        "product",
-        parents=[common],
-        help="product of two basis classes in the gallery basis",
-    )
-    p.add_argument("left", help="gallery bit string")
-    p.add_argument("right", help="gallery bit string")
-    p.add_argument(
-        "--check",
-        action="store_true",
-        help="cross-check the product against the localization route",
-    )
-
-    p = sub.add_parser(
-        "integrate",
-        parents=[common],
-        help="integral of a class over a gallery subvariety",
-    )
-    p.add_argument("domain", help="gallery bit string to integrate over")
-    p.add_argument(
-        "--class",
-        dest="class_spec",
-        required=True,
-        metavar="CLASS",
-        help="bit string (basis class), inline JSON, or a JSON file path",
-    )
-    p.add_argument(
-        "--check",
-        action="store_true",
-        help="cross-check the integral against the localization route",
-    )
-
-    p = sub.add_parser(
-        "billey",
-        parents=[common],
-        help="restriction of a Schubert class by the subword sum",
-    )
-    p.add_argument("--w", required=True, metavar="LETTERS", help="word for the class (may be empty)")
-    p.add_argument("--v", required=True, metavar="LETTERS", help="reduced word for the point")
-    p.add_argument(
+    p["restrict"].add_argument("point", help="gallery bit string of the fixed point")
+    p["product"].add_argument("left", help="gallery bit string")
+    p["product"].add_argument("right", help="gallery bit string")
+    p["integrate"].add_argument("domain", help="gallery bit string to integrate over")
+    for name in ("restrict", "integrate"):
+        p[name].add_argument(
+            "--class",
+            dest="class_spec",
+            required=True,
+            metavar="CLASS",
+            help="bit string (basis class), inline JSON, or a JSON file path",
+        )
+    for name, result in (("product", "product"), ("integrate", "integral")):
+        p[name].add_argument(
+            "--check",
+            action="store_true",
+            help=f"cross-check the {result} against the localization route",
+        )
+    p["billey"].add_argument("--w", required=True, metavar="LETTERS", help="word for the class (may be empty)")
+    p["billey"].add_argument("--v", required=True, metavar="LETTERS", help="reduced word for the point")
+    p["billey"].add_argument(
         "--verify",
         action="store_true",
         help="also check the fiber-sum identity over every gallery of --word",
     )
-
-    p = sub.add_parser(
-        "ordinary",
-        parents=[common],
-        help="ordinary-cohomology relations, or a square-free product",
-    )
-    p.add_argument(
+    p["ordinary"].add_argument(
         "--product",
         nargs=2,
         metavar=("LEFT", "RIGHT"),
         help="print the normal-form product of two basis monomials",
-    )
-
-    sub.add_parser(
-        "selftest",
-        parents=[common],
-        help="run the acceptance checks and report one line per criterion",
     )
     return parser
 
@@ -223,6 +183,8 @@ def _word(args: argparse.Namespace) -> BSWord:
 
 def _read_json(text: str):
     """A JSON document; one nested too deeply to decode is an input error."""
+    import json  # only a JSON input needs it; keeps start-up short
+
     try:
         return json.loads(text)
     except RecursionError:
@@ -250,7 +212,7 @@ def _load_class(args: argparse.Namespace, word: BSWord) -> CohClass:
     cls = CohClass.from_json_dict(args.rs, _read_json(text), cap=args.cap)
     if cls.word != word:
         raise WordMismatch(
-            f"class is over word {list(cls.word.letters)}, not {list(word.letters)}"
+            f"class is over word {_quoted(list(cls.word.letters))}, not {_quoted(list(word.letters))}"
         )
     return cls
 
@@ -382,15 +344,16 @@ def cmd_selftest(args: argparse.Namespace):
     return None, lines, EXIT_OK if passed == len(results) else EXIT_INTERNAL
 
 
+# The commands in --help order: each one's handler and its one-line help.
 COMMANDS = {
-    "roots": cmd_roots,
-    "table": cmd_table,
-    "restrict": cmd_restrict,
-    "product": cmd_product,
-    "integrate": cmd_integrate,
-    "billey": cmd_billey,
-    "ordinary": cmd_ordinary,
-    "selftest": cmd_selftest,
+    "roots": (cmd_roots, "print the Cartan matrix, positive roots, and longest word"),
+    "table": (cmd_table, "print the full restriction table of the word"),
+    "restrict": (cmd_restrict, "value of a class at one fixed point"),
+    "product": (cmd_product, "product of two basis classes in the gallery basis"),
+    "integrate": (cmd_integrate, "integral of a class over a gallery subvariety"),
+    "billey": (cmd_billey, "restriction of a Schubert class by the subword sum"),
+    "ordinary": (cmd_ordinary, "ordinary-cohomology relations, or a square-free product"),
+    "selftest": (cmd_selftest, "run the acceptance checks and report one line per criterion"),
 }
 
 
@@ -398,8 +361,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
-        parser.print_usage(sys.stderr)
-        print("error: a COMMAND is required", file=sys.stderr)
+        print("bottsam: error: a COMMAND is required", file=sys.stderr)
         return EXIT_USER
     for name, default in COMMON_DEFAULTS.items():
         vars(args).setdefault(name, default)
@@ -415,8 +377,10 @@ def main(argv=None) -> int:
         elif args.command != "selftest":
             raise ValueError("choose a Cartan source with --type or --cartan")
         args.letters = parse_word(args.word) if args.word is not None else None
-        doc, lines, code = COMMANDS[args.command](args)
+        doc, lines, code = COMMANDS[args.command][0](args)
         if args.as_json and doc is not None:
+            import json
+
             # written in batches, never as one string; lazy rows print as an object
             chunks = json.JSONEncoder(indent=2, default=_Pairs).iterencode({"schema": 1, **doc})
             for batch in iter(lambda: "".join(itertools.islice(chunks, 4096)), ""):

@@ -8,19 +8,43 @@ classes can only mean a bug, so the command-line driver reports them as
 internal failures rather than usage errors.
 
 Also the rules that keep every message to one short line: no number of
-more than ``MAX_DIGITS`` digits is read or printed, text is quoted to 40
-characters, and a number in a message is named by its size past 40 digits.
+more than ``MAX_DIGITS`` digits is read or printed, every value a message
+shows is quoted to 40 characters, and a number in a message is named by its
+size past 40 digits.
 """
+
+import reprlib
 
 MAX_DIGITS = 4300  # Python's own default limit on reading a number
 
 
-def _quoted(text: str) -> str:
-    """``text`` quoted for a one-line message, cut after 40 characters."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
-
-
 _LONG = 10**40  # the least number of more than 40 digits
+
+
+class _Short(reprlib.Repr):
+    """``repr`` in short: at most 20 items of each list or tuple, so a long
+    one costs no more than a short one, and an int of more than 40 digits
+    named by its size.  A value whose own ``repr`` fails, say a ``Fraction``
+    of more than ``MAX_DIGITS`` digits, is named by its type."""
+
+    def __init__(self):
+        super().__init__()
+        self.maxlist = self.maxtuple = 20
+
+    def repr_int(self, x, level):
+        return repr(x) if -_LONG < x < _LONG else "<int of more than 40 digits>"
+
+
+_SHORT = _Short()
+
+
+def _quoted(value: object) -> str:
+    """``repr(value)`` for a one-line message, cut after 40 characters (of
+    the text itself, for a text, and of its short ``repr`` otherwise)."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 40 else f"{value[:40]!r}..."
+    text = _SHORT.repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}..."
 
 
 def _named(noun: str, number: int) -> str:
@@ -38,7 +62,9 @@ class InvalidCartan(BottsamError):
 
 
 class NotFiniteType(BottsamError):
-    """Positive-root closure did not terminate within the configured bound."""
+    """The Weyl group is infinite: a pair of simple roots spans an infinite
+    rank-2 group, or the positive-root closure did not terminate within the
+    configured bound."""
 
 
 class IndexOutOfRange(BottsamError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import WordMismatch
+from .errors import WordMismatch, _quoted
 from .polyring import exact, parse_polynomial
 from .bott_samelson import (
     DEFAULT_GALLERY_CAP,
@@ -121,7 +121,7 @@ class OrdinaryClass(_GalleryClass):
             if isinstance(v, str):
                 p = parse_polynomial(v, rs.rank)
                 if any(any(m) for m in p.terms):
-                    raise ValueError(f"coefficient of {e} is not a constant: {v!r}")
+                    raise ValueError(f"coefficient of {e} is not a constant: {_quoted(v)}")
                 v = p.constant_term()
             coords[e] = v
         return cls(word, coords)

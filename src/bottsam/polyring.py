@@ -30,7 +30,7 @@ def exact(value) -> int | Fraction:
         return value
     if isinstance(value, (float, str)):
         kind = type(value).__name__
-        raise ValueError(f"coefficient {value!r} is a {kind}; give an int or a Fraction")
+        raise ValueError(f"coefficient {_quoted(value)} is a {kind}; give an int or a Fraction")
     q = Fraction(value)
     return q.numerator if q.denominator == 1 else q
 
@@ -54,10 +54,10 @@ class Polynomial:
         # key would print wrongly or never meet its equal
         for e in terms:
             if e.__class__ is not tuple or not all(k.__class__ is int and k >= 0 for k in e):
-                raise ValueError(f"exponent key {e!r} is not a tuple of non-negative ints")
+                raise ValueError(f"exponent key {_quoted(e)} is not a tuple of non-negative ints")
         for e, c in terms.items():
             if len(e) != rank:
-                raise RankMismatch(f"exponent key {e!r} has {len(e)} entries, not the rank {rank}")
+                raise RankMismatch(f"exponent key {_quoted(e)} has {len(e)} entries, not the rank {rank}")
             if q := exact(c):
                 self.terms[e] = q
 
@@ -202,7 +202,7 @@ def divide_exact(p: Polynomial, form: tuple) -> Polynomial:
     for c in form:
         if not isinstance(c, (int, Fraction)):
             kind = type(c).__name__
-            raise ValueError(f"form coordinate {c!r} is a {kind}; give an int or a Fraction")
+            raise ValueError(f"form coordinate {_quoted(c)} is a {kind}; give an int or a Fraction")
     if not any(form):
         raise ZeroForm("division by the zero form")
     if len(form) != p.rank:

@@ -85,7 +85,7 @@ def letters_of(word: Iterable) -> SimpleWord:
     try:
         return tuple(map(operator.index, word))
     except TypeError:
-        raise IndexOutOfRange(f"word {word!r} has a letter that is not an integer") from None
+        raise IndexOutOfRange(f"word {_quoted(word)} has a letter that is not an integer") from None
 
 
 def format_word(word: Sequence[int]) -> str:
@@ -151,7 +151,7 @@ class RootSystem:
             cartan = tuple(tuple(map(operator.index, row)) for row in matrix)
         except TypeError:
             raise InvalidCartan(
-                f"Cartan matrix {matrix!r} has an entry that is not an integer"
+                f"Cartan matrix {_quoted(matrix)} has an entry that is not an integer"
             ) from None
         n = len(cartan)
         if n == 0:
@@ -165,11 +165,21 @@ class RootSystem:
             for j in range(n):  # A[i][i] = 2 has no asymmetric zero
                 if i != j and cartan[i][j] > 0:
                     raise InvalidCartan(
-                        f"off-diagonal entry A[{i + 1}][{j + 1}] = {cartan[i][j]} is positive"
+                        f"off-diagonal entry {_named(f'A[{i + 1}][{j + 1}] =', cartan[i][j])}"
+                        " is positive"
                     )
                 if (cartan[i][j] == 0) != (cartan[j][i] == 0):
                     raise InvalidCartan(
                         f"asymmetric zero at A[{i + 1}][{j + 1}] / A[{j + 1}][{i + 1}]"
+                    )
+        # a pair with A[i][j] A[j][i] > 3 spans an infinite rank-2 Weyl group:
+        # refused before the closure, whose integers grow with the entries
+        for i in range(n):
+            for j in range(i + 1, n):
+                if cartan[i][j] * cartan[j][i] > 3:
+                    raise NotFiniteType(
+                        f"A[{i + 1}][{j + 1}] * A[{j + 1}][{i + 1}] > 3: the Weyl group"
+                        f" of simple roots {i + 1} and {j + 1} is infinite"
                     )
         self.rank = n
         self.cartan = cartan
@@ -204,7 +214,7 @@ class RootSystem:
             return cls(BUILTIN_CARTAN[label], label)
         except KeyError:
             known = ", ".join(sorted(BUILTIN_CARTAN))
-            raise InvalidCartan(f"unknown type label {label!r} (built in: {known})")
+            raise InvalidCartan(f"unknown type label {_quoted(label)} (built in: {known})")
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RootSystem":
@@ -218,7 +228,7 @@ class RootSystem:
         for row in matrix:
             for v in row:
                 if not isinstance(v, int) or isinstance(v, bool):
-                    raise InvalidCartan(f"matrix entry {v!r} is not an integer")
+                    raise InvalidCartan(f"matrix entry {_quoted(v)} is not an integer")
         if label is not None and not isinstance(label, str):
             raise InvalidCartan('"label" must be a string when present')
         return cls(matrix, label)
@@ -336,7 +346,7 @@ class RootSystem:
             if i is None:
                 break
             rows = self.times_reflection(rows, i)
-        raise NotInWeylGroup(f"{w!r} is not in the Weyl group of {self!r}")
+        raise NotInWeylGroup(f"{_quoted(w)} is not in the Weyl group of {self!r}")
 
     def is_reduced(self, word: Sequence[int]) -> bool:
         """Whether every letter raises the length of the product before it."""

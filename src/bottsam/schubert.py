@@ -13,7 +13,7 @@ point of each gallery's reduced word.
 from __future__ import annotations
 
 from . import rootsystem
-from .errors import NotLongestWord, NotReducedGallery, NotReducedWord, RankMismatch
+from .errors import NotLongestWord, NotReducedGallery, NotReducedWord, RankMismatch, _quoted
 from .bott_samelson import BSWord, CohClass, Gallery, _packing, _unpack
 from .polyring import Polynomial
 from .rootsystem import RootSystem, Rows, SimpleWord, WeylElement, ascends
@@ -26,7 +26,7 @@ def _reduced_word_of_gallery(word: BSWord, e: Gallery) -> SimpleWord:
     sub = tuple(word.letters[i - 1] for i in e.support)
     if sub and not word.rs.is_reduced(sub):
         raise NotReducedGallery(
-            f"gallery {e} selects the non-reduced subword {sub}"
+            f"gallery {e} selects the non-reduced subword {_quoted(sub)}"
         )
     return sub
 
@@ -66,7 +66,7 @@ def _packed_betas(rs: RootSystem, v_word: SimpleWord) -> tuple[int, dict, tuple]
     forms = []
     for i in v_word:
         if not ascends(rows, i):
-            raise NotReducedWord(f"{v_word} is not reduced")
+            raise NotReducedWord(f"{_quoted(v_word)} is not reduced")
         forms.append(tuple((p, r[i - 1]) for p, r in zip(units, rows) if r[i - 1]))
         rows = rs.times_reflection(rows, i)
     out = size, keys, tuple(forms)
@@ -212,7 +212,7 @@ def check_billey_identities(
     longest = len(word.letters) == len(rs.positive_roots)
     if not (longest and rs.is_reduced(word.letters)):
         raise NotLongestWord(
-            f"{word.letters} is not a reduced decomposition of the longest element"
+            f"{_quoted(word.letters)} is not a reduced decomposition of the longest element"
         )
     rs.length(w)  # an element of another rank or group raises
     walk = _reduced_walk(word)

@@ -42,3 +42,31 @@ def test_criterion_6_expansion_roundtrip():
 
 def test_criterion_7_a2_golden_file():
     report(7, selftest.check_golden_file())
+
+
+# Each criterion reports a fault in the route it guards, injected on the
+# shortest word that shows it.
+
+def test_criterion_1_fails_on_a_butterfly_that_skips_a_division(monkeypatch):
+    from bottsam import RootSystem, bott_samelson
+
+    butterfly = bott_samelson._butterfly
+    monkeypatch.setattr(
+        bott_samelson, "_butterfly",
+        lambda word, values, positions, weights:
+            butterfly(word, values, [i for i in positions if i != 1], weights),
+    )
+    monkeypatch.setattr(selftest, "_delta_word_set", lambda seed: [(RootSystem.from_label("A1"), (1,))])
+    result = selftest.check_delta_integrals(seed=0)
+    assert not result.passed
+    assert result.detail.startswith("4 pairs over 1 words; A1 (1,): integrals of 0 are ")
+
+
+def test_criterion_2_fails_on_a_multiply_off_by_one_class(monkeypatch):
+    from bottsam import RootSystem, multiply
+
+    monkeypatch.setattr(selftest, "multiply", lambda left, right: multiply(left, right) + left)
+    monkeypatch.setattr(selftest, "_delta_word_set", lambda seed: [(RootSystem.from_label("A1"), (1,))])
+    result = selftest.check_generator_products(seed=0)
+    assert not result.passed
+    assert result.detail.startswith("2 products; A1 (1,): generator 1 times 0: ")

@@ -14,7 +14,7 @@ from reference import REFUSALS
 
 
 def refused(kind):
-    return (f"coefficient of 001 is {kind}, not a string or an integer"
+    return (f"coefficient of '001' is {kind}, not a string or an integer"
             " (write rationals as 'p/q')")
 
 

@@ -332,7 +332,10 @@ CARTAN_FILES = [
     ('{"matrix": [[2, -1], [-1, 3]]}', 2, "InvalidCartan: diagonal entry A[2][2] != 2"),
     ('{"matrix": [[2, 1], [-1, 2]]}', 2, "InvalidCartan: off-diagonal entry A[1][2] = 1 is positive"),
     ('{"matrix": [[2, -1], [0, 2]]}', 2, "InvalidCartan: asymmetric zero at A[1][2] / A[2][1]"),
-    ('{"matrix": [[2, -2], [-2, 2]]}', 2, "NotFiniteType: positive-root closure exceeded 10000 roots"),
+    ('{"matrix": [[2, -2], [-2, 2]]}', 2,
+     "NotFiniteType: A[1][2] * A[2][1] > 3: the Weyl group of simple roots 1 and 2 is infinite"),
+    ('{"matrix": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]}', 2,
+     "NotFiniteType: positive-root closure exceeded 10000 roots"),
 ]
 
 
@@ -398,7 +401,34 @@ def test_missing_word_is_a_user_error(capsys):
 
 def test_missing_command_is_a_user_error(capsys):
     code, _, err = run(capsys, "--type", "A2")
-    assert code == 2
+    assert (code, err) == (2, "bottsam: error: a COMMAND is required\n")
+
+
+HUGE = "x" * 100_000
+USAGE_ERRORS = [
+    ("unknown-command", ["--type", "A2", HUGE], "bottsam: error: argument COMMAND: invalid choice: 'xxx"),
+    ("extra-argument", ["--type", "A2", "--word", "1", "table", HUGE],
+     "bottsam: error: unrecognized arguments: xxx"),
+    ("missing-positional", ["--type", "A2", "--word", "1", "product", "1" * 100_000],
+     "bottsam product: error: the following arguments are required: right"),
+    ("unknown-option", ["--type", "A2", "--word", "1", "table", "--" + HUGE],
+     "bottsam: error: unrecognized arguments: --xxx"),
+    ("lines-in-an-argument", ["--type", "A2", "--word", "1", "table", "a\nb\r" * 50_000],
+     "bottsam: error: unrecognized arguments: a b "),
+]
+
+
+@pytest.mark.parametrize("argv, start", [u[1:] for u in USAGE_ERRORS], ids=[u[0] for u in USAGE_ERRORS])
+def test_usage_errors_are_one_bounded_line(capsys, argv, start):
+    """argparse's own refusals print one line of at most 300 characters,
+    without the usage block, and exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(start)
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert len(captured.err) <= 301
 
 
 def test_cap_is_enforced_and_adjustable(capsys):
