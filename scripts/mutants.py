@@ -47,6 +47,9 @@ STRUCTURE = "tests/test_schubert.py::test_multiply_gives_graham_positive_structu
 SHARED = "tests/test_bott_samelson.py::test_both_kinds_of_class_share_equality_and_sums"
 CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_fails_on_a_butterfly_that_skips_a_division"
 CRITERION_2 = "tests/test_acceptance.py::test_criterion_2_fails_on_a_multiply_off_by_one_class"
+CRITERION_5 = "tests/test_acceptance.py::test_criterion_5_fails_on_an_ordinary_product_with_its_sign_flipped"
+CRITERION_6 = "tests/test_acceptance.py::test_criterion_6_fails_on_an_expand_that_drops_a_coordinate"
+VIEW = "tests/test_bott_samelson.py::test_coords_is_a_new_view_keyed_by_gallery"
 HOSTILE = "tests/test_refusals.py::test_hostile_values_are_refused_in_one_short_line"
 
 # (name, file under src/bottsam, exact text, replacement, node ids)
@@ -125,24 +128,28 @@ MUTANTS = [
      'one.rank, one.terms = word.rs.rank, word.rs.__dict__.setdefault("_one", {word.rs._constant: 1})',
      [f"{CHANGES_ONE}[basis]"]),
     ("basis: one polynomial per root system", "bott_samelson.py",
-     "c.word, c.coords = word, {e: one}",
-     'c.word, c.coords = word, {e: word.rs.__dict__.setdefault("_one", one)}',
+     "c.word, c._by_mask = word, {e.mask: one}",
+     'c.word, c._by_mask = word, {e.mask: word.rs.__dict__.setdefault("_one", one)}',
      [f"{CHANGES_ONE}[basis]"]),
     ("multiply: equal product coordinates share a terms dict", "bott_samelson.py",
-     "e.mask, e.n, poly.rank, poly.terms = mask, n, rank, terms",
-     "e.mask, e.n, poly.rank, poly.terms = mask, n, rank, "
-     "word.__dict__.setdefault(repr(sorted(terms.items())), terms)",
+     "poly.rank, poly.terms = rank, terms",
+     "poly.rank, poly.terms = rank, rootsystem.__dict__.setdefault(repr(sorted(terms.items())), terms)",
      [f"{CHANGES_ONE}[product]"]),
     ("gallery: a non-tuple validated without reading it into a tuple", "bott_samelson.py",
      "        if bits.__class__ is not tuple:\n            bits = tuple(bits)\n", "",
      ["tests/test_gallery_masks.py::test_the_constructor_converts_and_refuses_as_before"]),
     # CohClass and OrdinaryClass share their constructor and equality
     ("classes: equality ignores the word", "bott_samelson.py",
-     "return self.word == other.word and self.coords == other.coords", "return self.coords == other.coords",
+     "return self.word == other.word and self._by_mask == other._by_mask",
+     "return self._by_mask == other._by_mask",
      [f"{SHARED}[CohClass]", f"{SHARED}[OrdinaryClass]"]),
     ("classes: the constructor keeps a zero coordinate", "bott_samelson.py",
-     "            if c is not None:\n                clean[e] = c\n", "            clean[e] = c\n",
+     "            if c is not None:\n                clean[m] = c\n", "            clean[m] = c\n",
      [f"{SHARED}[CohClass]", f"{SHARED}[OrdinaryClass]"]),
+    # a class stores its coefficients by mask; ``coords`` is a new view
+    ("classes: coords hands out the stored dict", "bott_samelson.py",
+     "return {Gallery._of_mask(m, n): c for m, c in self._by_mask.items()}", "return self._by_mask",
+     [f"{VIEW}[CohClass]", f"{VIEW}[OrdinaryClass]"]),
     ("billey check: galleries passed in are not validated", "schubert.py",
      "v_words = [_reduced_word_of_gallery(word, e) for e in galleries]",
      "v_words = [tuple(word.letters[i - 1] for i in e.support) for e in galleries]",
@@ -156,6 +163,10 @@ MUTANTS = [
      "if direct != generic:", "if False:", [CRITERION_2]),
     ("selftest: criterion 2 compares multiply with itself", "selftest.py",
      "generic = _class_of(word, values, weights)", "generic = direct", [CRITERION_2]),
+    ("selftest: criterion 5 never reports a failure", "selftest.py",
+     "if lhs != rhs:", "if False:", [CRITERION_5]),
+    ("selftest: criterion 6 never reports a failure", "selftest.py",
+     "if back != c:", "if False:", [CRITERION_6]),
     ("refusal: an unknown type label quoted whole", "rootsystem.py",
      "{_quoted(label)}", "{label!r}", [f"{HOSTILE}[from_label]"]),
     ("refusal: a text that is no gallery quoted whole", "bott_samelson.py",

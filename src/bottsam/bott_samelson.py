@@ -24,9 +24,9 @@ values gives every coordinate and every localization integral at once.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from functools import reduce
 from operator import and_, mul, or_
-from typing import Iterator
 
 from . import rootsystem
 from .errors import (
@@ -53,6 +53,24 @@ _FROM_TEXT = bytes.maketrans(b"01", b"\0\1")
 _TO_TEXT = bytes.maketrans(b"\0\1", b"01")
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 _from_bytes = int.from_bytes
+
+
+def _mask_of(text: str) -> int:
+    """The mask of a gallery's text, ``101`` say; any other text is refused."""
+    if not text or text.strip("01"):
+        raise ValueError(f"not a gallery bit string: {_quoted(text)}")
+    return _from_bytes(text.encode().translate(_FROM_TEXT), "little")
+
+
+def _text(mask: int, n: int) -> str:
+    """The text of the gallery of ``n`` positions with this mask."""
+    return mask.to_bytes(n, "little").translate(_TO_TEXT).decode()
+
+
+def _sort_key(mask: int, n: int) -> tuple:
+    """The canonical gallery order: grade first, then on-positions as early
+    as possible."""
+    return (mask.bit_count(), mask.to_bytes(n, "little").translate(_FLIP))
 
 
 class Gallery:
@@ -96,12 +114,7 @@ class Gallery:
 
     @classmethod
     def from_string(cls, text: str) -> "Gallery":
-        if not text or text.strip("01"):
-            raise ValueError(f"not a gallery bit string: {_quoted(text)}")
-        g = cls.__new__(cls)  # inline: class documents read one per coordinate
-        g.mask = int.from_bytes(text.encode().translate(_FROM_TEXT), "little")
-        g.n = len(text)
-        return g
+        return cls._of_mask(_mask_of(text), len(text))
 
     @classmethod
     def zero(cls, n: int) -> "Gallery":
@@ -138,8 +151,7 @@ class Gallery:
         return not self.mask & ~other.mask
 
     def sort_key(self) -> tuple:
-        # grade first, then on-positions as early as possible
-        return (self.mask.bit_count(), self.mask.to_bytes(self.n, "little").translate(_FLIP))
+        return _sort_key(self.mask, self.n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gallery):
@@ -150,7 +162,7 @@ class Gallery:
         return hash(self.mask)
 
     def __str__(self) -> str:
-        return self.mask.to_bytes(self.n, "little").translate(_TO_TEXT).decode()
+        return _text(self.mask, self.n)
 
     def __repr__(self) -> str:
         return f"Gallery({self})"
@@ -205,6 +217,8 @@ class BSWord:
         ]
 
     def check_gallery(self, e: Gallery) -> None:
+        if not isinstance(e, Gallery):
+            raise ValueError(f"{_quoted(e)} is not a Gallery")
         if e.n != self.n:
             raise LengthMismatch(
                 f"gallery of length {e.n} against a word of length {self.n}"
@@ -232,47 +246,74 @@ class BSWord:
 
 class _GalleryClass:
     """What the two kinds of class over galleries share: a word and the
-    nonzero coordinates of the class, one per gallery.  A subclass says how
-    one coefficient is read (``_read``, ``None`` when it is zero) and
-    written in a class document (``_json``)."""
+    nonzero coordinates of the class, one per gallery, stored by the
+    gallery's mask.  A subclass says how one coefficient is read (``_read``,
+    ``None`` when it is zero) and written in a class document (``_json``)."""
 
-    __slots__ = ("word", "coords")
+    __slots__ = ("word", "_by_mask")
 
     def __init__(self, word: BSWord, coords: dict):
-        self.word = word
-        clean, read = {}, self._read
+        """The class of ``word`` with the coefficients of ``coords``, keyed
+        by ``Gallery``; each key is checked against the word and each
+        coefficient read, a zero dropped."""
+        by_mask = {}
         for e, c in coords.items():
             word.check_gallery(e)
+            by_mask[e.mask] = c
+        self.word, self._by_mask = word, self._read_all(word, by_mask)
+
+    @classmethod
+    def _of_masks(cls, word: BSWord, by_mask: dict):
+        """The class of ``word`` with these coefficients, taken as they are:
+        keyed by masks of the word's galleries, each read and nonzero."""
+        c = cls.__new__(cls)
+        c.word, c._by_mask = word, by_mask
+        return c
+
+    @classmethod
+    def _read_all(cls, word: BSWord, by_mask: dict) -> dict:
+        """The coefficients keyed by mask, each read by ``_read``; a zero is
+        dropped."""
+        clean, read = {}, cls._read
+        for m, c in by_mask.items():
             c = read(word, c)
             if c is not None:
-                clean[e] = c
-        self.coords = clean
+                clean[m] = c
+        return clean
 
     @classmethod
     def zero(cls, word: BSWord):
-        return cls(word, {})
+        return cls._of_masks(word, {})
+
+    @property
+    def coords(self) -> dict:
+        """The coefficients keyed by ``Gallery``: a new dict on each read,
+        so writing into it leaves the class as it was."""
+        n = self.word.n
+        return {Gallery._of_mask(m, n): c for m, c in self._by_mask.items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self.coords
+        return not self._by_mask
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         if self.word != other.word:
             raise WordMismatch("classes over different words")
-        out = dict(self.coords)
-        for e, c in other.coords.items():
-            out[e] = out.get(e, 0) + c
-        return type(self)(self.word, out)
+        out = dict(self._by_mask)
+        for m, c in other._by_mask.items():
+            out[m] = out.get(m, 0) + c
+        return self._of_masks(self.word, self._read_all(self.word, out))
 
     def scaled(self, c):
-        return type(self)(self.word, {e: p * c for e, p in self.coords.items()})
+        word = self.word
+        return self._of_masks(word, self._read_all(word, {m: p * c for m, p in self._by_mask.items()}))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.word == other.word and self.coords == other.coords
+        return self.word == other.word and self._by_mask == other._by_mask
 
     __hash__ = None
 
@@ -280,13 +321,16 @@ class _GalleryClass:
         return f"{type(self).__name__}({self})"
 
     def _items(self) -> list:
-        """The coordinates in the canonical gallery order."""
-        return sorted(self.coords.items(), key=lambda kv: kv[0].sort_key())
+        """The coordinates in the canonical gallery order, each gallery as
+        its text."""
+        n = self.word.n
+        pairs = sorted(self._by_mask.items(), key=lambda kv: _sort_key(kv[0], n))
+        return [(_text(m, n), c) for m, c in pairs]
 
     def to_json_dict(self) -> dict:
         return {
             "word": list(self.word.letters),
-            "coords": {str(e): self._json(c) for e, c in self._items()},
+            "coords": {e: self._json(c) for e, c in self._items()},
         }
 
 
@@ -314,7 +358,7 @@ class CohClass(_GalleryClass):
         one = Polynomial.__new__(Polynomial)
         one.rank, one.terms = word.rs.rank, {word.rs._constant: 1}
         c = cls.__new__(cls)
-        c.word, c.coords = word, {e: one}
+        c.word, c._by_mask = word, {e.mask: one}
         return c
 
     @classmethod
@@ -342,14 +386,12 @@ class CohClass(_GalleryClass):
         cls, rs: RootSystem, doc: dict, cap: int = DEFAULT_GALLERY_CAP
     ) -> "CohClass":
         word, items = read_class_doc(rs, doc, cap)
-        rank, coords = rs.rank, {}
-        for e, v in items:
+        rank, by_mask = rs.rank, {}
+        for m, v in items:
             p = parse_polynomial(v, rank) if isinstance(v, str) else Polynomial.constant(rank, v)
             if p.terms:
-                coords[e] = p
-        c = cls.__new__(cls)  # inline, as in ``basis``: read_class_doc checked the galleries
-        c.word, c.coords = word, coords
-        return c
+                by_mask[m] = p
+        return cls._of_masks(word, by_mask)
 
 
 _JSON_KINDS = {
@@ -363,13 +405,13 @@ _JSON_KINDS = {
 
 def read_class_doc(
     rs: RootSystem, doc, cap: int = DEFAULT_GALLERY_CAP
-) -> tuple[BSWord, list[tuple[Gallery, int | str]]]:
+) -> tuple[BSWord, list[tuple[int, int | str]]]:
     """Validate a JSON class document ``{"word": [..], "coords": {bits: c}}``.
 
-    Returns the word and the ``(gallery, coefficient)`` pairs in document
-    order, each coefficient still an ``int`` or the text to parse.  Floats
-    and booleans are refused: a float is not exact, and JSON ``true`` is not
-    a number.  A gallery of the wrong length is reported once every
+    Returns the word and the ``(mask of the gallery, coefficient)`` pairs in
+    document order, each coefficient still an ``int`` or the text to parse.
+    Floats and booleans are refused: a float is not exact, and JSON ``true``
+    is not a number.  A gallery of the wrong length is reported once every
     coefficient has passed, the first in document order.
     """
     if not isinstance(doc, dict) or "word" not in doc or "coords" not in doc:
@@ -388,12 +430,12 @@ def read_class_doc(
                 f"coefficient of {_quoted(bits)} is {kind}, not a string or an integer"
                 " (write rationals as 'p/q')"
             )
-        e = Gallery.from_string(bits)
-        if e.n != n and wrong is None:
-            wrong = e
-        items.append((e, value))
+        mask = _mask_of(bits)
+        if len(bits) != n and wrong is None:
+            wrong = len(bits)
+        items.append((mask, value))
     if wrong is not None:
-        word.check_gallery(wrong)
+        word.check_gallery(Gallery.zero(wrong))  # the message reads the length alone
     return word, items
 
 
@@ -409,8 +451,7 @@ def _walk(word: BSWord, classes=(), low: int = 0, high: int | None = None) -> tu
     rs = word.rs
     high = int.from_bytes(b"\1" * word.n, "little") if high is None else high
     one, weights, forms, values = {rs._constant: 1}, {}, {}, {}
-    live = [[(e.mask, p, None) for e, p in c.coords.items() if not e.mask & ~high]
-            for c in classes]
+    live = [[(m, p, None) for m, p in c._by_mask.items() if not m & ~high] for c in classes]
     if not all(live):
         return weights, values
     # per on position of high: its bit, its letter, and whether a later
@@ -499,8 +540,8 @@ def _butterfly(
 
 
 def _class_of(word: BSWord, values: dict[int, Polynomial], weights: dict) -> CohClass:
-    coords = _butterfly(word, values, range(1, word.n + 1), weights)
-    return CohClass(word, {Gallery._of_mask(b, word.n): p for b, p in coords.items()})
+    # the butterfly keeps no zero
+    return CohClass._of_masks(word, _butterfly(word, values, range(1, word.n + 1), weights))
 
 
 def expand(word: BSWord, values: dict[Gallery, Polynomial]) -> CohClass:
@@ -561,21 +602,28 @@ def _packing(rs: RootSystem, top: int) -> tuple[int, tuple[int, ...], dict]:
     return size, *packing
 
 
-def _unpack(p: dict, rank: int, size: int, keys: dict) -> dict:
-    """The nonzero terms of a packed polynomial on exponent tuples, integral
-    coefficients as ``int``.  Each tuple is read from ``keys``, the table of
+def _unpack(packed: dict, rank: int, size: int, keys: dict) -> dict:
+    """The packed polynomials, each under its key, as ``Polynomial``s on
+    exponent tuples, integral coefficients as ``int``; one whose terms all
+    cancelled is left out.  Each tuple is read from ``keys``, the table of
     its width, or from the bytes, then kept there up to ``MEMO_MAX_ENTRIES``."""
-    n, terms = rank * size, {}
-    for m, c in p.items():
-        if c:  # terms that cancelled are still there, at zero
-            key = keys.get(m)
-            if key is None:
-                b = m.to_bytes(n, "little")
-                key = tuple(int.from_bytes(b[k : k + size], "little") for k in range(0, n, size))
-                if len(keys) < rootsystem.MEMO_MAX_ENTRIES:
-                    keys[m] = key
-            terms[key] = c if type(c) is int or c.denominator != 1 else c.numerator
-    return terms
+    n, out = rank * size, {}
+    for at, p in packed.items():
+        terms = {}
+        for m, c in p.items():
+            if c:  # terms that cancelled are still there, at zero
+                key = keys.get(m)
+                if key is None:
+                    b = m.to_bytes(n, "little")
+                    key = tuple(int.from_bytes(b[k : k + size], "little") for k in range(0, n, size))
+                    if len(keys) < rootsystem.MEMO_MAX_ENTRIES:
+                        keys[m] = key
+                terms[key] = c if type(c) is int or c.denominator != 1 else c.numerator
+        if terms:
+            poly = Polynomial.__new__(Polynomial)
+            poly.rank, poly.terms = rank, terms
+            out[at] = poly
+    return out
 
 
 _ONE = {0: 1}  # the packed constant 1, only ever compared
@@ -590,9 +638,10 @@ def multiply(c1: CohClass, c2: CohClass) -> CohClass:
     position order, and multiply by ``q`` unless it is 1.  This is exact: the
     rule at bit i reads only the bits below i, and its corrections add only
     off bits below i."""
-    word, rs = c1.word, c1.word.rs
+    word = c1.word
     if c2.word is not word and c2.word != word:
         raise WordMismatch("classes over different words")
+    rs = word.rs
     # one pass per factor for its masks and its degree (a generator raises
     # the degree by at most one); a constant coordinate packs as ``{0: c}``
     # at every width, any other once the width is known
@@ -600,7 +649,7 @@ def multiply(c1: CohClass, c2: CohClass) -> CohClass:
     const, factors = rs._constant, []
     for c in (c1, c2):
         degree, packed = 0, []
-        for e, p in c.coords.items():
+        for a, p in c._by_mask.items():
             t = p.terms
             if len(t) == 1 and const in t:
                 t = {0: t[const]}
@@ -608,10 +657,11 @@ def multiply(c1: CohClass, c2: CohClass) -> CohClass:
                 for m in t:
                     if sum(m) > degree:
                         degree = sum(m)
-            packed.append((e.mask, t))
+            packed.append((a, t))
         top += degree
         factors.append(packed)
-    size, units, keys = _packing(rs, top)
+    size = (top.bit_length() + 7) // 8 or 1  # as ``_packing`` finds it, on a new width only
+    units, keys = rs._packings.get(size) or _packing(rs, top)[1:]
     if top > n:  # packed keys are ints, exponent tuples are not
         factors = [[(a, t if 0 in t else {sum(map(mul, m, units)): v for m, v in t.items()})
                     for a, t in packed] for packed in factors]
@@ -651,14 +701,8 @@ def multiply(c1: CohClass, c2: CohClass) -> CohClass:
                     for m, v in p.items():
                         m += mq
                         d[m] = d.get(m, 0) + v * c
-    rank, coords = rs.rank, {}
-    for mask, p in out.items():
-        if terms := _unpack(p, rank, size, keys):
-            e, poly = Gallery.__new__(Gallery), Polynomial.__new__(Polynomial)
-            e.mask, e.n, poly.rank, poly.terms = mask, n, rank, terms
-            coords[e] = poly
-    product = CohClass.__new__(CohClass)
-    product.word, product.coords = word, coords
+    product = CohClass.__new__(CohClass)  # inline, as in ``basis``
+    product.word, product._by_mask = word, _unpack(out, rs.rank, size, keys)
     return product
 
 
@@ -725,7 +769,7 @@ def integrate(word: BSWord, e: Gallery, c: CohClass) -> Polynomial:
         word.check_gallery(e)
     if c.word is not word and c.word != word:
         raise WordMismatch("class over a different word")
-    p = c.coords.get(e)
+    p = c._by_mask.get(e.mask)
     return p if p is not None else Polynomial.zero(word.rs.rank)
 
 

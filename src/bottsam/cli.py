@@ -40,6 +40,7 @@ EXIT_INTERNAL = 3
 
 TABLE_MAX_LETTERS = 12
 USAGE_LINE_MAX = 300
+FILE_NAME_MAX = 120  # characters of a file name's repr in a refusal
 
 INTERNAL_ERRORS = (NotInSpan, NotDivisible)
 
@@ -80,6 +81,19 @@ class _Parser(argparse.ArgumentParser):
         if len(line) > USAGE_LINE_MAX:
             line = line[: USAGE_LINE_MAX - 3] + "..."
         self.exit(EXIT_USER, line + "\n")
+
+
+def _os_error(exc: OSError) -> str:
+    """An ``OSError`` as Python writes it, with the ``repr`` of a long file
+    name cut in the middle: its head and its tail, which names the file at
+    the end of a path, are kept."""
+    if exc.filename is None:
+        return str(exc)
+    name = repr(exc.filename)
+    if len(name) > FILE_NAME_MAX:
+        half = FILE_NAME_MAX // 2
+        name = f"{name[:half]}...{name[-half:]}"
+    return f"[Errno {exc.errno}] {exc.strerror}: {name}"
 
 
 def _int_option(text: str) -> int:
@@ -394,7 +408,8 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (BottsamError, ValueError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        message = _os_error(exc) if isinstance(exc, OSError) else exc
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_USER
 
 

@@ -22,6 +22,7 @@ from .bott_samelson import (
     Gallery,
     _GalleryClass,
     _generator,
+    _text,
     read_class_doc,
 )
 
@@ -91,13 +92,13 @@ class OrdinaryClass(_GalleryClass):
         if e.n != word.n:
             word.check_gallery(e)
         c = cls.__new__(cls)  # inline: one per factor of a product
-        c.word, c.coords = word, {e: 1}
+        c.word, c._by_mask = word, {e.mask: 1}
         return c
 
     def __str__(self) -> str:
         parts: list[str] = []
         for e, c in self._items():
-            if e.ones == 0:
+            if "1" not in e:
                 body = str(abs(c))
             else:
                 body = f"x_{{{e}}}"
@@ -116,15 +117,15 @@ class OrdinaryClass(_GalleryClass):
         """Read a class document; a text coefficient is a constant in the
         polynomial grammar of :func:`~bottsam.polyring.parse_polynomial`."""
         word, items = read_class_doc(rs, doc, cap)
-        coords = {}
-        for e, v in items:
+        by_mask = {}
+        for m, v in items:
             if isinstance(v, str):
                 p = parse_polynomial(v, rs.rank)
-                if any(any(m) for m in p.terms):
-                    raise ValueError(f"coefficient of {e} is not a constant: {_quoted(v)}")
+                if any(any(exp) for exp in p.terms):
+                    raise ValueError(f"coefficient of {_text(m, word.n)} is not a constant: {_quoted(v)}")
                 v = p.constant_term()
-            coords[e] = v
-        return cls(word, coords)
+            by_mask[m] = v
+        return cls._of_masks(word, cls._read_all(word, by_mask))
 
 
 def ordinary_multiply(c1: OrdinaryClass, c2: OrdinaryClass) -> OrdinaryClass:
@@ -157,10 +158,8 @@ def ordinary_multiply(c1: OrdinaryClass, c2: OrdinaryClass) -> OrdinaryClass:
     n = word.n
     gens, spill, acc = word._generators, {}, {}
     full = ((1 << 8 * n) - 1) // 255  # every position on
-    for e2, q2 in c2.coords.items():
-        b = e2.mask
-        for e1, q1 in c1.coords.items():
-            a = e1.mask
+    for b, q2 in c2._by_mask.items():
+        for a, q1 in c1._by_mask.items():
             overlap = a & b
             off, t, rest = full ^ (a | b), 0, overlap
             while rest:  # the zero test
@@ -182,14 +181,9 @@ def ordinary_multiply(c1: OrdinaryClass, c2: OrdinaryClass) -> OrdinaryClass:
                 q = q1 * q2
                 for m, c in cur.items():
                     acc[m] = acc.get(m, 0) + q * c
-    coords = {}
-    for m, c in acc.items():
-        if c:
-            e = Gallery.__new__(Gallery)
-            e.mask, e.n = m, n
-            coords[e] = c if type(c) is int else exact(c)
-    product = OrdinaryClass.__new__(OrdinaryClass)
-    product.word, product.coords = word, coords
+    product = OrdinaryClass.__new__(OrdinaryClass)  # inline, as in ``multiply``
+    product.word = word
+    product._by_mask = {m: c if type(c) is int else exact(c) for m, c in acc.items() if c}
     return product
 
 
@@ -199,6 +193,7 @@ def evaluate_at_origin(c: CohClass) -> OrdinaryClass:
     A ring homomorphism onto ordinary cohomology: products computed
     equivariantly and then evaluated agree with :func:`ordinary_multiply`.
     """
-    return OrdinaryClass(
-        c.word, {e: p.constant_term() for e, p in c.coords.items()}
+    word = c.word
+    return OrdinaryClass._of_masks(
+        word, OrdinaryClass._read_all(word, {m: p.constant_term() for m, p in c._by_mask.items()})
     )

@@ -12,7 +12,7 @@ usual Bourbaki numbering of Dynkin diagrams.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import MAX_DIGITS, IndexOutOfRange, InvalidCartan, NotFiniteType, _quoted
 from .errors import NotInWeylGroup, RankMismatch, _named

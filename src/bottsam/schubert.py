@@ -175,9 +175,8 @@ def billey(q: BilleyQuery) -> Polynomial:
                 for p, b in form:
                     m = mono + p
                     acc[m] = acc.get(m, 0) + c * b
-    value = Polynomial.__new__(Polynomial)
-    value.rank, value.terms = rank, _unpack(states[0] or {}, rank, size, keys)
-    return value
+    value = _unpack({0: states[0] or {}}, rank, size, keys)
+    return value[0] if value else Polynomial.zero(rank)
 
 
 def fiber(word: BSWord, w: WeylElement) -> set[Gallery]:
@@ -216,7 +215,8 @@ def check_billey_identities(
         )
     rs.length(w)  # an element of another rank or group raises
     walk = _reduced_walk(word)
-    fib = CohClass(word, {Gallery._of_mask(m, n): 1 for m, rows in walk if rows == w.rows})
+    one = Polynomial.one(rs.rank)  # the fiber sum is read here alone: its coordinates share it
+    fib = CohClass._of_masks(word, {m: one for m, rows in walk if rows == w.rows})
     if galleries is None:
         galleries = sorted((Gallery._of_mask(m, n) for m, _ in walk), key=Gallery.sort_key)
         v_words = [tuple(word.letters[i - 1] for i in e.support) for e in galleries]

@@ -194,6 +194,16 @@ def check_reduced_word_independence() -> CheckResult:
     )
 
 
+def _origin_words() -> list[tuple[RootSystem, SimpleWord]]:
+    """The prefixes of up to four letters of the longest words of A2 and B2."""
+    out: list[tuple[RootSystem, SimpleWord]] = []
+    for label in ("A2", "B2"):
+        rs = RootSystem.from_label(label)
+        w0 = rs.longest_word()
+        out += [(rs, w0[:n]) for n in range(1, min(4, len(w0)) + 1)]
+    return out
+
+
 def check_origin_homomorphism() -> CheckResult:
     """Evaluating localization products at the origin agrees with the
     square-free product, for all basis pairs of short prefixes of the
@@ -202,24 +212,21 @@ def check_origin_homomorphism() -> CheckResult:
     t0 = time.perf_counter()
     failures: list[str] = []
     pairs = 0
-    for label in ("A2", "B2"):
-        rs = RootSystem.from_label(label)
-        w0 = rs.longest_word()
-        for n in range(1, min(4, len(w0)) + 1):
-            word = BSWord(rs, w0[:n])
-            gals = word.galleries()
-            for e1 in gals:
-                c1 = CohClass.basis(word, e1)
-                x1 = OrdinaryClass.basis(word, e1)
-                for e2 in gals:
-                    pairs += 1
-                    c2 = CohClass.basis(word, e2)
-                    lhs = evaluate_at_origin(multiply_by_localization(c1, c2))
-                    rhs = ordinary_multiply(x1, OrdinaryClass.basis(word, e2))
-                    if lhs != rhs:
-                        failures.append(
-                            f"{label} prefix {n}: {e1} times {e2}: {lhs} vs {rhs}"
-                        )
+    for rs, letters in _origin_words():
+        word = BSWord(rs, letters)
+        gals = word.galleries()
+        for e1 in gals:
+            c1 = CohClass.basis(word, e1)
+            x1 = OrdinaryClass.basis(word, e1)
+            for e2 in gals:
+                pairs += 1
+                c2 = CohClass.basis(word, e2)
+                lhs = evaluate_at_origin(multiply_by_localization(c1, c2))
+                rhs = ordinary_multiply(x1, OrdinaryClass.basis(word, e2))
+                if lhs != rhs:
+                    failures.append(
+                        f"{rs.label} prefix {word.n}: {e1} times {e2}: {lhs} vs {rhs}"
+                    )
     return _finish("evaluation at the origin", t0, failures, f"{pairs} pairs")
 
 
@@ -236,26 +243,34 @@ def _random_polynomial(rng: random.Random, rank: int) -> Polynomial:
     return Polynomial(rank, {e: c for e, c in terms.items() if c})
 
 
-def check_expansion_roundtrip(seed: int = 0) -> CheckResult:
-    """Expanding the restriction of a random class recovers the class."""
-    t0 = time.perf_counter()
-    failures: list[str] = []
+def _roundtrip_classes(seed: int) -> list[CohClass]:
+    """200 random classes over random words of one to five letters."""
     rng = random.Random(seed + 6)
     labels = ("A1", "A2", "B2", "A3", "G2")
-    for case in range(200):
+    out = []
+    for _ in range(200):
         rs = RootSystem.from_label(rng.choice(labels))
         length = rng.randint(1, 5)
-        letters = tuple(rng.randint(1, rs.rank) for _ in range(length))
-        word = BSWord(rs, letters)
+        word = BSWord(rs, tuple(rng.randint(1, rs.rank) for _ in range(length)))
         coords = {}
         for e in word.galleries():
             if rng.random() < 0.35:
                 coords[e] = _random_polynomial(rng, rs.rank)
-        c = CohClass(word, coords)
+        out.append(CohClass(word, coords))
+    return out
+
+
+def check_expansion_roundtrip(seed: int = 0) -> CheckResult:
+    """Expanding the restriction of a random class recovers the class."""
+    t0 = time.perf_counter()
+    failures: list[str] = []
+    classes = _roundtrip_classes(seed)
+    for case, c in enumerate(classes):
+        word = c.word
         back = expand(word, {e: c.restriction(e) for e in word.galleries()})
         if back != c:
-            failures.append(f"case {case}: {rs.label} {letters}")
-    return _finish("expansion roundtrip", t0, failures, "200 random classes")
+            failures.append(f"case {case}: {word.rs.label} {word.letters}")
+    return _finish("expansion roundtrip", t0, failures, f"{len(classes)} random classes")
 
 
 def golden_a2_sections() -> str:

@@ -70,3 +70,28 @@ def test_criterion_2_fails_on_a_multiply_off_by_one_class(monkeypatch):
     result = selftest.check_generator_products(seed=0)
     assert not result.passed
     assert result.detail.startswith("2 products; A1 (1,): generator 1 times 0: ")
+
+
+def test_criterion_5_fails_on_an_ordinary_product_with_its_sign_flipped(monkeypatch):
+    from bottsam import RootSystem, ordinary_multiply
+
+    monkeypatch.setattr(selftest, "ordinary_multiply",
+                        lambda left, right: ordinary_multiply(left, right).scaled(-1))
+    monkeypatch.setattr(selftest, "_origin_words", lambda: [(RootSystem.from_label("A1"), (1,))])
+    result = selftest.check_origin_homomorphism()
+    assert not result.passed
+    assert result.detail.startswith("4 pairs; A1 prefix 1: 0 times 0: 1 vs -1; ")
+
+
+def test_criterion_6_fails_on_an_expand_that_drops_a_coordinate(monkeypatch):
+    from bottsam import BSWord, CohClass, RootSystem, expand
+
+    monkeypatch.setattr(
+        selftest, "expand",
+        lambda word, values: CohClass(word, dict(list(expand(word, values).coords.items())[1:])),
+    )
+    word = BSWord(RootSystem.from_label("A1"), (1,))
+    monkeypatch.setattr(selftest, "_roundtrip_classes", lambda seed: [CohClass.unit(word)])
+    result = selftest.check_expansion_roundtrip(seed=0)
+    assert not result.passed
+    assert result.detail == "1 random classes; case 0: A1 (1,)"

@@ -187,6 +187,25 @@ def test_both_kinds_of_class_share_equality_and_sums(kind):
     assert all(total.coords[e] is not c for e, c in y.coords.items())
 
 
+@pytest.mark.parametrize("kind", [CohClass, OrdinaryClass], ids=lambda kind: kind.__name__)
+def test_coords_is_a_new_view_keyed_by_gallery(kind):
+    """A class keeps its coefficients by gallery mask; ``coords`` builds a
+    new dict keyed by ``Gallery`` on each read, so writing into it leaves
+    the class as it was."""
+    word = word121()
+    one = p("1") if kind is CohClass else 1
+    c = kind(word, {g("100"): one, g("011"): one})
+    view = c.coords
+    assert view == {g("100"): one, g("011"): one}
+    assert all(type(e) is Gallery and e.n == 3 for e in view)
+    assert c.coords is not view
+    view[g("111")] = one
+    del view[g("100")]
+    assert c == kind(word, {g("100"): one, g("011"): one})
+    assert str(c) == str(kind(word, {g("011"): one, g("100"): one}))
+    assert sorted(map(str, c.coords)) == ["011", "100"]
+
+
 def test_expand_recovers_basis_square():
     word = word121()
     base = CohClass.basis(word, g("001"))

@@ -493,6 +493,27 @@ def test_long_numbers_are_refused_in_one_short_line(capsys, tmp_path):
         assert run(capsys, *argv) == (2, "", "error: ValueError: exponent of more than 4300 digits\n")
 
 
+TAIL = "tail-of-the-name.txt"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--type", "A2", "--word", "1,2,1", "integrate", "111", "--class", "x" * 4980 + TAIL],
+    ["--cartan", "y" * 4980 + TAIL, "roots"],
+], ids=["class-file", "cartan-file"])
+def test_a_long_file_name_is_refused_in_one_bounded_line(capsys, argv):
+    """A file name of 5 000 characters that cannot be opened is named by
+    its head and its tail, in one line of at most USAGE_LINE_MAX
+    characters."""
+    from bottsam.cli import USAGE_LINE_MAX
+
+    name = next(a for a in argv if a.endswith(TAIL))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: OSError: [Errno ") and err.count("\n") == 1
+    assert len(err) - 1 <= USAGE_LINE_MAX
+    assert f"{name[-20:]}'" in err
+
+
 def test_cap_and_seed_keep_their_sign(capsys):
     from bottsam.cli import build_parser
 

@@ -35,10 +35,20 @@ def test_cli_import_loads_only_the_direct_imports():
     listing = "; import sys; print(*sorted(sys.modules))"
     cli = set(fresh_interpreter("import bottsam.cli" + listing).split())
     # the standard-library modules the package imports directly
-    direct = "import __future__, argparse, fractions, itertools, json, operator, re, typing"
+    direct = "import __future__, argparse, collections.abc, fractions, itertools, json, operator, re"
     baseline = set(fresh_interpreter(direct + listing).split())
     extra = {m for m in cli - baseline if m != "bottsam" and not m.startswith("bottsam.")}
     assert not extra
+
+
+def test_cli_import_leaves_typing_out():
+    """The annotations name ``collections.abc`` types and are never
+    evaluated; ``-S`` keeps ``site`` from loading ``typing`` first."""
+    code = "import sys, bottsam.cli; print('typing' in sys.modules)"
+    src = str(Path(bottsam.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_import_builds_no_root_system():

@@ -6,11 +6,12 @@ import time
 
 import pytest
 
-from bottsam import BSWord, Gallery, Polynomial, RootSystem
-from bottsam.errors import IndexOutOfRange, InvalidCartan, NotFiniteType, RankMismatch
+from bottsam import BSWord, CohClass, Gallery, OrdinaryClass, Polynomial, RootSystem
+from bottsam.errors import IndexOutOfRange, InvalidCartan, LengthMismatch, NotFiniteType, RankMismatch
 
 A2 = RootSystem.from_label("A2")
 HUGE = 10**5000
+WORD = BSWord(A2, (1, 2, 1))
 
 # (id, the call, the exception it raises)
 HOSTILE = [
@@ -27,6 +28,16 @@ HOSTILE = [
     ("long-exponent-key", lambda: Polynomial(2, {(1,) * 100_000: 1}), RankMismatch),
     ("huge-exponent", lambda: Polynomial(2, {(HUGE, -1): 1}), ValueError),
     ("text-coefficient", lambda: Polynomial(2, {(1, 0): "x" * 100_000}), ValueError),
+] + [
+    (f"{kind.__name__}-{case}", lambda kind=kind, coords=coords: kind(WORD, coords), error)
+    for kind in (CohClass, OrdinaryClass)
+    for case, coords, error in [
+        ("tuple-key", {(1, 0, 1): 1}, ValueError),
+        ("text-key", {"101": 1}, ValueError),
+        ("key-of-the-wrong-length", {Gallery((1, 0)): 1}, LengthMismatch),
+        ("float-coefficient", {Gallery((1, 0, 1)): 1.5}, ValueError),
+        ("text-coefficient", {Gallery((1, 0, 1)): "x" * 100_000}, ValueError),
+    ]
 ]
 
 
