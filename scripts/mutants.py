@@ -51,6 +51,10 @@ CRITERION_5 = "tests/test_acceptance.py::test_criterion_5_fails_on_an_ordinary_p
 CRITERION_6 = "tests/test_acceptance.py::test_criterion_6_fails_on_an_expand_that_drops_a_coordinate"
 VIEW = "tests/test_bott_samelson.py::test_coords_is_a_new_view_keyed_by_gallery"
 HOSTILE = "tests/test_refusals.py::test_hostile_values_are_refused_in_one_short_line"
+CRITERION_3 = "tests/test_acceptance.py::test_criterion_3_fails_on_a_billey_with_its_betas_reversed"
+CRITERION_4 = "tests/test_acceptance.py::test_criterion_4_fails_on_a_billey_that_depends_on_the_reduced_word"
+CRITERION_7 = "tests/test_acceptance.py::test_criterion_7_fails_on_a_stored_golden_file_with_one_changed_line"
+CANCEL = "tests/test_ordinary.py::test_a_product_whose_terms_cancel_is_zero_and_integral_sums_are_ints"
 
 # (name, file under src/bottsam, exact text, replacement, node ids)
 MUTANTS = [
@@ -80,10 +84,16 @@ MUTANTS = [
      BILLEY_LOOP, "for i, form in zip(q.v_word[1:], forms[1:]):", [CHEVALLEY, FIBER_SUM]),
     ("billey: betas reversed", "schubert.py",
      BILLEY_LOOP, "for i, form in zip(q.v_word, forms[::-1]):", [CHEVALLEY, FIBER_SUM]),
-    # billey and multiply leave their packed monomials through one exit
-    ("unpack: odd degrees negated, in billey and multiply", "bott_samelson.py",
-     "terms[key] = c if", "terms[key] = -c if sum(key) % 2 else c if",
-     [CHEVALLEY, FIBER_SUM, WIDE_DEGREES]),
+    # billey builds its one value itself, reading the exponent tuples of
+    # its width from the table that multiply's exit reads and fills
+    ("billey: odd degrees negated at its exit", "schubert.py",
+     "        terms[key] = c\n", "        terms[key] = -c if sum(key) % 2 else c\n",
+     [CHEVALLEY, FIBER_SUM]),
+    ("billey: the table of exponent tuples grows past its bound", "schubert.py",
+     "            if len(keys) < rootsystem.MEMO_MAX_ENTRIES:\n",
+     "            if True:\n", [EXPONENT_TABLES]),
+    ("unpack: odd degrees negated, in multiply", "bott_samelson.py",
+     "terms[key] = c if", "terms[key] = -c if sum(key) % 2 else c if", [WIDE_DEGREES]),
     ("unpack: only the low byte of each exponent read", "bott_samelson.py",
      'int.from_bytes(b[k : k + size], "little")', "b[k]", [TWO_BYTES, WIDE_DEGREES]),
     ("unpack: one table of exponent tuples for every width", "bott_samelson.py",
@@ -115,6 +125,11 @@ MUTANTS = [
     ("ordinary: zero test one short", "ordinary.py",
      "bit_count() < t", "bit_count() <= t",
      ["tests/test_ordinary.py::test_two_step_rewriting", f"{ZERO_TEST}[A2]"]),
+    # a non-empty product is read: cancelled terms dropped, integral
+    # Fractions made ints
+    ("ordinary: the raw accumulator kept for a non-empty product", "ordinary.py",
+     "        acc = {m: c if type(c) is int else exact(c) for m, c in acc.items() if c}\n",
+     "        pass\n", [CANCEL]),
     ("ordinary: zero test counts the off positions above", "ordinary.py",
      "off & (bit - 1)", "off & ~(bit - 1)", [f"{ZERO_TEST}[A2]", f"{ZERO_TEST}[A3]"]),
     # a term of unit coefficient joins the product as it is, copied when a
@@ -163,15 +178,23 @@ MUTANTS = [
      "if direct != generic:", "if False:", [CRITERION_2]),
     ("selftest: criterion 2 compares multiply with itself", "selftest.py",
      "generic = _class_of(word, values, weights)", "generic = direct", [CRITERION_2]),
+    ("selftest: criterion 3 never reports a failure", "selftest.py",
+     "if not ok:", "if False:", [CRITERION_3]),
+    ("selftest: criterion 4 never reports a failure", "selftest.py",
+     "if billey(BilleyQuery(rs, w, other)) != reference:", "if False:", [CRITERION_4]),
     ("selftest: criterion 5 never reports a failure", "selftest.py",
      "if lhs != rhs:", "if False:", [CRITERION_5]),
     ("selftest: criterion 6 never reports a failure", "selftest.py",
      "if back != c:", "if False:", [CRITERION_6]),
+    ("selftest: criterion 7 never reports a failure", "selftest.py",
+     "if fresh != stored:", "if False:", [CRITERION_7]),
     ("refusal: an unknown type label quoted whole", "rootsystem.py",
      "{_quoted(label)}", "{label!r}", [f"{HOSTILE}[from_label]"]),
     ("refusal: a text that is no gallery quoted whole", "bott_samelson.py",
      "not a gallery bit string: {_quoted(text)}", "not a gallery bit string: {text!r}",
      [f"{HOSTILE}[from_string]"]),
+    ("refusal: a polynomial that is not divisible quoted whole", "polyring.py",
+     "{_cut(str(p))} is not divisible", "{p} is not divisible", [f"{HOSTILE}[not-divisible]"]),
 ]
 
 

@@ -592,8 +592,8 @@ def _generator(word: BSWord, key: int, spill: dict) -> tuple[tuple, tuple]:
 # ``size`` bytes each (``units``), so ``int.to_bytes`` reads them back.
 def _packing(rs: RootSystem, top: int) -> tuple[int, tuple[int, ...], dict]:
     """The bytes per exponent that hold ``top``, each variable's unit, and
-    the table of exponent tuples :func:`_unpack` reads at that width, kept
-    in ``rs`` per width."""
+    the table of exponent tuples :func:`_unpack` and ``billey`` read at that
+    width, kept in ``rs`` per width."""
     size = (top.bit_length() + 7) // 8 or 1
     packing = rs._packings.get(size)
     if packing is None:

@@ -38,13 +38,17 @@ class _Short(reprlib.Repr):
 _SHORT = _Short()
 
 
+def _cut(text: str) -> str:
+    """``text`` for a one-line message, cut after 40 characters."""
+    return text if len(text) <= 40 else f"{text[:40]}..."
+
+
 def _quoted(value: object) -> str:
     """``repr(value)`` for a one-line message, cut after 40 characters (of
     the text itself, for a text, and of its short ``repr`` otherwise)."""
     if isinstance(value, str):
         return repr(value) if len(value) <= 40 else f"{value[:40]!r}..."
-    text = _SHORT.repr(value)
-    return text if len(text) <= 40 else f"{text[:40]}..."
+    return _cut(_SHORT.repr(value))
 
 
 def _named(noun: str, number: int) -> str:

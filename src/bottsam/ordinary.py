@@ -183,7 +183,9 @@ def ordinary_multiply(c1: OrdinaryClass, c2: OrdinaryClass) -> OrdinaryClass:
                     acc[m] = acc.get(m, 0) + q * c
     product = OrdinaryClass.__new__(OrdinaryClass)  # inline, as in ``multiply``
     product.word = word
-    product._by_mask = {m: c if type(c) is int else exact(c) for m, c in acc.items() if c}
+    if acc:  # empty when the zero test skipped every pair
+        acc = {m: c if type(c) is int else exact(c) for m, c in acc.items() if c}
+    product._by_mask = acc
     return product
 
 

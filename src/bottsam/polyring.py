@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from operator import add
 
-from .errors import MAX_DIGITS, NotDivisible, RankMismatch, ZeroForm, _quoted
+from .errors import MAX_DIGITS, NotDivisible, RankMismatch, ZeroForm, _cut, _quoted
 
 Monomial = tuple[int, ...]
 
@@ -199,6 +199,8 @@ def divide_exact(p: Polynomial, form: tuple) -> Polynomial:
     Synthetic division on the form's leading variable; raises
     :class:`NotDivisible` when a remainder survives.
     """
+    if not isinstance(p, Polynomial):
+        raise ValueError(f"{_quoted(p)} is a {type(p).__name__}; give a Polynomial")
     for c in form:
         if not isinstance(c, (int, Fraction)):
             kind = type(c).__name__
@@ -218,7 +220,8 @@ def divide_exact(p: Polynomial, form: tuple) -> Polynomial:
     while rem:
         deg = max(e[k] for e in rem)
         if deg == 0:
-            raise NotDivisible(f"{p} is not divisible by {Polynomial.linear(form)}")
+            divisor = Polynomial.linear(form)
+            raise NotDivisible(f"{_cut(str(p))} is not divisible by {_cut(str(divisor))}")
         # peel the top slice in the pivot variable: a quotient term cancels
         # its top term exactly, the rest of the form lands in the slice below
         for e in [e for e in rem if e[k] == deg]:

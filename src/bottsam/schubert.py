@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from . import rootsystem
 from .errors import NotLongestWord, NotReducedGallery, NotReducedWord, RankMismatch, _quoted
-from .bott_samelson import BSWord, CohClass, Gallery, _packing, _unpack
+from .bott_samelson import BSWord, CohClass, Gallery, _packing
 from .polyring import Polynomial
 from .rootsystem import RootSystem, Rows, SimpleWord, WeylElement, ascends
 
@@ -82,6 +82,8 @@ class BilleyQuery:
     __slots__ = ("rs", "w", "v_word", "_betas")
 
     def __init__(self, rs: RootSystem, w: WeylElement, v_word: SimpleWord):
+        if not isinstance(w, WeylElement):
+            raise ValueError(f"{_quoted(w)} is a {type(w).__name__}; give a WeylElement")
         if len(w.rows) != rs.rank:
             raise RankMismatch(f"element of rank {w.rank} against rank {rs.rank}")
         self.rs = rs
@@ -152,7 +154,10 @@ def billey(q: BilleyQuery) -> Polynomial:
     letter ``s`` extends ``u`` along its up-edge when ``l(us) > l(u)`` and
     ``us`` is in the interval.  The sums are integer polynomials with each
     exponent packed into the bytes that hold ``len(v_word)``, as
-    ``multiply`` packs them, and unpacked as it unpacks them.
+    ``multiply`` packs them, and read back through the same table of
+    exponent tuples.  Their coefficients are sums of products of positive
+    root coordinates, so none cancels and the value is built here, not in
+    ``multiply``'s exit for many polynomials at once.
     """
     edges, identity, count = _weak_interval(q.rs, q.w)
     rank = q.rs.rank
@@ -175,8 +180,18 @@ def billey(q: BilleyQuery) -> Polynomial:
                 for p, b in form:
                     m = mono + p
                     acc[m] = acc.get(m, 0) + c * b
-    value = _unpack({0: states[0] or {}}, rank, size, keys)
-    return value[0] if value else Polynomial.zero(rank)
+    n, terms = rank * size, {}
+    for m, c in (states[0] or {}).items():
+        key = keys.get(m)
+        if key is None:
+            b = m.to_bytes(n, "little")
+            key = tuple(int.from_bytes(b[k : k + size], "little") for k in range(0, n, size))
+            if len(keys) < rootsystem.MEMO_MAX_ENTRIES:
+                keys[m] = key
+        terms[key] = c
+    value = Polynomial.__new__(Polynomial)
+    value.rank, value.terms = rank, terms
+    return value
 
 
 def fiber(word: BSWord, w: WeylElement) -> set[Gallery]:

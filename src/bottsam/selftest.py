@@ -31,6 +31,8 @@ from .rootsystem import RootSystem, SimpleWord, WeylElement
 from .schubert import BilleyQuery, _reduced_walk, billey, check_billey_identities
 
 DELTA_TYPES = ("A1", "A2", "B2", "G2", "A3")
+BILLEY_TYPES = ("A1", "A2", "B2")  # criterion 3, on their longest words
+INDEPENDENCE_TYPES = ("A2", "B2")  # criterion 4, over all their elements
 GOLDEN_RESOURCE = "golden_a2.txt"
 MAX_REPORTED_FAILURES = 5
 
@@ -148,7 +150,7 @@ def check_billey_suite() -> CheckResult:
     t0 = time.perf_counter()
     failures: list[str] = []
     checks = 0
-    for label in ("A1", "A2", "B2"):
+    for label in BILLEY_TYPES:
         rs = RootSystem.from_label(label)
         word = BSWord(rs, rs.longest_word())
         # one walk: the reduced galleries, in the check's order, and their elements
@@ -169,7 +171,7 @@ def check_reduced_word_independence() -> CheckResult:
     t0 = time.perf_counter()
     failures: list[str] = []
     comparisons = 0
-    for label in ("A2", "B2"):
+    for label in INDEPENDENCE_TYPES:
         rs = RootSystem.from_label(label)
         elements = rs.weyl_elements()
         for v in elements:

@@ -95,3 +95,42 @@ def test_criterion_6_fails_on_an_expand_that_drops_a_coordinate(monkeypatch):
     result = selftest.check_expansion_roundtrip(seed=0)
     assert not result.passed
     assert result.detail == "1 random classes; case 0: A1 (1,)"
+
+
+
+def test_criterion_3_fails_on_a_billey_with_its_betas_reversed(monkeypatch):
+    from bottsam import schubert
+
+    billey = schubert.billey
+
+    def reversed_betas(q):
+        size, keys, forms = q._betas
+        q._betas = size, keys, forms[::-1]
+        return billey(q)
+
+    monkeypatch.setattr(schubert, "billey", reversed_betas)
+    monkeypatch.setattr(selftest, "BILLEY_TYPES", ("A2",))
+    result = selftest.check_billey_suite()
+    assert not result.passed
+    assert result.detail.startswith("42 checks; A2: w of length 1 at 110; ")
+
+
+def test_criterion_4_fails_on_a_billey_that_depends_on_the_reduced_word(monkeypatch):
+    from bottsam import Polynomial, billey
+
+    monkeypatch.setattr(
+        selftest, "billey", lambda q: billey(q) + Polynomial.constant(q.rs.rank, q.v_word[0])
+    )
+    monkeypatch.setattr(selftest, "INDEPENDENCE_TYPES", ("A2",))
+    result = selftest.check_reduced_word_independence()
+    assert not result.passed
+    assert result.detail.startswith("6 comparisons; A2: values differ between (1, 2, 1) and (2, 1, 2); ")
+
+
+def test_criterion_7_fails_on_a_stored_golden_file_with_one_changed_line(monkeypatch):
+    stored = selftest.golden_a2_stored()
+    assert stored.endswith("\na1 + a2\n")
+    monkeypatch.setattr(selftest, "golden_a2_stored", lambda: stored[: -len("a1 + a2\n")] + "a1 - a2\n")
+    result = selftest.check_golden_file()
+    assert not result.passed
+    assert result.detail == "20 lines; line 20: computed 'a1 + a2' != stored 'a1 - a2'"

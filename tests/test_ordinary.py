@@ -73,6 +73,16 @@ def test_two_step_rewriting():
     assert out == OrdinaryClass(word, {g("111"): Fraction(-1)})
 
 
+def test_a_product_whose_terms_cancel_is_zero_and_integral_sums_are_ints():
+    # on the A1 word 1 1, x2^2 = -2*x1*x2: x2 times x2 + 2*x1 cancels
+    word = BSWord(RootSystem.from_label("A1"), (1, 1))
+    out = ordinary_multiply(x(word, "01"), OrdinaryClass(word, {g("01"): 1, g("10"): 2}))
+    assert out == OrdinaryClass.zero(word) and out.is_zero
+    out = ordinary_multiply(OrdinaryClass(word, {g("01"): Fraction(1, 2)}), x(word, "10").scaled(2))
+    assert out == x(word, "11")
+    assert [type(c) for c in out.coords.values()] == [int]
+
+
 def test_disjoint_monomials_multiply_directly():
     word = word121()
     assert ordinary_multiply(x(word, "100"), x(word, "001")) == x(word, "101")

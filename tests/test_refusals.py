@@ -1,15 +1,25 @@
-"""Every constructor refuses a hostile value with the package's own
-exception, in one short line, at once: a long text, a long list of floats,
-a huge integer, a huge matrix."""
+"""Every constructor, and ``divide_exact``, refuses a hostile value with the
+package's own exception, in one short line, at once: a long text, a long
+list of floats, a huge integer, a huge matrix."""
 
 import time
 
 import pytest
 
-from bottsam import BSWord, CohClass, Gallery, OrdinaryClass, Polynomial, RootSystem
-from bottsam.errors import IndexOutOfRange, InvalidCartan, LengthMismatch, NotFiniteType, RankMismatch
+from bottsam import BilleyQuery, BSWord, CohClass, Gallery, OrdinaryClass, Polynomial, RootSystem, divide_exact
+from bottsam.errors import (
+    IndexOutOfRange,
+    InvalidCartan,
+    LengthMismatch,
+    NotDivisible,
+    NotFiniteType,
+    NotReducedWord,
+    RankMismatch,
+)
 
 A2 = RootSystem.from_label("A2")
+A3 = RootSystem.from_label("A3")
+S1 = A3.weyl_from_word((1,))
 HUGE = 10**5000
 WORD = BSWord(A2, (1, 2, 1))
 
@@ -28,6 +38,12 @@ HOSTILE = [
     ("long-exponent-key", lambda: Polynomial(2, {(1,) * 100_000: 1}), RankMismatch),
     ("huge-exponent", lambda: Polynomial(2, {(HUGE, -1): 1}), ValueError),
     ("text-coefficient", lambda: Polynomial(2, {(1, 0): "x" * 100_000}), ValueError),
+    ("billey-text-element", lambda: BilleyQuery(A3, "x" * 100_000, (1,)), ValueError),
+    ("billey-float-letters", lambda: BilleyQuery(A3, S1, [1.5] * 3000), IndexOutOfRange),
+    ("billey-long-non-reduced-word", lambda: BilleyQuery(A3, S1, (1,) * 100_000), NotReducedWord),
+    ("divide-text", lambda: divide_exact("x" * 100_000, (1, 0, 0)), ValueError),
+    ("not-divisible",
+     lambda: divide_exact(Polynomial(3, {(k, 0, 0): 1 for k in range(300)}), (0, 1, 0)), NotDivisible),
 ] + [
     (f"{kind.__name__}-{case}", lambda kind=kind, coords=coords: kind(WORD, coords), error)
     for kind in (CohClass, OrdinaryClass)
